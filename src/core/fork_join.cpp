@@ -104,17 +104,7 @@ void ForkJoinDriver::exchange_direction(int dir, int gb, int ge) {
         }
     }
 
-    // Intra-process copies + boundary reflection, workshared.
-    pfor(static_cast<std::int64_t>(dp.copies.size()), [&](std::int64_t i) {
-        const amr::IntraCopy& copy = dp.copies[static_cast<std::size_t>(i)];
-        const std::int64_t t0 = now_ns();
-        mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
-        trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
-    });
-    pfor(static_cast<std::int64_t>(dp.boundary.size()), [&](std::int64_t i) {
-        const auto& [key, sense] = dp.boundary[static_cast<std::size_t>(i)];
-        mesh_.block(key).reflect_face(dir, sense, gb, ge);
-    });
+    copy_and_reflect(dir, dp, gb, ge);
 
     // Master waits for ALL receives (fork-join cannot overlap per-message),
     // then a workshared loop unpacks everything.
@@ -149,6 +139,25 @@ void ForkJoinDriver::exchange_direction(int dir, int gb, int ge) {
     const std::int64_t t2 = now_ns();
     hcomm_.wait_all(std::span<mpi::Request>(send_reqs));
     trace(0, t2, now_ns(), PhaseKind::CommWait);
+}
+
+void ForkJoinDriver::copy_and_reflect(int dir, const amr::DirectionPlan& dp, int gb, int ge) {
+    // Intra-process copies and boundary reflection share one worksharing
+    // region: copies write the ghost planes of faces with a same-rank
+    // neighbour, reflections those of domain-boundary faces, and both read
+    // interior cells only.
+    const auto copies = static_cast<std::int64_t>(dp.copies.size());
+    pfor(copies + static_cast<std::int64_t>(dp.boundary.size()), [&](std::int64_t i) {
+        if (i < copies) {
+            const amr::IntraCopy& copy = dp.copies[static_cast<std::size_t>(i)];
+            const std::int64_t t0 = now_ns();
+            mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
+            trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
+        } else {
+            const auto& [key, sense] = dp.boundary[static_cast<std::size_t>(i - copies)];
+            mesh_.block(key).reflect_face(dir, sense, gb, ge);
+        }
+    });
 }
 
 void ForkJoinDriver::exchange_direction_zero_copy(int dir, int gb, int ge) {
@@ -220,16 +229,7 @@ void ForkJoinDriver::exchange_direction_zero_copy(int dir, int gb, int ge) {
         trace(0, t0, now_ns(), PhaseKind::Send);
     }
 
-    pfor(static_cast<std::int64_t>(dp.copies.size()), [&](std::int64_t i) {
-        const amr::IntraCopy& copy = dp.copies[static_cast<std::size_t>(i)];
-        const std::int64_t t0 = now_ns();
-        mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
-        trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
-    });
-    pfor(static_cast<std::int64_t>(dp.boundary.size()), [&](std::int64_t i) {
-        const auto& [key, sense] = dp.boundary[static_cast<std::size_t>(i)];
-        mesh_.block(key).reflect_face(dir, sense, gb, ge);
-    });
+    copy_and_reflect(dir, dp, gb, ge);
 
     const std::int64_t t0 = now_ns();
     hcomm_.wait_all(std::span<mpi::Request>(recv_reqs));

@@ -1,10 +1,10 @@
 // MPI+OpenMP fork-join variant driver (§V "MPI+OMP fork-join"): the official
-// hybrid miniAMR approach. Worksharing loops with static scheduling
-// parallelize stencil, pack/unpack, intra-process copies and local
-// checksums; every MPI call stays on the master thread; each parallel
-// region ends with an implicit barrier. As in the paper, we additionally
-// parallelize the split/coarsen copies of the refinement phase to make the
-// comparison fair.
+// hybrid miniAMR approach. Worksharing loops with static scheduling over all
+// `workers` cores of the rank parallelize stencil, pack/unpack,
+// intra-process copies and local checksums; every MPI call stays on the
+// master thread; each parallel region ends with an implicit barrier. As in
+// the paper, we additionally parallelize the split/coarsen copies of the
+// refinement phase to make the comparison fair.
 #pragma once
 
 #include "core/driver_base.hpp"
@@ -38,13 +38,19 @@ private:
     /// --zero_copy fast path: workshared pack straight into transport
     /// frames, workshared unpack straight out of received frames.
     void exchange_direction_zero_copy(int dir, int gb, int ge);
+    /// Intra-process face copies and boundary reflection of one direction
+    /// as a single worksharing region.
+    void copy_and_reflect(int dir, const amr::DirectionPlan& dp, int gb, int ge);
     /// parallel-for with the implicit barrier of an OpenMP region.
     void pfor(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 
     /// Populated in DFAMR_VERIFY builds or under DFAMR_DEPLINT=1; declared
     /// before rt_ (shutdown hook).
     std::unique_ptr<verify::Verifier> verifier_;
-    tasking::Runtime rt_;  // master (this thread) helps at the barrier
+    /// workers - 1 pool threads. With the master (this thread) they form
+    /// the team of `workers` cores every worksharing loop is split over;
+    /// the master runs its chunk while it waits at the barrier.
+    tasking::Runtime rt_;
 };
 
 }  // namespace dfamr::core

@@ -112,6 +112,11 @@ void Client::reader_loop() {
                 case FrameKind::Done: {
                     Slot& slot = slot_locked(header.job_id);
                     const JobDone d = decode_job_done(payload.data(), payload.size());
+                    // Done and Failed imply acceptance. They can overtake the
+                    // Accepted frame: the server writes that after its submit
+                    // call returns, and a short job may already have finished
+                    // on the pool by then.
+                    slot.result.accepted = true;
                     slot.result.done = true;
                     slot.result.checksums = d.checksums;
                     slot.result.elapsed_s = d.elapsed_s;
@@ -128,6 +133,7 @@ void Client::reader_loop() {
                 }
                 case FrameKind::Failed: {
                     Slot& slot = slot_locked(header.job_id);
+                    slot.result.accepted = true;
                     slot.result.error = decode_string(payload.data(), payload.size());
                     slot.result.latency_s =
                         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -69,6 +69,21 @@ void Runtime::set_verify_hook(VerifyHook* hook) {
 }
 
 void Runtime::submit(std::function<void()> body, std::vector<Dep> deps, const char* label) {
+    if (register_and_release_guard(make_task(std::move(body), std::move(deps), label))) {
+        wake_workers(1);
+    }
+}
+
+void Runtime::submit_independent(std::vector<std::function<void()>> bodies, const char* label) {
+    int ready = 0;
+    for (auto& body : bodies) {
+        if (register_and_release_guard(make_task(std::move(body), {}, label))) ++ready;
+    }
+    wake_workers(ready);
+}
+
+Runtime::TaskPtr Runtime::make_task(std::function<void()> body, std::vector<Dep> deps,
+                                    const char* label) {
     auto task = std::make_shared<Task>();
     task->body = std::move(body);
     task->deps = std::move(deps);
@@ -77,11 +92,10 @@ void Runtime::submit(std::function<void()> body, std::vector<Dep> deps, const ch
     const bool nested = (tls_runtime == this && tls_task != nullptr);
     task->parent = nested ? tls_task : &root_;
     if (nested) task->parent_ref = tls_task->shared_from_this();
-
-    register_and_release_guard(task);
+    return task;
 }
 
-void Runtime::register_and_release_guard(const TaskPtr& task) {
+bool Runtime::register_and_release_guard(const TaskPtr& task) {
     task->node_id = next_task_id_.fetch_add(1, std::memory_order_relaxed);
     task->self_ref = task;
     // Submission guard: one artificial predecessor held while accesses are
@@ -105,10 +119,9 @@ void Runtime::register_and_release_guard(const TaskPtr& task) {
                                      std::memory_order_relaxed);
     }
     // Drop the guard; whoever brings pred_count to zero schedules the task.
-    if (task->pred_count.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        enqueue_ready(task.get());
-        wake_workers(1);
-    }
+    if (task->pred_count.fetch_sub(1, std::memory_order_acq_rel) != 1) return false;
+    enqueue_ready(task.get());
+    return true;
 }
 
 void Runtime::enqueue_ready(Task* task) {
@@ -275,20 +288,23 @@ void Runtime::execute(Task* task) {
 
 Task* Runtime::finish_body(Task* task) {
     stats_.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::lock_guard lock(task->node_lock);
-        task->body_done = true;
-    }
-    return complete_if_ready(task, /*allow_immediate=*/true);
+    return complete_if_ready(task, /*body_finished=*/true, /*events_done=*/0);
 }
 
-Task* Runtime::complete_if_ready(Task* task, bool allow_immediate) {
+Task* Runtime::complete_if_ready(Task* task, bool body_finished, int events_done) {
     std::vector<DepNode*> released;
     {
         std::unique_lock vlock(verify_mutex_, std::defer_lock);
         if (verify_ != nullptr) vlock.lock();
         {
             std::lock_guard lock(task->node_lock);
+            // Record the body's end or the fulfilled events and test for
+            // completion in one lock hold. Whichever side arrives second
+            // completes the task and may free it right after; the side that
+            // arrived first must not touch the task once it unlocks.
+            if (body_finished) task->body_done = true;
+            DFAMR_REQUIRE(task->external_events >= events_done, "event counter underflow");
+            task->external_events -= events_done;
             if (task->completed.load(std::memory_order_relaxed) || !task->body_done ||
                 task->external_events > 0) {
                 return nullptr;
@@ -314,7 +330,7 @@ Task* Runtime::complete_if_ready(Task* task, bool allow_immediate) {
     for (DepNode* succ_node : released) {
         auto* succ = static_cast<Task*>(succ_node);
         if (succ->pred_count.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            if (allow_immediate && immediate == nullptr) {
+            if (body_finished && immediate == nullptr) {
                 immediate = succ;
                 stats_.immediate_successor_hits.fetch_add(1, std::memory_order_relaxed);
             } else {
@@ -470,7 +486,7 @@ void Runtime::taskwait_on(std::vector<Dep> deps) {
     sentinel->deps = std::move(deps);
     sentinel->parent = &root_;  // not a descendant of the caller: a plain taskwait
                                 // afterwards must still be able to run it inline.
-    register_and_release_guard(sentinel);
+    if (register_and_release_guard(sentinel)) wake_workers(1);
     Task* raw = sentinel.get();  // kept alive by the local shared_ptr
     wait_until([raw] { return raw->completed.load(std::memory_order_acquire); });
 }
@@ -486,14 +502,9 @@ Task* Runtime::increase_current_task_events(int n) {
 
 void Runtime::decrease_task_events(Task* task, int n) {
     DFAMR_REQUIRE(task != nullptr && n > 0, "invalid event decrease");
-    {
-        std::lock_guard lock(task->node_lock);
-        DFAMR_REQUIRE(task->external_events >= n, "event counter underflow");
-        task->external_events -= n;
-    }
     // May complete the task; `task` must not be touched afterwards (the
     // completing thread drops the task's self-ownership).
-    [[maybe_unused]] Task* next = complete_if_ready(task, /*allow_immediate=*/false);
+    [[maybe_unused]] Task* next = complete_if_ready(task, /*body_finished=*/false, n);
     DFAMR_ASSERT(next == nullptr);
 }
 

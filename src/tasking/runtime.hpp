@@ -108,6 +108,13 @@ public:
     /// owning thread or from inside a task (nesting).
     void submit(std::function<void()> body, std::vector<Dep> deps, const char* label = "");
 
+    /// Submits dependency-free tasks as one batch — the fork of a
+    /// worksharing region — and wakes parked workers for all of them at
+    /// once. (Back-to-back submit() calls wake one worker per call but skip
+    /// the notify while an earlier one is still in flight, which can leave
+    /// a burst of independent tasks to a single woken worker.)
+    void submit_independent(std::vector<std::function<void()>> bodies, const char* label = "");
+
     /// Waits until every descendant task of the calling context completed.
     void taskwait();
 
@@ -209,7 +216,10 @@ private:
     /// Marks the body done and releases deps if fully complete. Returns an
     /// immediate successor made ready by the release (if any).
     Task* finish_body(Task* task);
-    Task* complete_if_ready(Task* task, bool allow_immediate);
+    /// Records the body's end (`body_finished`) or `events_done` fulfilled
+    /// external events, then completes the task if nothing is left. Only
+    /// the thread that ran the body gets an immediate successor back.
+    Task* complete_if_ready(Task* task, bool body_finished, int events_done);
     /// Next-task slot, own deque, injection queue, then stealing.
     Task* find_task(Worker& me);
     Task* pop_injected();
@@ -229,8 +239,12 @@ private:
     bool run_polling_services();
     /// Help-execute tasks / poll until `done()` is true.
     void wait_until(const std::function<bool()>& done);
+    /// A task of the calling context (nested inside the current task, if any).
+    TaskPtr make_task(std::function<void()> body, std::vector<Dep> deps, const char* label);
     /// Registers the task's accesses and drops the submission guard.
-    void register_and_release_guard(const TaskPtr& task);
+    /// Returns true when that made the task ready; the caller then wakes
+    /// workers for it.
+    bool register_and_release_guard(const TaskPtr& task);
 
     /// The Worker owned by the calling thread, if it is a worker thread of
     /// some Runtime (check `owner` before using — threads may help other

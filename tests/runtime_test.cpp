@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -306,10 +308,50 @@ TEST(RuntimeStress, ManyTasksRandomDependencies) {
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
-    Runtime rt(3);
-    std::vector<std::atomic<int>> hits(100);
-    parallel_for(rt, 0, 100, [&](std::int64_t i) { ++hits[static_cast<std::size_t>(i)]; });
-    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+    // Teams of 1 (the caller alone), 2 and 4 over ranges longer and shorter
+    // than the team, starting at a nonzero index.
+    constexpr std::int64_t kBegin = 7;
+    for (const int workers : {0, 1, 3}) {
+        Runtime rt(workers);
+        for (const std::int64_t n : {100, 3, 1}) {
+            std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+            parallel_for(rt, kBegin, kBegin + n,
+                         [&](std::int64_t i) { ++hits[static_cast<std::size_t>(i - kBegin)]; });
+            for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "workers " << workers << ", n " << n;
+        }
+    }
+}
+
+TEST(ParallelFor, CallerJoinsTheTeam) {
+    // One item per team member, each waiting until every item has started:
+    // that completes only if the caller and every worker run a chunk at
+    // once. A split that leaves the caller idle hands some chunk two items,
+    // so its first item waits out the deadline instead of hanging. On
+    // Runtime(3) the fork must also wake all three parked workers.
+    for (const int workers : {1, 3}) {
+        Runtime rt(workers);
+        const int team = rt.worker_count() + 1;
+        std::vector<std::thread::id> ids(static_cast<std::size_t>(team));
+        std::atomic<int> started{0};
+        std::atomic<bool> timed_out{false};
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        parallel_for(rt, 0, team, [&](std::int64_t i) {
+            ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+            started.fetch_add(1);
+            while (started.load() < team) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    timed_out = true;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+        EXPECT_FALSE(timed_out.load()) << "workers " << workers;
+        EXPECT_EQ(started.load(), team);
+        const std::set<std::thread::id> distinct(ids.begin(), ids.end());
+        EXPECT_EQ(distinct.size(), static_cast<std::size_t>(team)) << "workers " << workers;
+        EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1u) << "caller ran no chunk";
+    }
 }
 
 TEST(ParallelFor, EmptyAndTinyRanges) {

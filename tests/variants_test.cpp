@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <utility>
 
 #include "core/variants.hpp"
 
@@ -228,6 +230,32 @@ TEST(Variants, TracerCapturesPhases) {
     EXPECT_GT(a.busy_ns_by_kind.count(amr::PhaseKind::Stencil), 0u);
     EXPECT_GT(a.busy_ns_by_kind.count(amr::PhaseKind::IntraCopy), 0u);
     EXPECT_GT(a.cores, 0);
+
+    // Fork-join worksharing runs on the whole team: on every rank both the
+    // master (lane 0) and the pool worker (lane 1) compute stencil chunks.
+    // With one chunk per region the master would take it before the parked
+    // worker wakes, and the worker lanes would record none. Chunks of 8
+    // large blocks outlast waking the worker, and 40 stencil regions give
+    // a worker delayed by a loaded host many chances.
+    cfg.init_x = cfg.init_y = 2;
+    cfg.init_z = 4;
+    cfg.nx = cfg.ny = cfg.nz = 16;
+    cfg.num_vars = 8;
+    cfg.num_tsteps = 10;
+    cfg.num_refine = 0;
+    amr::Tracer fj_tracer;
+    fj_tracer.enable(true);
+    EXPECT_TRUE(run_variant(cfg, Variant::ForkJoin, &fj_tracer).validation_ok);
+    std::set<std::pair<int, int>> stencil_lanes;  // (rank, lane)
+    for (const amr::TraceEvent& e : fj_tracer.sorted_events()) {
+        if (e.kind == amr::PhaseKind::Stencil) stencil_lanes.emplace(e.rank, e.worker);
+    }
+    for (int rank = 0; rank < cfg.num_ranks(); ++rank) {
+        for (int lane = 0; lane < cfg.workers; ++lane) {
+            EXPECT_EQ(stencil_lanes.count({rank, lane}), 1u)
+                << "no stencil chunk on rank " << rank << ", lane " << lane;
+        }
+    }
 }
 
 }  // namespace
