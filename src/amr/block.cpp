@@ -1,6 +1,9 @@
 #include "amr/block.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 
 #include "amr/scratch.hpp"
 #include "common/error.hpp"
@@ -108,114 +111,161 @@ std::int64_t Block::face_value_count(const FaceGeom& g, int vars) const {
 }
 
 namespace {
-/// Maps (plane coordinate a, in-plane coordinates u, v) to (x, y, z).
-struct PlaneIndexer {
-    int axis;
-    int ua, va;  // the two in-plane axes
 
-    Vec3i coords(int a, int u, int v) const {
-        Vec3i c;
-        c[axis] = a;
-        c[ua] = u;
-        c[va] = v;
-        return c;
+using Unit = std::integral_constant<std::int64_t, 1>;
+
+/// Rows of a face or a message through a raw pointer: row r starts at
+/// `p + r * row` and its cell c sits at `c * cell` from there. `Cell` is
+/// the compile-time Unit for contiguous rows (message buffers, and x and y
+/// faces, whose rows run along z) and the runtime nz + 2 on z faces.
+template <class T, class Cell>
+struct Rows {
+    T* p;
+    std::int64_t row;
+    Cell cell;
+
+    static constexpr bool kContiguous = std::is_same_v<Cell, Unit>;
+
+    T* operator[](std::int64_t r) const { return p + r * row; }
+    /// The quarter `quad` of an (2 hu) x (2 hv) window (u-half in bit 0,
+    /// v-half in bit 1, as FaceGeom::quad).
+    Rows quarter(int quad, int hu, int hv) const {
+        return {p + (quad & 1) * hu * row + ((quad >> 1) & 1) * hv * cell, row, cell};
     }
 };
 
-PlaneIndexer plane_indexer(const BlockShape& shape, int axis) {
-    const auto [u, v] = shape.plane_axes(axis);
-    return PlaneIndexer{axis, u, v};
+/// A message section: rows of `width` values, back to back.
+template <class T>
+Rows<T, Unit> dense(T* p, int width) {
+    return {p, width, Unit{}};
 }
+
+/// The interior U x V window of variable `k`'s plane `a` along the face
+/// normal.
+template <class T, class Cell>
+Rows<T, Cell> face_rows(T* data, const FaceStrides& f, int k, int a, Cell cell) {
+    return {data + f.index(k, a, 1, 1), f.u, cell};
+}
+
+/// Runs `body(cell)` with the face's in-row stride, as the compile-time
+/// Unit when it is 1 so x- and y-face rows compile to contiguous copies.
+template <class Body>
+void with_cell_stride(const FaceStrides& f, Body&& body) {
+    if (f.v == 1) {
+        body(Unit{});
+    } else {
+        body(f.v);
+    }
+}
+
+/// dst[u][v] = src[u][v] over nu x nv.
+template <class D, class S>
+void copy_rows(const D& dst, const S& src, int nu, int nv) {
+    for (int u = 0; u < nu; ++u) {
+        auto* d = dst[u];
+        const auto* s = src[u];
+        if constexpr (D::kContiguous && S::kContiguous) {
+            std::copy_n(s, nv, d);
+        } else {
+            for (std::int64_t v = 0; v < nv; ++v) d[v * dst.cell] = s[v * src.cell];
+        }
+    }
+}
+
+/// dst[u][v] = the quarter-average of src's 2x2 cells at (2u, 2v), over
+/// nu x nv coarse cells. The sum starts from +0.0 and adds the cells in
+/// (du, dv) order (0,0), (0,1), (1,0), (1,1): the exact arithmetic every
+/// message carries, down to the sign of a zero.
+template <class D, class S>
+void restrict_rows(const D& dst, const S& src, int nu, int nv) {
+    for (int u = 0; u < nu; ++u) {
+        auto* d = dst[u];
+        const auto* s0 = src[2 * u];
+        const auto* s1 = src[2 * u + 1];
+        for (std::int64_t v = 0; v < nv; ++v) {
+            const std::int64_t c0 = 2 * v * src.cell, c1 = (2 * v + 1) * src.cell;
+            double sum = 0;
+            sum += s0[c0];
+            sum += s0[c1];
+            sum += s1[c0];
+            sum += s1[c1];
+            d[v * dst.cell] = 0.25 * sum;
+        }
+    }
+}
+
+/// dst[u][v] = src[u / 2][v / 2] over nu x nv fine cells (nv is even:
+/// Config::validate keeps block sizes even for level-crossing faces).
+template <class D, class S>
+void prolong_rows(const D& dst, const S& src, int nu, int nv) {
+    for (int u = 0; u < nu; ++u) {
+        auto* d = dst[u];
+        const auto* s = src[u / 2];
+        for (std::int64_t v = 0; v < nv / 2; ++v) {
+            const double x = s[v * src.cell];
+            d[2 * v * dst.cell] = x;
+            d[(2 * v + 1) * dst.cell] = x;
+        }
+    }
+}
+
 }  // namespace
 
 void Block::pack_face(const FaceGeom& g, int var_begin, int var_end, std::span<double> out) const {
-    const PlaneIndexer pi = plane_indexer(shape_, g.axis);
-    const int U = shape_.dim(pi.ua), V = shape_.dim(pi.va);
-    const int a = g.sense > 0 ? shape_.dim(g.axis) : 1;  // interior boundary plane
     DFAMR_REQUIRE(static_cast<std::int64_t>(out.size()) == face_value_count(g, var_end - var_begin),
                   "pack_face: wrong buffer size");
-    std::size_t o = 0;
-    for (int var = var_begin; var < var_end; ++var) {
-        switch (g.rel) {
-            case FaceRel::Same:
-                for (int u = 1; u <= U; ++u) {
-                    for (int v = 1; v <= V; ++v) {
-                        const Vec3i c = pi.coords(a, u, v);
-                        out[o++] = at(var, c.x, c.y, c.z);
-                    }
-                }
-                break;
-            case FaceRel::Coarser:  // receiver coarser: restrict my whole face
-                for (int u = 0; u < U / 2; ++u) {
-                    for (int v = 0; v < V / 2; ++v) {
-                        double sum = 0;
-                        for (int du = 1; du <= 2; ++du) {
-                            for (int dv = 1; dv <= 2; ++dv) {
-                                const Vec3i c = pi.coords(a, 2 * u + du, 2 * v + dv);
-                                sum += at(var, c.x, c.y, c.z);
-                            }
-                        }
-                        out[o++] = 0.25 * sum;
-                    }
-                }
-                break;
-            case FaceRel::Finer: {  // receiver finer: send quarter `quad` raw
-                const int qu = (g.quad & 1) * (U / 2);
-                const int qv = ((g.quad >> 1) & 1) * (V / 2);
-                for (int u = 0; u < U / 2; ++u) {
-                    for (int v = 0; v < V / 2; ++v) {
-                        const Vec3i c = pi.coords(a, qu + u + 1, qv + v + 1);
-                        out[o++] = at(var, c.x, c.y, c.z);
-                    }
-                }
-                break;
+    const FaceStrides f = shape_.face_strides(g.axis);
+    const int hu = f.U / 2, hv = f.V / 2;
+    const int a = g.sense > 0 ? shape_.dim(g.axis) : 1;  // interior boundary plane
+    double* o = out.data();
+    with_cell_stride(f, [&](auto cell) {
+        for (int var = var_begin; var < var_end; ++var) {
+            const auto mine = face_rows(data_.data(), f, var, a, cell);
+            switch (g.rel) {
+                case FaceRel::Same:
+                    copy_rows(dense(o, f.V), mine, f.U, f.V);
+                    o += f.U * f.V;
+                    break;
+                case FaceRel::Coarser:  // receiver coarser: restrict my whole face
+                    restrict_rows(dense(o, hv), mine, hu, hv);
+                    o += hu * hv;
+                    break;
+                case FaceRel::Finer:  // receiver finer: send quarter `quad` raw
+                    copy_rows(dense(o, hv), mine.quarter(g.quad, hu, hv), hu, hv);
+                    o += hu * hv;
+                    break;
             }
         }
-    }
+    });
 }
 
 void Block::unpack_face(const FaceGeom& g, int var_begin, int var_end,
                         std::span<const double> in) {
-    const PlaneIndexer pi = plane_indexer(shape_, g.axis);
-    const int U = shape_.dim(pi.ua), V = shape_.dim(pi.va);
-    const int a = g.sense > 0 ? shape_.dim(g.axis) + 1 : 0;  // ghost plane
     DFAMR_REQUIRE(static_cast<std::int64_t>(in.size()) == face_value_count(g, var_end - var_begin),
                   "unpack_face: wrong buffer size");
-    std::size_t o = 0;
-    for (int var = var_begin; var < var_end; ++var) {
-        switch (g.rel) {
-            case FaceRel::Same:
-                for (int u = 1; u <= U; ++u) {
-                    for (int v = 1; v <= V; ++v) {
-                        const Vec3i c = pi.coords(a, u, v);
-                        at(var, c.x, c.y, c.z) = in[o++];
-                    }
-                }
-                break;
-            case FaceRel::Coarser:  // sender coarser: prolong onto my ghosts
-                for (int u = 1; u <= U; ++u) {
-                    for (int v = 1; v <= V; ++v) {
-                        const std::size_t src = o + static_cast<std::size_t>(((u - 1) / 2) * (V / 2) +
-                                                                             (v - 1) / 2);
-                        const Vec3i c = pi.coords(a, u, v);
-                        at(var, c.x, c.y, c.z) = in[src];
-                    }
-                }
-                o += static_cast<std::size_t>((U / 2) * (V / 2));
-                break;
-            case FaceRel::Finer: {  // sender finer: place into quarter `quad`
-                const int qu = (g.quad & 1) * (U / 2);
-                const int qv = ((g.quad >> 1) & 1) * (V / 2);
-                for (int u = 0; u < U / 2; ++u) {
-                    for (int v = 0; v < V / 2; ++v) {
-                        const Vec3i c = pi.coords(a, qu + u + 1, qv + v + 1);
-                        at(var, c.x, c.y, c.z) = in[o++];
-                    }
-                }
-                break;
+    const FaceStrides f = shape_.face_strides(g.axis);
+    const int hu = f.U / 2, hv = f.V / 2;
+    const int a = g.sense > 0 ? shape_.dim(g.axis) + 1 : 0;  // ghost plane
+    const double* o = in.data();
+    with_cell_stride(f, [&](auto cell) {
+        for (int var = var_begin; var < var_end; ++var) {
+            const auto mine = face_rows(data_.data(), f, var, a, cell);
+            switch (g.rel) {
+                case FaceRel::Same:
+                    copy_rows(mine, dense(o, f.V), f.U, f.V);
+                    o += f.U * f.V;
+                    break;
+                case FaceRel::Coarser:  // sender coarser: prolong onto my ghosts
+                    prolong_rows(mine, dense(o, hv), f.U, f.V);
+                    o += hu * hv;
+                    break;
+                case FaceRel::Finer:  // sender finer: place into quarter `quad`
+                    copy_rows(mine.quarter(g.quad, hu, hv), dense(o, hv), hu, hv);
+                    o += hu * hv;
+                    break;
             }
         }
-    }
+    });
 }
 
 void Block::pack_face(const FaceGeom& g, int var_begin, int var_end,
@@ -240,38 +290,45 @@ void Block::unpack_face(const FaceGeom& g, int var_begin, int var_end,
 }
 
 void Block::copy_face_from(const Block& src, const FaceGeom& g, int var_begin, int var_end) {
-    // `g` is my view (rel = neighbor's level vs mine, sense = side of me the
-    // neighbor is on). pack_face takes the sender's view (rel = receiver's
-    // level vs sender), so flip sense and the level relation; `quad` always
-    // names the quarter of the coarser side's face and is shared.
-    FaceGeom src_geom = g;
-    src_geom.sense = -g.sense;
-    if (g.rel == FaceRel::Coarser) {
-        src_geom.rel = FaceRel::Finer;
-    } else if (g.rel == FaceRel::Finer) {
-        src_geom.rel = FaceRel::Coarser;
-    }
-    const std::int64_t n = face_value_count(g, var_end - var_begin);
-    std::span<double> buf(tls_scratch(static_cast<std::size_t>(n)).data(),
-                          static_cast<std::size_t>(n));
-    src.pack_face(src_geom, var_begin, var_end, buf);
-    unpack_face(g, var_begin, var_end, buf);
+    // `g` is my view: rel = the source's level vs mine, sense = the side of
+    // me the source is on; `quad` names the quarter of the coarser side's
+    // face. The values are exactly those src.pack_face (in the sender's
+    // view) followed by unpack_face would move, without the buffer.
+    DFAMR_REQUIRE(src.shape_ == shape_, "copy_face_from: source block has another shape");
+    const FaceStrides f = shape_.face_strides(g.axis);
+    const int hu = f.U / 2, hv = f.V / 2;
+    const int n = shape_.dim(g.axis);
+    const int ghost = g.sense > 0 ? n + 1 : 0;
+    const int boundary = g.sense > 0 ? 1 : n;  // the source's interior plane facing me
+    with_cell_stride(f, [&](auto cell) {
+        for (int var = var_begin; var < var_end; ++var) {
+            const auto mine = face_rows(data_.data(), f, var, ghost, cell);
+            const auto theirs = face_rows(src.data_.data(), f, var, boundary, cell);
+            switch (g.rel) {
+                case FaceRel::Same:
+                    copy_rows(mine, theirs, f.U, f.V);
+                    break;
+                case FaceRel::Coarser:  // prolong from the source's quarter `quad`
+                    prolong_rows(mine, theirs.quarter(g.quad, hu, hv), f.U, f.V);
+                    break;
+                case FaceRel::Finer:  // restrict the source into my quarter `quad`
+                    restrict_rows(mine.quarter(g.quad, hu, hv), theirs, hu, hv);
+                    break;
+            }
+        }
+    });
 }
 
 void Block::reflect_face(int axis, int sense, int var_begin, int var_end) {
-    const PlaneIndexer pi = plane_indexer(shape_, axis);
-    const int U = shape_.dim(pi.ua), V = shape_.dim(pi.va);
-    const int a_ghost = sense > 0 ? shape_.dim(axis) + 1 : 0;
-    const int a_int = sense > 0 ? shape_.dim(axis) : 1;
-    for (int var = var_begin; var < var_end; ++var) {
-        for (int u = 1; u <= U; ++u) {
-            for (int v = 1; v <= V; ++v) {
-                const Vec3i cg = pi.coords(a_ghost, u, v);
-                const Vec3i ci = pi.coords(a_int, u, v);
-                at(var, cg.x, cg.y, cg.z) = at(var, ci.x, ci.y, ci.z);
-            }
+    const FaceStrides f = shape_.face_strides(axis);
+    const int n = shape_.dim(axis);
+    with_cell_stride(f, [&](auto cell) {
+        for (int var = var_begin; var < var_end; ++var) {
+            copy_rows(face_rows(data_.data(), f, var, sense > 0 ? n + 1 : 0, cell),
+                      face_rows(data_.data(), f, var, sense > 0 ? n : 1, cell),
+                      f.U, f.V);
         }
-    }
+    });
 }
 
 void Block::fill_from_parent(const Block& parent, int octant) {

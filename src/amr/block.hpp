@@ -57,10 +57,31 @@ struct FaceGeom {
     int quad = 0;
 };
 
+/// Storage strides of the planes orthogonal to one axis, in doubles. The
+/// face kernels walk a face as U rows of V cells: rows step along the
+/// in-plane axis u, cells along v, with (u, v) = BlockShape::plane_axes.
+/// On x and y faces v is z, so `v == 1` and every row is contiguous; on z
+/// faces v is y and rows are strided by nz + 2.
+struct FaceStrides {
+    std::int64_t var = 0;    // between variables
+    std::int64_t plane = 0;  // along the face normal
+    std::int64_t u = 0;      // between rows
+    std::int64_t v = 0;      // between the cells of a row
+    int U = 0, V = 0;        // interior cells along u and v
+
+    /// Index of variable k's cell at plane coordinate `a` and in-plane
+    /// (iu, iv), in Block::at's 1-based ghosted frame.
+    std::int64_t index(int k, int a, int iu, int iv) const {
+        return k * var + a * plane + iu * u + iv * v;
+    }
+};
+
 /// Fixed per-run block shape parameters.
 struct BlockShape {
     int nx = 0, ny = 0, nz = 0;
     int num_vars = 0;
+
+    friend bool operator==(const BlockShape&, const BlockShape&) = default;
 
     std::int64_t stride_z() const { return 1; }
     std::int64_t stride_y() const { return nz + 2; }
@@ -74,6 +95,15 @@ struct BlockShape {
         if (axis == 0) return {1, 2};
         if (axis == 1) return {0, 2};
         return {0, 1};
+    }
+    /// Strides of the planes orthogonal to `axis` (computed once per face
+    /// transfer, not per cell).
+    FaceStrides face_strides(int axis) const {
+        const auto [ua, va] = plane_axes(axis);
+        const auto stride = [this](int a) {
+            return a == 0 ? stride_x() : (a == 1 ? stride_y() : stride_z());
+        };
+        return FaceStrides{stride_var(), stride(axis), stride(ua), stride(va), dim(ua), dim(va)};
     }
     /// Values in a same-level face message for `vars` variables.
     std::int64_t face_values_same(int axis, int vars) const {
@@ -134,7 +164,9 @@ public:
     /// Unpack-from-view counterpart (reads a received frame in place).
     void unpack_face(const FaceGeom& g, int var_begin, int var_end,
                      std::span<const std::byte> in);
-    /// Direct intra-rank ghost fill: equivalent to src.pack + this->unpack.
+    /// Direct intra-rank ghost fill: moves exactly the values src.pack_face
+    /// followed by this->unpack_face would, with no buffer in between.
+    /// `src` must have this block's shape.
     void copy_face_from(const Block& src, const FaceGeom& g, int var_begin, int var_end);
     /// Domain-boundary ghost fill: reflects the boundary plane (Neumann).
     void reflect_face(int axis, int sense, int var_begin, int var_end);

@@ -18,14 +18,6 @@ resilience::RetryPolicy retry_policy(const Config& cfg) {
     policy.timeout_ns = static_cast<std::int64_t>(cfg.comm_timeout_s * 1e9);
     return policy;
 }
-
-/// Cell coordinates of the in-plane point (u, v) on plane `a` of `axis`
-/// (same convention as block.cpp's PlaneIndexer).
-Vec3i plane_coords(int axis, int a, int u, int v) {
-    if (axis == 0) return {a, u, v};
-    if (axis == 1) return {u, a, v};
-    return {u, v, a};
-}
 }  // namespace
 
 DriverBase::DriverBase(const Config& cfg, mpi::Communicator& comm, Tracer* tracer)
@@ -515,26 +507,24 @@ void DriverBase::apply_flux_correction(const amr::FaceTransfer& face, int var_be
     FluxRegister& reg = flux_regs_.at(face.mine);
     const FaceGeom& g = face.geom;  // rel == Finer: quad names the fine quarter
     const amr::BlockShape& s = mesh_.shape();
+    const amr::FaceStrides f = s.face_strides(g.axis);
     const Box box = mesh_.structure().box(face.mine);
-    const auto [ua, va] = s.plane_axes(g.axis);
-    const int U = s.dim(ua), V = s.dim(va);
     const int a = g.sense > 0 ? s.dim(g.axis) : 1;  // interior boundary plane
     const double h = box.extent()[g.axis] / s.dim(g.axis);
     const double scale = -g.sense * (dt_ / h);
-    const int qu = (g.quad & 1) * (U / 2);
-    const int qv = ((g.quad >> 1) & 1) * (V / 2);
+    const int qu = (g.quad & 1) * (f.U / 2);
+    const int qv = ((g.quad >> 1) & 1) * (f.V / 2);
     double drift = 0;
     std::size_t o = 0;
     for (int var = var_begin; var < var_end; ++var) {
-        for (int u = 0; u < U / 2; ++u) {
-            for (int v = 0; v < V / 2; ++v) {
+        for (int u = 0; u < f.U / 2; ++u) {
+            for (int v = 0; v < f.V / 2; ++v) {
                 const double fine = fine_flux[o++];
                 double& coarse = reg.at(g.axis, g.sense, var, qu + u + 1, qv + v + 1);
-                const Vec3i c = plane_coords(g.axis, a, qu + u + 1, qv + v + 1);
                 // Berger–Colella reflux: replace my flux with the restricted
                 // fine flux; the interface then telescopes against the fine
                 // side's registers exactly.
-                blk.at(var, c.x, c.y, c.z) += scale * (fine - coarse);
+                blk.data()[f.index(var, a, qu + u + 1, qv + v + 1)] += scale * (fine - coarse);
                 coarse = fine;
                 drift += std::abs(coarse - fine);
             }

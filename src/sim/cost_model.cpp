@@ -1,7 +1,8 @@
 #include "sim/cost_model.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "amr/block.hpp"
@@ -29,19 +30,33 @@ CostModel calibrate(int block_cells, int vars) {
             std::max(0.2, static_cast<double>(dt) / (static_cast<double>(reps) * cells * vars));
     }
 
-    // Copy throughput via memcpy of a face-sized buffer.
+    // Copy cost from the kernel behind the DES's IntraCopy/Pack/Unpack
+    // tasks: Block::copy_face_from over the six same-level faces, per face
+    // byte (8 per value). The fastest of several rounds, so one preemption
+    // cannot inflate it.
     {
-        const std::size_t bytes = 1 << 20;
-        std::vector<char> src(bytes, 1), dst(bytes);
-        const int reps = 50;
-        const std::int64_t t0 = now_ns();
-        for (int r = 0; r < reps; ++r) {
-            std::memcpy(dst.data(), src.data(), bytes);
-            src[0] = static_cast<char>(r);  // defeat dead-code elimination
+        amr::Block neighbor(amr::BlockKey{}, shape);
+        neighbor.init_cells(dfamr::Box{{1, 0, 0}, {2, 1, 1}}, 7);
+        std::vector<amr::FaceGeom> faces;
+        std::int64_t bytes = 0;
+        for (int axis = 0; axis < 3; ++axis) {
+            for (const int sense : {-1, +1}) {
+                faces.push_back(amr::FaceGeom{axis, sense, amr::FaceRel::Same, 0});
+                bytes += block.face_value_count(faces.back(), vars) *
+                         static_cast<std::int64_t>(sizeof(double));
+            }
         }
-        const std::int64_t dt = now_ns() - t0;
+        const int rounds = 5, reps = 20;
+        std::int64_t best = std::numeric_limits<std::int64_t>::max();
+        for (int round = 0; round < rounds; ++round) {
+            const std::int64_t t0 = now_ns();
+            for (int r = 0; r < reps; ++r) {
+                for (const amr::FaceGeom& g : faces) block.copy_face_from(neighbor, g, 0, vars);
+            }
+            best = std::min(best, now_ns() - t0);
+        }
         model.copy_ns_per_byte =
-            std::max(0.005, static_cast<double>(dt) / (static_cast<double>(reps) * bytes));
+            std::max(0.005, static_cast<double>(best) / (static_cast<double>(reps) * bytes));
     }
 
     // Checksum.

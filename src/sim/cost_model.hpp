@@ -21,7 +21,9 @@ struct CostModel {
     // with a fully-populated Xeon 8160 node and with calibrate() on typical
     // development hosts.
     double stencil_ns_per_cell_var = 6.0;
-    double copy_ns_per_byte = 0.05;  // pack/unpack/split/merge copies
+    // Face transfers (pack, unpack, intra-rank copy) and split/merge block
+    // copies; calibrate() times Block::copy_face_from.
+    double copy_ns_per_byte = 0.05;
     double checksum_ns_per_cell_var = 1.5;
 
     // --- runtime/MPI overheads -------------------------------------------

@@ -2,13 +2,18 @@
 // prolongation), refinement data operations, stencils, checksums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "amr/block.hpp"
 #include "amr/flux_register.hpp"
+#include "common/error.hpp"
 
 namespace dfamr::amr {
 namespace {
@@ -221,6 +226,254 @@ TEST(Block, ReflectFaceCopiesBoundaryPlane) {
                 EXPECT_EQ(b.at(v, x, y, 0), b.at(v, x, y, 1));
             }
         }
+    }
+}
+
+// --- face-kernel oracle ------------------------------------------------------
+// Element-wise reference kernels: one cell at a time through (axis, plane
+// coordinate a, in-plane u, v) -> (x, y, z) and Block::at. They pin the face
+// transfers' value order and arithmetic independently of the production
+// kernels' strides, on a non-cubic shape so an axis mix-up cannot cancel out.
+
+const BlockShape kNonCubic{6, 4, 8, 3};
+constexpr int kVarBegin = 1, kVarEnd = 3;
+
+/// Cell (x, y, z) at plane coordinate `a` along `axis`, in-plane (u, v).
+Vec3i face_cell(int axis, int a, int u, int v) {
+    const auto [ua, va] = BlockShape{}.plane_axes(axis);
+    Vec3i c;
+    c[axis] = a;
+    c[ua] = u;
+    c[va] = v;
+    return c;
+}
+
+std::vector<double> ref_pack(const Block& b, const FaceGeom& g, int var_begin, int var_end) {
+    const BlockShape& s = b.shape();
+    const auto [ua, va] = s.plane_axes(g.axis);
+    const int U = s.dim(ua), V = s.dim(va);
+    const int a = g.sense > 0 ? s.dim(g.axis) : 1;  // interior boundary plane
+    const auto val = [&](int var, int u, int v) {
+        const Vec3i c = face_cell(g.axis, a, u, v);
+        return b.at(var, c.x, c.y, c.z);
+    };
+    std::vector<double> out;
+    for (int var = var_begin; var < var_end; ++var) {
+        if (g.rel == FaceRel::Same) {
+            for (int u = 1; u <= U; ++u) {
+                for (int v = 1; v <= V; ++v) out.push_back(val(var, u, v));
+            }
+        } else if (g.rel == FaceRel::Coarser) {
+            for (int u = 0; u < U / 2; ++u) {
+                for (int v = 0; v < V / 2; ++v) {
+                    double sum = 0;
+                    for (int du = 1; du <= 2; ++du) {
+                        for (int dv = 1; dv <= 2; ++dv) sum += val(var, 2 * u + du, 2 * v + dv);
+                    }
+                    out.push_back(0.25 * sum);
+                }
+            }
+        } else {
+            const int qu = (g.quad & 1) * (U / 2);
+            const int qv = ((g.quad >> 1) & 1) * (V / 2);
+            for (int u = 0; u < U / 2; ++u) {
+                for (int v = 0; v < V / 2; ++v) out.push_back(val(var, qu + u + 1, qv + v + 1));
+            }
+        }
+    }
+    return out;
+}
+
+void ref_unpack(Block& b, const FaceGeom& g, int var_begin, int var_end,
+                const std::vector<double>& in) {
+    const BlockShape& s = b.shape();
+    const auto [ua, va] = s.plane_axes(g.axis);
+    const int U = s.dim(ua), V = s.dim(va);
+    const int a = g.sense > 0 ? s.dim(g.axis) + 1 : 0;  // ghost plane
+    const auto cell = [&](int var, int u, int v) -> double& {
+        const Vec3i c = face_cell(g.axis, a, u, v);
+        return b.at(var, c.x, c.y, c.z);
+    };
+    std::size_t o = 0;
+    for (int var = var_begin; var < var_end; ++var) {
+        if (g.rel == FaceRel::Same) {
+            for (int u = 1; u <= U; ++u) {
+                for (int v = 1; v <= V; ++v) cell(var, u, v) = in.at(o++);
+            }
+        } else if (g.rel == FaceRel::Coarser) {
+            for (int u = 1; u <= U; ++u) {
+                for (int v = 1; v <= V; ++v) {
+                    cell(var, u, v) =
+                        in.at(o + static_cast<std::size_t>(((u - 1) / 2) * (V / 2) + (v - 1) / 2));
+                }
+            }
+            o += static_cast<std::size_t>((U / 2) * (V / 2));
+        } else {
+            const int qu = (g.quad & 1) * (U / 2);
+            const int qv = ((g.quad >> 1) & 1) * (V / 2);
+            for (int u = 0; u < U / 2; ++u) {
+                for (int v = 0; v < V / 2; ++v) cell(var, qu + u + 1, qv + v + 1) = in.at(o++);
+            }
+        }
+    }
+    ASSERT_EQ(o, in.size());
+}
+
+void ref_reflect(Block& b, int axis, int sense, int var_begin, int var_end) {
+    const BlockShape& s = b.shape();
+    const auto [ua, va] = s.plane_axes(axis);
+    const int a_ghost = sense > 0 ? s.dim(axis) + 1 : 0;
+    const int a_int = sense > 0 ? s.dim(axis) : 1;
+    for (int var = var_begin; var < var_end; ++var) {
+        for (int u = 1; u <= s.dim(ua); ++u) {
+            for (int v = 1; v <= s.dim(va); ++v) {
+                const Vec3i cg = face_cell(axis, a_ghost, u, v);
+                const Vec3i ci = face_cell(axis, a_int, u, v);
+                b.at(var, cg.x, cg.y, cg.z) = b.at(var, ci.x, ci.y, ci.z);
+            }
+        }
+    }
+}
+
+/// Distinct pseudo-random values of either sign.
+void fill_random(std::span<double> out, std::uint64_t seed) {
+    std::uint64_t x = seed;
+    for (double& d : out) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        d = static_cast<double>(x >> 11) * 0x1.0p-53 - 0.5;
+    }
+}
+
+/// Every cell, ghosts included, is random, so a misplaced or stray write
+/// cannot go unnoticed.
+Block make_random(const BlockShape& shape, std::uint64_t seed) {
+    Block b(BlockKey{}, shape);
+    fill_random({b.data(), b.data_size()}, seed);
+    return b;
+}
+
+/// Bitwise equality of two blocks' whole storage (tells -0.0 from +0.0).
+::testing::AssertionResult same_bits(const Block& a, const Block& b) {
+    if (a.data_size() != b.data_size()) return ::testing::AssertionFailure() << "sizes differ";
+    for (std::size_t i = 0; i < a.data_size(); ++i) {
+        if (std::memcmp(a.data() + i, b.data() + i, sizeof(double)) != 0) {
+            return ::testing::AssertionFailure()
+                   << "first difference at index " << i << ": " << a.data()[i] << " vs "
+                   << b.data()[i];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/// The receiver's view of all 54 face geometries: 3 axes x 2 senses x
+/// {Same, Coarser quad 0-3, Finer quad 0-3}.
+std::vector<FaceGeom> all_face_geoms() {
+    std::vector<FaceGeom> geoms;
+    for (int axis = 0; axis < 3; ++axis) {
+        for (int sense : {-1, +1}) {
+            geoms.push_back(FaceGeom{axis, sense, FaceRel::Same, 0});
+            for (FaceRel rel : {FaceRel::Coarser, FaceRel::Finer}) {
+                for (int quad = 0; quad < 4; ++quad) {
+                    geoms.push_back(FaceGeom{axis, sense, rel, quad});
+                }
+            }
+        }
+    }
+    return geoms;
+}
+
+std::string describe(const FaceGeom& g) {
+    const char* rel = g.rel == FaceRel::Same      ? "Same"
+                      : g.rel == FaceRel::Coarser ? "Coarser"
+                                                  : "Finer";
+    return "axis " + std::to_string(g.axis) + " sense " + std::to_string(g.sense) + " " + rel +
+           " quad " + std::to_string(g.quad);
+}
+
+/// The sender's view of the face whose receiver sees `g`.
+FaceGeom sender_view(const FaceGeom& g) {
+    FaceGeom s = g;
+    s.sense = -g.sense;
+    if (g.rel == FaceRel::Coarser) s.rel = FaceRel::Finer;
+    if (g.rel == FaceRel::Finer) s.rel = FaceRel::Coarser;
+    return s;
+}
+
+TEST(Block, CopyFaceFromEqualsPackThenUnpackOnEveryGeometry) {
+    const Block src = make_random(kNonCubic, 1);
+    for (const FaceGeom& g : all_face_geoms()) {
+        Block direct = make_random(kNonCubic, 2);
+        direct.copy_face_from(src, g, kVarBegin, kVarEnd);
+
+        const FaceGeom sg = sender_view(g);
+        std::vector<double> buf(
+            static_cast<std::size_t>(src.face_value_count(sg, kVarEnd - kVarBegin)));
+        src.pack_face(sg, kVarBegin, kVarEnd, buf);
+        Block staged = make_random(kNonCubic, 2);
+        staged.unpack_face(g, kVarBegin, kVarEnd, buf);
+        EXPECT_TRUE(same_bits(direct, staged)) << describe(g);
+    }
+}
+
+TEST(Block, PackUnpackAndReflectMatchElementwiseReference) {
+    const Block src = make_random(kNonCubic, 3);
+    for (const FaceGeom& g : all_face_geoms()) {
+        const std::size_t n =
+            static_cast<std::size_t>(src.face_value_count(g, kVarEnd - kVarBegin));
+        std::vector<double> packed(n);
+        src.pack_face(g, kVarBegin, kVarEnd, packed);
+        const std::vector<double> expect = ref_pack(src, g, kVarBegin, kVarEnd);
+        ASSERT_EQ(expect.size(), n) << describe(g);
+        EXPECT_EQ(0, std::memcmp(packed.data(), expect.data(), n * sizeof(double)))
+            << describe(g);
+
+        std::vector<double> in(n);
+        fill_random(in, 4);
+        Block got = make_random(kNonCubic, 5);
+        got.unpack_face(g, kVarBegin, kVarEnd, in);
+        Block ref = make_random(kNonCubic, 5);
+        ref_unpack(ref, g, kVarBegin, kVarEnd, in);
+        EXPECT_TRUE(same_bits(got, ref)) << describe(g);
+    }
+    for (int axis = 0; axis < 3; ++axis) {
+        for (int sense : {-1, +1}) {
+            Block got = make_random(kNonCubic, 6);
+            got.reflect_face(axis, sense, kVarBegin, kVarEnd);
+            Block ref = make_random(kNonCubic, 6);
+            ref_reflect(ref, axis, sense, kVarBegin, kVarEnd);
+            EXPECT_TRUE(same_bits(got, ref)) << "reflect axis " << axis << " sense " << sense;
+        }
+    }
+}
+
+TEST(Block, RestrictingNegativeZeroFaceGivesPositiveZero) {
+    // The restriction sums into `double sum = 0` (+0.0), and +0.0 + -0.0 is
+    // +0.0; a bare 0.25 * (a + b + c + d) would keep the -0.0.
+    Block src(BlockKey{}, kNonCubic);
+    std::fill(src.data(), src.data() + src.data_size(), -0.0);
+    for (const FaceGeom& g : all_face_geoms()) {
+        if (g.rel != FaceRel::Finer) continue;  // my finer neighbor restricts
+        const std::size_t n =
+            static_cast<std::size_t>(src.face_value_count(g, kVarEnd - kVarBegin));
+        std::vector<double> packed(n, 1.0);
+        src.pack_face(sender_view(g), kVarBegin, kVarEnd, packed);
+        for (double x : packed) {
+            ASSERT_FALSE(std::signbit(x)) << describe(g);
+            ASSERT_EQ(x, 0.0) << describe(g);
+        }
+        Block got = make_random(kNonCubic, 7);
+        got.copy_face_from(src, g, kVarBegin, kVarEnd);
+        Block ref = make_random(kNonCubic, 7);
+        ref_unpack(ref, g, kVarBegin, kVarEnd, std::vector<double>(n, +0.0));
+        EXPECT_TRUE(same_bits(got, ref)) << describe(g);
+    }
+}
+
+TEST(Block, CopyFaceFromRejectsSourceOfAnotherShape) {
+    const Block other = make_random(BlockShape{4, 4, 4, 3}, 8);
+    Block dst = make_random(kNonCubic, 9);
+    for (const FaceGeom& g : all_face_geoms()) {
+        EXPECT_THROW(dst.copy_face_from(other, g, kVarBegin, kVarEnd), Error) << describe(g);
     }
 }
 

@@ -214,6 +214,9 @@ TEST(CostModel, CalibrationProducesPositiveConstants) {
     EXPECT_GT(m.copy_ns_per_byte, 0);
     EXPECT_GT(m.checksum_ns_per_cell_var, 0);
     EXPECT_LT(m.stencil_ns_per_cell_var, 1000) << "implausibly slow stencil";
+    // The face copy moves 8 bytes per value with no arithmetic; 10 ns/byte
+    // is 80 ns per value, several times the old pack-and-unpack round trip.
+    EXPECT_LT(m.copy_ns_per_byte, 10) << "implausibly slow face copy";
 }
 
 }  // namespace

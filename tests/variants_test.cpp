@@ -159,6 +159,33 @@ TEST(Variants, CommVarsGroupsMatch) {
     expect_checksums_match(a, c, 1e-12);  // grouping must not change the physics
 }
 
+TEST(Variants, NonCubicBlocksMatchAcrossVariants) {
+    // Blocks with nx != ny != nz, refined every timestep: a stride or extent
+    // mixed up between axes in the face transfers would break agreement.
+    Config cfg = tiny_config();
+    cfg.nx = 6;
+    cfg.ny = 4;
+    cfg.nz = 8;
+    cfg.num_vars = 5;
+    cfg.comm_vars = 2;  // groups of 2, 2 and 1 variables
+    const RunResult a = run_variant(cfg, Variant::MpiOnly);
+    EXPECT_TRUE(a.validation_ok);
+    EXPECT_GT(a.final_blocks, cfg.num_ranks()) << "the run should refine";
+    for (Variant v : {Variant::ForkJoin, Variant::TampiOss}) {
+        const RunResult b = run_variant(cfg, v);
+        EXPECT_TRUE(b.validation_ok) << to_string(v);
+        expect_checksums_match(a, b, 1e-12);
+        EXPECT_EQ(a.final_blocks, b.final_blocks) << to_string(v);
+    }
+    cfg.zero_copy = true;
+    for (Variant v : {Variant::MpiOnly, Variant::ForkJoin}) {
+        const RunResult b = run_variant(cfg, v);
+        EXPECT_TRUE(b.validation_ok) << to_string(v) << " --zero_copy";
+        expect_checksums_match(a, b, 1e-12);
+        EXPECT_EQ(a.final_blocks, b.final_blocks) << to_string(v) << " --zero_copy";
+    }
+}
+
 TEST(Variants, LoadBalancingKeepsResults) {
     Config cfg = tiny_config();
     cfg.inbalance = 0.01;  // aggressive rebalancing
