@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "amr/scratch.hpp"
 #include "common/error.hpp"
 
 namespace dfamr::amr {
@@ -67,17 +66,6 @@ Block::Block(BlockKey key, const BlockShape& shape)
     : key_(key), shape_(shape), data_(static_cast<std::size_t>(shape.total_cells()), 0.0) {
     DFAMR_REQUIRE(shape.nx > 0 && shape.ny > 0 && shape.nz > 0 && shape.num_vars > 0,
                   "invalid block shape");
-}
-
-std::int64_t Block::index(int var, int x, int y, int z) const {
-    return var * shape_.stride_var() + x * shape_.stride_x() + y * shape_.stride_y() + z;
-}
-
-double& Block::at(int var, int x, int y, int z) {
-    return data_[static_cast<std::size_t>(index(var, x, y, z))];
-}
-double Block::at(int var, int x, int y, int z) const {
-    return data_[static_cast<std::size_t>(index(var, x, y, z))];
 }
 
 std::span<double> Block::group_span(int var_begin, int var_end) {
@@ -376,42 +364,19 @@ void Block::absorb_child(const Block& child, int octant) {
 }
 
 std::int64_t Block::stencil7(int var_begin, int var_end) {
-    // Rolling two-plane scratch: plane x's stencil reads original planes
-    // x-1..x+1, so plane x-1's result can be written back as soon as plane x
-    // has been computed. One pass over the block instead of
-    // compute-everything-then-copy-back, and the scratch shrinks from a full
-    // variable to two interior planes. The per-cell expression (including
-    // the / 7.0 — 1/7 is not exactly representable, a multiplication would
-    // change results) is unchanged, so checksums stay bit-identical.
-    const std::size_t plane = static_cast<std::size_t>(shape_.ny) * shape_.nz;
-    std::vector<double>& scratch = tls_scratch(2 * plane);
-    const auto cell = [&](std::size_t buf, int y, int z) -> double& {
-        return scratch[buf * plane + static_cast<std::size_t>(y - 1) * shape_.nz + (z - 1)];
-    };
-    const auto write_back = [&](int v, int x) {
-        const std::size_t buf = static_cast<std::size_t>(x & 1);
-        for (int y = 1; y <= shape_.ny; ++y) {
-            for (int z = 1; z <= shape_.nz; ++z) {
-                at(v, x, y, z) = cell(buf, y, z);
-            }
+    // The per-cell expression is the contract that keeps checksums
+    // bit-identical: the six neighbours in this order, then the centre, then
+    // / 7.0 (1/7 is not exactly representable, so a multiplication would
+    // change results).
+    const std::int64_t sx = shape_.stride_x(), sy = shape_.stride_y();
+    const int nz = shape_.nz;
+    update_rows(var_begin, var_end, [=](int, int, int, const double* in, double* out) {
+        for (int k = 0; k < nz; ++k) {
+            out[k] = (in[k - sx] + in[k + sx] + in[k - sy] + in[k + sy] + in[k - 1] + in[k + 1] +
+                      in[k]) /
+                     7.0;
         }
-    };
-    for (int v = var_begin; v < var_end; ++v) {
-        for (int x = 1; x <= shape_.nx; ++x) {
-            const std::size_t buf = static_cast<std::size_t>(x & 1);
-            for (int y = 1; y <= shape_.ny; ++y) {
-                for (int z = 1; z <= shape_.nz; ++z) {
-                    cell(buf, y, z) =
-                        (at(v, x - 1, y, z) + at(v, x + 1, y, z) + at(v, x, y - 1, z) +
-                         at(v, x, y + 1, z) + at(v, x, y, z - 1) + at(v, x, y, z + 1) +
-                         at(v, x, y, z)) /
-                        7.0;
-                }
-            }
-            if (x > 1) write_back(v, x - 1);
-        }
-        write_back(v, shape_.nx);
-    }
+    });
     // miniAMR accounting: 7 floating-point operations per cell per variable.
     return 7 * static_cast<std::int64_t>(shape_.nx) * shape_.ny * shape_.nz *
            (var_end - var_begin);
@@ -419,62 +384,54 @@ std::int64_t Block::stencil7(int var_begin, int var_end) {
 
 void Block::fill_ghost_edges(int var) {
     // Face exchange fills face ghosts only; the 27-point stencil also reads
-    // edge and corner ghosts. Fill them block-locally by clamping to the
-    // nearest valid cell (deterministic and identical across variants).
-    auto clamp1 = [](int c, int n) { return c < 1 ? 1 : (c > n ? n : c); };
-    for (int x = 0; x <= shape_.nx + 1; ++x) {
-        const bool ox = x < 1 || x > shape_.nx;
-        for (int y = 0; y <= shape_.ny + 1; ++y) {
-            const bool oy = y < 1 || y > shape_.ny;
-            for (int z = 0; z <= shape_.nz + 1; ++z) {
-                const bool oz = z < 1 || z > shape_.nz;
-                if (static_cast<int>(ox) + static_cast<int>(oy) + static_cast<int>(oz) >= 2) {
-                    at(var, x, y, z) =
-                        at(var, clamp1(x, shape_.nx), clamp1(y, shape_.ny), clamp1(z, shape_.nz));
-                }
-            }
+    // the 12 edges and 8 corners of the ghost shell. Fill them block-locally
+    // by clamping to the nearest interior cell (deterministic and identical
+    // across variants). Every source is an interior cell, so the visiting
+    // order cannot matter.
+    const int nx = shape_.nx, ny = shape_.ny, nz = shape_.nz;
+    const auto clamp1 = [](int c, int n) { return c < 1 ? 1 : (c > n ? n : c); };
+    const auto fill = [&](int x, int y, int z) {
+        at(var, x, y, z) = at(var, clamp1(x, nx), clamp1(y, ny), clamp1(z, nz));
+    };
+    for (const int x : {0, nx + 1}) {
+        for (const int y : {0, ny + 1}) {
+            for (int z = 0; z <= nz + 1; ++z) fill(x, y, z);  // edges along z, and corners
+        }
+        for (int y = 1; y <= ny; ++y) {
+            for (const int z : {0, nz + 1}) fill(x, y, z);  // edges along y
+        }
+    }
+    for (int x = 1; x <= nx; ++x) {
+        for (const int y : {0, ny + 1}) {
+            for (const int z : {0, nz + 1}) fill(x, y, z);  // edges along x
         }
     }
 }
 
 std::int64_t Block::stencil27(int var_begin, int var_end) {
-    // Same rolling two-plane fusion as stencil7 (the 27-point stencil also
-    // only reads planes x-1..x+1). The accumulation order and the / 27.0
-    // are unchanged — bit-identical results.
-    const std::size_t plane = static_cast<std::size_t>(shape_.ny) * shape_.nz;
-    std::vector<double>& scratch = tls_scratch(2 * plane);
-    const auto cell = [&](std::size_t buf, int y, int z) -> double& {
-        return scratch[buf * plane + static_cast<std::size_t>(y - 1) * shape_.nz + (z - 1)];
-    };
-    const auto write_back = [&](int v, int x) {
-        const std::size_t buf = static_cast<std::size_t>(x & 1);
-        for (int y = 1; y <= shape_.ny; ++y) {
-            for (int z = 1; z <= shape_.nz; ++z) {
-                at(v, x, y, z) = cell(buf, y, z);
-            }
-        }
-    };
+    // Bit-identical contract as in stencil7: the sum starts from +0.0 and
+    // adds the 27 cells in (dx, dy, dz) order, dz innermost, each from -1 to
+    // +1, then divides by 27.0.
+    const std::int64_t sx = shape_.stride_x(), sy = shape_.stride_y();
+    const int nz = shape_.nz;
     for (int v = var_begin; v < var_end; ++v) fill_ghost_edges(v);
-    for (int v = var_begin; v < var_end; ++v) {
-        for (int x = 1; x <= shape_.nx; ++x) {
-            const std::size_t buf = static_cast<std::size_t>(x & 1);
-            for (int y = 1; y <= shape_.ny; ++y) {
-                for (int z = 1; z <= shape_.nz; ++z) {
-                    double sum = 0;
-                    for (int dx = -1; dx <= 1; ++dx) {
-                        for (int dy = -1; dy <= 1; ++dy) {
-                            for (int dz = -1; dz <= 1; ++dz) {
-                                sum += at(v, x + dx, y + dy, z + dz);
-                            }
-                        }
-                    }
-                    cell(buf, y, z) = sum / 27.0;
-                }
-            }
-            if (x > 1) write_back(v, x - 1);
+    update_rows(var_begin, var_end, [=](int, int, int, const double* in, double* out) {
+        // The nine rows around this one, in (dx, dy) order.
+        std::array<const double*, 9> rows{};
+        std::size_t i = 0;
+        for (int dx = -1; dx <= 1; ++dx) {
+            for (int dy = -1; dy <= 1; ++dy) rows[i++] = in + dx * sx + dy * sy;
         }
-        write_back(v, shape_.nx);
-    }
+        for (int k = 0; k < nz; ++k) {
+            double sum = 0;
+            for (const double* r : rows) {
+                sum += r[k - 1];
+                sum += r[k];
+                sum += r[k + 1];
+            }
+            out[k] = sum / 27.0;
+        }
+    });
     return 27 * static_cast<std::int64_t>(shape_.nx) * shape_.ny * shape_.nz *
            (var_end - var_begin);
 }

@@ -10,6 +10,7 @@
 // (layout [var][x][y][z], z contiguous).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <compare>
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "amr/scratch.hpp"
 #include "common/geometry.hpp"
 
 namespace dfamr::amr {
@@ -139,8 +141,12 @@ public:
     std::span<double> group_span(int var_begin, int var_end);
     std::span<const double> group_span(int var_begin, int var_end) const;
 
-    double& at(int var, int x, int y, int z);
-    double at(int var, int x, int y, int z) const;
+    double& at(int var, int x, int y, int z) {
+        return data_[static_cast<std::size_t>(index(var, x, y, z))];
+    }
+    double at(int var, int x, int y, int z) const {
+        return data_[static_cast<std::size_t>(index(var, x, y, z))];
+    }
 
     /// Initializes interior cells from the deterministic field function
     /// evaluated at each cell's physical center (identical across variants
@@ -184,6 +190,16 @@ public:
     std::int64_t stencil7(int var_begin, int var_end);
     /// 27-point stencil sweep (miniAMR's alternative stencil).
     std::int64_t stencil27(int var_begin, int var_end);
+    /// In-place update of variables [var_begin, var_end), one z-row at a
+    /// time: `row(v, x, y, in, out)` writes the new values of row (v, x, y)'s
+    /// nz interior cells to out[0, nz), reading only original values. in[k]
+    /// is cell (v, x, y, k + 1); its neighbours are in[k ± 1] along z,
+    /// in[k ± stride_y()] along y and in[k ± stride_x()] along x, ghosts
+    /// included. Rows of plane x read planes x-1..x+1 only, so two scratch
+    /// planes suffice: plane x-1 is copied back once plane x is done. The
+    /// planes live in this thread's tls_scratch, which `row` must not use.
+    template <class Row>
+    void update_rows(int var_begin, int var_end, Row&& row);
     /// Dispatches on the configured stencil (7 or 27 points).
     std::int64_t apply_stencil(int stencil_points, int var_begin, int var_end) {
         return stencil_points == 27 ? stencil27(var_begin, var_end)
@@ -193,7 +209,9 @@ public:
     double checksum(int var_begin, int var_end) const;
 
 private:
-    std::int64_t index(int var, int x, int y, int z) const;
+    std::int64_t index(int var, int x, int y, int z) const {
+        return var * shape_.stride_var() + x * shape_.stride_x() + y * shape_.stride_y() + z;
+    }
     /// Fills edge/corner ghosts (not covered by face exchange) by clamping
     /// to the nearest valid cell — needed by the 27-point stencil.
     void fill_ghost_edges(int var);
@@ -202,5 +220,28 @@ private:
     BlockShape shape_;
     std::vector<double> data_;
 };
+
+template <class Row>
+void Block::update_rows(int var_begin, int var_end, Row&& row) {
+    const int nx = shape_.nx, ny = shape_.ny, nz = shape_.nz;
+    const std::size_t plane = static_cast<std::size_t>(ny) * nz;
+    double* const scratch = tls_scratch(2 * plane).data();
+    const auto buffer = [&](int x, int y) {
+        return scratch + static_cast<std::size_t>(x & 1) * plane +
+               static_cast<std::size_t>(y - 1) * nz;
+    };
+    const auto write_back = [&](int v, int x) {
+        for (int y = 1; y <= ny; ++y) std::copy_n(buffer(x, y), nz, &at(v, x, y, 1));
+    };
+    for (int v = var_begin; v < var_end; ++v) {
+        for (int x = 1; x <= nx; ++x) {
+            for (int y = 1; y <= ny; ++y) {
+                row(v, x, y, static_cast<const double*>(&at(v, x, y, 1)), buffer(x, y));
+            }
+            if (x > 1) write_back(v, x - 1);
+        }
+        write_back(v, nx);
+    }
+}
 
 }  // namespace dfamr::amr

@@ -17,21 +17,6 @@ FluxRegister::FluxRegister(const BlockShape& shape) : shape_(shape) {
     data_.assign(static_cast<std::size_t>(per_var_ * shape_.num_vars), 0.0);
 }
 
-std::int64_t FluxRegister::index(int axis, int sense, int var, int u, int v) const {
-    const auto [ua, va] = shape_.plane_axes(axis);
-    const int face = axis * 2 + (sense > 0 ? 1 : 0);
-    return var * per_var_ + face_offset_[static_cast<std::size_t>(face)] +
-           static_cast<std::int64_t>(u - 1) * shape_.dim(va) + (v - 1);
-}
-
-double& FluxRegister::at(int axis, int sense, int var, int u, int v) {
-    return data_[static_cast<std::size_t>(index(axis, sense, var, u, v))];
-}
-
-double FluxRegister::at(int axis, int sense, int var, int u, int v) const {
-    return data_[static_cast<std::size_t>(index(axis, sense, var, u, v))];
-}
-
 std::span<double> FluxRegister::slice(int var_begin, int var_end) {
     return std::span<double>(data_).subspan(
         static_cast<std::size_t>(var_begin * per_var_),

@@ -37,8 +37,12 @@ public:
     /// Flux at the face plane orthogonal to `axis` on the `sense` side
     /// (+1 high, -1 low), variable `var`, in-plane cell (u, v) with the
     /// same 1-based convention as Block::at and pack_face.
-    double& at(int axis, int sense, int var, int u, int v);
-    double at(int axis, int sense, int var, int u, int v) const;
+    double& at(int axis, int sense, int var, int u, int v) {
+        return data_[static_cast<std::size_t>(index(axis, sense, var, u, v))];
+    }
+    double at(int axis, int sense, int var, int u, int v) const {
+        return data_[static_cast<std::size_t>(index(axis, sense, var, u, v))];
+    }
 
     /// Contiguous storage of variables [var_begin, var_end) — registers are
     /// var-major so task dependencies can be declared per variable group,
@@ -55,7 +59,12 @@ public:
                          std::span<double> out) const;
 
 private:
-    std::int64_t index(int axis, int sense, int var, int u, int v) const;
+    std::int64_t index(int axis, int sense, int var, int u, int v) const {
+        const auto [ua, va] = shape_.plane_axes(axis);
+        const int face = axis * 2 + (sense > 0 ? 1 : 0);
+        return var * per_var_ + face_offset_[static_cast<std::size_t>(face)] +
+               static_cast<std::int64_t>(u - 1) * shape_.dim(va) + (v - 1);
+    }
 
     BlockShape shape_;
     std::array<std::int64_t, 6> face_offset_{};  // face = axis * 2 + (sense > 0)

@@ -4,9 +4,8 @@
 #include <cmath>
 #include <vector>
 
-#include "amr/flux_register.hpp"
-#include "amr/scratch.hpp"
 #include "common/error.hpp"
+#include "scenario/flux_form.hpp"
 
 namespace dfamr::scenario {
 
@@ -20,7 +19,7 @@ constexpr double kCfl = 0.2;
 /// Advected Gaussian pulse: the classic smooth-transport benchmark. The
 /// pulse starts near a lower corner and drifts diagonally; velocities and
 /// run lengths keep it away from the reflective domain boundary.
-class GaussianPulse final : public ProblemGenerator {
+class GaussianPulse final : public FluxForm<GaussianPulse> {
 public:
     const char* name() const override { return "gaussian"; }
     double max_speed() const override { return 0.4; }  // largest component
@@ -40,7 +39,7 @@ public:
 /// center (z-invariant): a discontinuous profile that stresses the
 /// estimators and the coarse-fine transfer operators. Exactly returns to
 /// its initial position every full turn.
-class SlottedCylinder final : public ProblemGenerator {
+class SlottedCylinder final : public FluxForm<SlottedCylinder> {
 public:
     const char* name() const override { return "slotted_cylinder"; }
     double max_speed() const override { return 0.5; }  // omega * max |p - center|
@@ -69,7 +68,7 @@ private:
 /// 0 with a positive tanh ramp. Faster fluid behind catches slower fluid
 /// ahead and the ramp steepens into a moving shock — no closed-form
 /// reference after shock formation, so has_reference() is false.
-class SteepeningFront final : public ProblemGenerator {
+class SteepeningFront final : public FluxForm<SteepeningFront> {
 public:
     const char* name() const override { return "front"; }
     double max_speed() const override { return 1.2; }  // initial max u (a priori bound)
@@ -107,11 +106,6 @@ double ProblemGenerator::reference(const Vec3d&, double) const {
     throw Error(std::string("scenario '") + name() + "' has no analytic reference");
 }
 
-double ProblemGenerator::face_flux(int axis, const Vec3d& p, double ul, double ur) const {
-    const double v = velocity(p, 0.5 * (ul + ur))[axis];
-    return v >= 0.0 ? v * ul : v * ur;
-}
-
 void ProblemGenerator::init_block(amr::Block& blk, const Box& box) const {
     const amr::BlockShape& s = blk.shape();
     const Vec3d ext = box.extent();
@@ -127,82 +121,6 @@ void ProblemGenerator::init_block(amr::Block& blk, const Box& box) const {
             }
         }
     }
-}
-
-std::int64_t ProblemGenerator::advance(amr::Block& blk, const Box& box, int var_begin,
-                                       int var_end, double dt, amr::FluxRegister* reg) const {
-    // Same rolling two-plane update as Block::stencil7: plane x reads
-    // original planes x-1..x+1, so plane x-1 writes back once plane x is
-    // done. Each cell computes all six of its face fluxes; interior faces
-    // are therefore evaluated twice from identical inputs, which is exactly
-    // what makes the telescoping sum cancel bitwise. The per-cell expression
-    // has one fixed evaluation order — bit-identical results on every
-    // variant and transport.
-    const amr::BlockShape& s = blk.shape();
-    const Vec3d ext = box.extent();
-    const double hx = ext.x / s.nx, hy = ext.y / s.ny, hz = ext.z / s.nz;
-    // Face coordinate i in 0..n along an axis. The two boundary faces take
-    // the box bounds verbatim: abutting blocks derive those from the same
-    // integer anchor arithmetic (GlobalStructure::box), so both sides of a
-    // same-level interface evaluate velocity at bitwise-identical positions.
-    const auto face_coord = [](double lo, double hi, double h, int i, int n) {
-        if (i == 0) return lo;
-        if (i == n) return hi;
-        return lo + i * h;
-    };
-    const std::size_t plane = static_cast<std::size_t>(s.ny) * s.nz;
-    std::vector<double>& scratch = amr::tls_scratch(2 * plane);
-    const auto cell = [&](std::size_t buf, int y, int z) -> double& {
-        return scratch[buf * plane + static_cast<std::size_t>(y - 1) * s.nz + (z - 1)];
-    };
-    const auto write_back = [&](int v, int x) {
-        const std::size_t buf = static_cast<std::size_t>(x & 1);
-        for (int y = 1; y <= s.ny; ++y) {
-            for (int z = 1; z <= s.nz; ++z) {
-                blk.at(v, x, y, z) = cell(buf, y, z);
-            }
-        }
-    };
-    for (int v = var_begin; v < var_end; ++v) {
-        for (int x = 1; x <= s.nx; ++x) {
-            const std::size_t buf = static_cast<std::size_t>(x & 1);
-            const double pxc = box.lo.x + (x - 0.5) * hx;
-            const double xl = face_coord(box.lo.x, box.hi.x, hx, x - 1, s.nx);
-            const double xh = face_coord(box.lo.x, box.hi.x, hx, x, s.nx);
-            for (int y = 1; y <= s.ny; ++y) {
-                const double pyc = box.lo.y + (y - 0.5) * hy;
-                const double yl = face_coord(box.lo.y, box.hi.y, hy, y - 1, s.ny);
-                const double yh = face_coord(box.lo.y, box.hi.y, hy, y, s.ny);
-                for (int z = 1; z <= s.nz; ++z) {
-                    const double pzc = box.lo.z + (z - 0.5) * hz;
-                    const double zl = face_coord(box.lo.z, box.hi.z, hz, z - 1, s.nz);
-                    const double zh = face_coord(box.lo.z, box.hi.z, hz, z, s.nz);
-                    const double u = blk.at(v, x, y, z);
-                    const double fxl = face_flux(0, {xl, pyc, pzc}, blk.at(v, x - 1, y, z), u);
-                    const double fxh = face_flux(0, {xh, pyc, pzc}, u, blk.at(v, x + 1, y, z));
-                    const double fyl = face_flux(1, {pxc, yl, pzc}, blk.at(v, x, y - 1, z), u);
-                    const double fyh = face_flux(1, {pxc, yh, pzc}, u, blk.at(v, x, y + 1, z));
-                    const double fzl = face_flux(2, {pxc, pyc, zl}, blk.at(v, x, y, z - 1), u);
-                    const double fzh = face_flux(2, {pxc, pyc, zh}, u, blk.at(v, x, y, z + 1));
-                    cell(buf, y, z) =
-                        u - dt * ((fxh - fxl) / hx + (fyh - fyl) / hy + (fzh - fzl) / hz);
-                    if (reg != nullptr) {
-                        if (x == 1) reg->at(0, -1, v, y, z) = fxl;
-                        if (x == s.nx) reg->at(0, +1, v, y, z) = fxh;
-                        if (y == 1) reg->at(1, -1, v, x, z) = fyl;
-                        if (y == s.ny) reg->at(1, +1, v, x, z) = fyh;
-                        if (z == 1) reg->at(2, -1, v, x, y) = fzl;
-                        if (z == s.nz) reg->at(2, +1, v, x, y) = fzh;
-                    }
-                }
-            }
-            if (x > 1) write_back(v, x - 1);
-        }
-        write_back(v, s.nx);
-    }
-    // Bookkeeping like apply_stencil: ~33 floating-point operations per cell
-    // (six upwind fluxes plus the three-term divergence).
-    return 33 * static_cast<std::int64_t>(s.nx) * s.ny * s.nz * (var_end - var_begin);
 }
 
 double ProblemGenerator::stable_dt(const amr::Config& cfg) const {

@@ -30,6 +30,9 @@
 // Every variable carries the same advected field: the update is uniform
 // over the variable-group loop exactly like the synthetic stencil, so the
 // drivers' staging/tasking structure is unchanged.
+//
+// The kernel itself lives in scenario/flux_form.hpp: each generator derives
+// from FluxForm<itself>, which implements face_flux's default and advance.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +63,10 @@ public:
     virtual Vec3d velocity(const Vec3d& p, double u) const = 0;
     /// Upwind numerical flux through a face orthogonal to `axis` at position
     /// p, with left (lower-coordinate) and right cell states ul / ur. The
-    /// default upwinds on the face velocity evaluated at the state average;
-    /// nonlinear scenarios (Burgers front) override with a Godunov flux.
-    virtual double face_flux(int axis, const Vec3d& p, double ul, double ur) const;
+    /// default (FluxForm) upwinds on the face velocity evaluated at the
+    /// state average; nonlinear scenarios (Burgers front) override it with a
+    /// Godunov flux.
+    virtual double face_flux(int axis, const Vec3d& p, double ul, double ur) const = 0;
     /// True when the CFL speed is the advected field itself, so dt must be
     /// recomputed from the live field max each timestep (the drivers
     /// allreduce the max, keeping dt identical on every rank).
@@ -78,8 +82,8 @@ public:
     /// (the drivers' reflux pass consumes them; tests may pass null).
     /// Returns the FLOPs done (throughput bookkeeping, like apply_stencil).
     /// Thread-safe: hybrid variants call it from worker threads.
-    std::int64_t advance(amr::Block& blk, const Box& box, int var_begin, int var_end, double dt,
-                         amr::FluxRegister* reg = nullptr) const;
+    virtual std::int64_t advance(amr::Block& blk, const Box& box, int var_begin, int var_end,
+                                 double dt, amr::FluxRegister* reg = nullptr) const = 0;
     /// CFL-stable step against the finest possible cell of `cfg`.
     double stable_dt(const amr::Config& cfg) const;
     /// Same CFL bound for an externally supplied speed (the live field max

@@ -446,6 +446,84 @@ TEST(Block, PackUnpackAndReflectMatchElementwiseReference) {
     }
 }
 
+// --- stencil oracle -----------------------------------------------------------
+// Element-wise references for the two stencils: every cell through Block::at,
+// from a snapshot of the input, in the per-cell order the kernels must keep.
+
+Block snapshot(const Block& b) {
+    Block copy(b.key(), b.shape());
+    std::copy_n(b.data(), b.data_size(), copy.data());
+    return copy;
+}
+
+void ref_stencil7(Block& b, int var_begin, int var_end) {
+    const BlockShape& s = b.shape();
+    const Block in = snapshot(b);
+    for (int v = var_begin; v < var_end; ++v) {
+        for (int x = 1; x <= s.nx; ++x) {
+            for (int y = 1; y <= s.ny; ++y) {
+                for (int z = 1; z <= s.nz; ++z) {
+                    b.at(v, x, y, z) = (in.at(v, x - 1, y, z) + in.at(v, x + 1, y, z) +
+                                        in.at(v, x, y - 1, z) + in.at(v, x, y + 1, z) +
+                                        in.at(v, x, y, z - 1) + in.at(v, x, y, z + 1) +
+                                        in.at(v, x, y, z)) /
+                                       7.0;
+                }
+            }
+        }
+    }
+}
+
+void ref_stencil27(Block& b, int var_begin, int var_end) {
+    const BlockShape& s = b.shape();
+    // Edge and corner ghosts (outside the interior along two or three axes)
+    // take the nearest interior cell; face ghosts stay as they are.
+    const auto clamp1 = [](int c, int n) { return std::clamp(c, 1, n); };
+    const auto outside = [](int c, int n) { return c < 1 || c > n ? 1 : 0; };
+    for (int v = var_begin; v < var_end; ++v) {
+        for (int x = 0; x <= s.nx + 1; ++x) {
+            for (int y = 0; y <= s.ny + 1; ++y) {
+                for (int z = 0; z <= s.nz + 1; ++z) {
+                    if (outside(x, s.nx) + outside(y, s.ny) + outside(z, s.nz) < 2) continue;
+                    b.at(v, x, y, z) =
+                        b.at(v, clamp1(x, s.nx), clamp1(y, s.ny), clamp1(z, s.nz));
+                }
+            }
+        }
+    }
+    const Block in = snapshot(b);
+    for (int v = var_begin; v < var_end; ++v) {
+        for (int x = 1; x <= s.nx; ++x) {
+            for (int y = 1; y <= s.ny; ++y) {
+                for (int z = 1; z <= s.nz; ++z) {
+                    double sum = 0;
+                    for (int dx = -1; dx <= 1; ++dx) {
+                        for (int dy = -1; dy <= 1; ++dy) {
+                            for (int dz = -1; dz <= 1; ++dz) sum += in.at(v, x + dx, y + dy, z + dz);
+                        }
+                    }
+                    b.at(v, x, y, z) = sum / 27.0;
+                }
+            }
+        }
+    }
+}
+
+TEST(Block, StencilsMatchElementwiseReference) {
+    // Whole storage compared, so the edge and corner ghosts the 27-point
+    // stencil fills are covered too.
+    const std::int64_t cells = 6 * 4 * 8 * (kVarEnd - kVarBegin);
+    Block got7 = make_random(kNonCubic, 7), ref7 = make_random(kNonCubic, 7);
+    EXPECT_EQ(got7.stencil7(kVarBegin, kVarEnd), 7 * cells);
+    ref_stencil7(ref7, kVarBegin, kVarEnd);
+    EXPECT_TRUE(same_bits(got7, ref7)) << "stencil7";
+
+    Block got27 = make_random(kNonCubic, 8), ref27 = make_random(kNonCubic, 8);
+    EXPECT_EQ(got27.stencil27(kVarBegin, kVarEnd), 27 * cells);
+    ref_stencil27(ref27, kVarBegin, kVarEnd);
+    EXPECT_TRUE(same_bits(got27, ref27)) << "stencil27";
+}
+
 TEST(Block, RestrictingNegativeZeroFaceGivesPositiveZero) {
     // The restriction sums into `double sum = 0` (+0.0), and +0.0 + -0.0 is
     // +0.0; a bare 0.25 * (a + b + c + d) would keep the -0.0.

@@ -1,7 +1,8 @@
 // Scenario subsystem tests: refinement-condition scoring (estimator edge
-// cases), problem-generator workloads, cross-variant bit-identity of
-// estimator-driven runs, deref hysteresis across checkpoint/restore, and
-// the checkpoint version gate protecting the hysteresis state.
+// cases), problem-generator workloads, the advection kernel against a
+// cell-by-cell reference, cross-variant bit-identity of estimator-driven
+// runs, deref hysteresis across checkpoint/restore, and the checkpoint
+// version gate protecting the hysteresis state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "amr/flux_register.hpp"
@@ -17,6 +20,7 @@
 #include "common/error.hpp"
 #include "core/variants.hpp"
 #include "resilience/checkpoint.hpp"
+#include "scenario/flux_form.hpp"
 #include "scenario/problem_generator.hpp"
 #include "scenario/refinement_condition.hpp"
 
@@ -229,6 +233,136 @@ TEST(Generators, GoldenRunsDoNotThrash) {
             EXPECT_EQ(r.counters.refine_coarsen_thrash, 0)
                 << scenario << "/" << estimator
                 << ": hysteresis must keep refine->coarsen flapping at zero";
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Advection kernel oracle
+// ---------------------------------------------------------------------------
+
+/// The flux-form kernel one cell at a time: every face flux through the
+/// virtual ProblemGenerator::face_flux, every cell through Block::at, and
+/// every update from a snapshot of the input. The per-cell expression, the
+/// face positions and the register writes are the contract advance() must
+/// keep bit for bit.
+void ref_advance(const scenario::ProblemGenerator& gen, Block& blk, const Box& box,
+                 int var_begin, int var_end, double dt, amr::FluxRegister* reg) {
+    const BlockShape& s = blk.shape();
+    Block in(blk.key(), s);
+    std::copy_n(blk.data(), blk.data_size(), in.data());
+    const Vec3d ext = box.extent();
+    const double hx = ext.x / s.nx, hy = ext.y / s.ny, hz = ext.z / s.nz;
+    const auto face_coord = [](double lo, double hi, double h, int i, int n) {
+        if (i == 0) return lo;
+        if (i == n) return hi;
+        return lo + i * h;
+    };
+    for (int v = var_begin; v < var_end; ++v) {
+        for (int x = 1; x <= s.nx; ++x) {
+            const double pxc = box.lo.x + (x - 0.5) * hx;
+            const double xl = face_coord(box.lo.x, box.hi.x, hx, x - 1, s.nx);
+            const double xh = face_coord(box.lo.x, box.hi.x, hx, x, s.nx);
+            for (int y = 1; y <= s.ny; ++y) {
+                const double pyc = box.lo.y + (y - 0.5) * hy;
+                const double yl = face_coord(box.lo.y, box.hi.y, hy, y - 1, s.ny);
+                const double yh = face_coord(box.lo.y, box.hi.y, hy, y, s.ny);
+                for (int z = 1; z <= s.nz; ++z) {
+                    const double pzc = box.lo.z + (z - 0.5) * hz;
+                    const double zl = face_coord(box.lo.z, box.hi.z, hz, z - 1, s.nz);
+                    const double zh = face_coord(box.lo.z, box.hi.z, hz, z, s.nz);
+                    const double u = in.at(v, x, y, z);
+                    const double fxl = gen.face_flux(0, {xl, pyc, pzc}, in.at(v, x - 1, y, z), u);
+                    const double fxh = gen.face_flux(0, {xh, pyc, pzc}, u, in.at(v, x + 1, y, z));
+                    const double fyl = gen.face_flux(1, {pxc, yl, pzc}, in.at(v, x, y - 1, z), u);
+                    const double fyh = gen.face_flux(1, {pxc, yh, pzc}, u, in.at(v, x, y + 1, z));
+                    const double fzl = gen.face_flux(2, {pxc, pyc, zl}, in.at(v, x, y, z - 1), u);
+                    const double fzh = gen.face_flux(2, {pxc, pyc, zh}, u, in.at(v, x, y, z + 1));
+                    blk.at(v, x, y, z) =
+                        u - dt * ((fxh - fxl) / hx + (fyh - fyl) / hy + (fzh - fzl) / hz);
+                    if (reg == nullptr) continue;
+                    if (x == 1) reg->at(0, -1, v, y, z) = fxl;
+                    if (x == s.nx) reg->at(0, +1, v, y, z) = fxh;
+                    if (y == 1) reg->at(1, -1, v, x, z) = fyl;
+                    if (y == s.ny) reg->at(1, +1, v, x, z) = fyh;
+                    if (z == 1) reg->at(2, -1, v, x, y) = fzl;
+                    if (z == s.nz) reg->at(2, +1, v, x, y) = fzh;
+                }
+            }
+        }
+    }
+}
+
+/// Velocity reads every coordinate of the face position and the state. The
+/// registry generators read neither a face's normal coordinate nor (but
+/// for the front, which has its own flux) the state, so only this one pins
+/// the face positions and the default flux's state average.
+class PositionProbe final : public scenario::FluxForm<PositionProbe> {
+public:
+    const char* name() const override { return "position_probe"; }
+    double max_speed() const override { return 2.0; }
+    double initial(const Vec3d&) const override { return 0.0; }
+    Vec3d velocity(const Vec3d& p, double u) const override {
+        return {p.x - 0.5 + u, p.y - 0.25 - u, 0.625 - p.z + u};
+    }
+};
+
+/// Pseudo-random values in [-0.5, 0.5) everywhere, ghosts included, with
+/// +0.0 and -0.0 sprinkled in: negative states, both zeros and neighbour
+/// pairs straddling 0 (the front's transonic branch).
+void fill_signed(std::span<double> out, std::uint64_t seed) {
+    std::uint64_t x = seed;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        out[i] = static_cast<double>(x >> 11) * 0x1.0p-53 - 0.5;
+        if (i % 5 == 0) out[i] = 0.0;
+        if (i % 7 == 0) out[i] = -0.0;
+    }
+}
+
+TEST(AdvectionKernel, MatchesCellByCellReferenceBitForBit) {
+    const BlockShape shape{6, 4, 8, 3};
+    constexpr int kVarBegin = 1, kVarEnd = 3;
+    const double dt = 0.0371;
+    const PositionProbe probe;
+    std::vector<const scenario::ProblemGenerator*> gens{&probe};
+    for (const std::string& name : scenario::generator_names()) gens.push_back(find_generator(name));
+    // Faces on the domain bounds, and an interior box whose bounds are not
+    // dyadic: on every axis lo + n * h is not hi, so face_coord's i == n
+    // case shows.
+    const Box domain{{0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}};
+    const Box interior{{0.3, 0.15, 0.2}, {0.9, 0.45, 0.9}};
+    const std::pair<Box, const char*> boxes[] = {{domain, "domain box"},
+                                                 {interior, "interior box"}};
+    const Vec3d ext = interior.extent();
+    ASSERT_TRUE(interior.lo.x + shape.nx * (ext.x / shape.nx) != interior.hi.x &&
+                interior.lo.y + shape.ny * (ext.y / shape.ny) != interior.hi.y &&
+                interior.lo.z + shape.nz * (ext.z / shape.nz) != interior.hi.z);
+    const auto same_storage = [](std::span<const double> a, std::span<const double> b) {
+        return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+    };
+    for (const scenario::ProblemGenerator* gen : gens) {
+        for (const auto& [box, where] : boxes) {
+            for (const bool with_reg : {true, false}) {
+                const std::string what = std::string(gen->name()) + ", " + where +
+                                         (with_reg ? "" : ", no register");
+                Block got(BlockKey{}, shape), ref(BlockKey{}, shape);
+                fill_signed({got.data(), got.data_size()}, 17);
+                fill_signed({ref.data(), ref.data_size()}, 17);
+                amr::FluxRegister got_reg(shape), ref_reg(shape);
+                fill_signed(got_reg.slice(0, shape.num_vars), 23);
+                fill_signed(ref_reg.slice(0, shape.num_vars), 23);
+                const std::int64_t flops = gen->advance(got, box, kVarBegin, kVarEnd, dt,
+                                                        with_reg ? &got_reg : nullptr);
+                ref_advance(*gen, ref, box, kVarBegin, kVarEnd, dt, with_reg ? &ref_reg : nullptr);
+                EXPECT_EQ(flops, 33 * 6 * 4 * 8 * (kVarEnd - kVarBegin)) << what;
+                EXPECT_TRUE(same_storage({got.data(), got.data_size()},
+                                         {ref.data(), ref.data_size()}))
+                    << what << ": block storage differs";
+                EXPECT_TRUE(same_storage(got_reg.slice(0, shape.num_vars),
+                                         ref_reg.slice(0, shape.num_vars)))
+                    << what << ": flux registers differ";
+            }
         }
     }
 }
