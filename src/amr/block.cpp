@@ -256,27 +256,6 @@ void Block::unpack_face(const FaceGeom& g, int var_begin, int var_end,
     });
 }
 
-void Block::pack_face(const FaceGeom& g, int var_begin, int var_end,
-                      std::span<std::byte> out) const {
-    DFAMR_REQUIRE(reinterpret_cast<std::uintptr_t>(out.data()) % alignof(double) == 0,
-                  "pack_face: view not 8-byte aligned");
-    DFAMR_REQUIRE(out.size() % sizeof(double) == 0, "pack_face: view not a whole number of doubles");
-    pack_face(g, var_begin, var_end,
-              std::span<double>(reinterpret_cast<double*>(out.data()),
-                                out.size() / sizeof(double)));
-}
-
-void Block::unpack_face(const FaceGeom& g, int var_begin, int var_end,
-                        std::span<const std::byte> in) {
-    DFAMR_REQUIRE(reinterpret_cast<std::uintptr_t>(in.data()) % alignof(double) == 0,
-                  "unpack_face: view not 8-byte aligned");
-    DFAMR_REQUIRE(in.size() % sizeof(double) == 0,
-                  "unpack_face: view not a whole number of doubles");
-    unpack_face(g, var_begin, var_end,
-                std::span<const double>(reinterpret_cast<const double*>(in.data()),
-                                        in.size() / sizeof(double)));
-}
-
 void Block::copy_face_from(const Block& src, const FaceGeom& g, int var_begin, int var_end) {
     // `g` is my view: rel = the source's level vs mine, sense = the side of
     // me the source is on; `quad` names the quarter of the coarser side's

@@ -163,13 +163,6 @@ public:
     /// Unpacks a received face into this block's ghost layer. Applies
     /// prolongation when the sender is coarser.
     void unpack_face(const FaceGeom& g, int var_begin, int var_end, std::span<const double> in);
-    /// Pack-into-view: packs straight into a raw byte view (e.g. a transport
-    /// frame payload), avoiding the staging buffer. The view must be 8-byte
-    /// aligned and exactly face_value_count doubles long.
-    void pack_face(const FaceGeom& g, int var_begin, int var_end, std::span<std::byte> out) const;
-    /// Unpack-from-view counterpart (reads a received frame in place).
-    void unpack_face(const FaceGeom& g, int var_begin, int var_end,
-                     std::span<const std::byte> in);
     /// Direct intra-rank ghost fill: moves exactly the values src.pack_face
     /// followed by this->unpack_face would, with no buffer in between.
     /// `src` must have this block's shape.

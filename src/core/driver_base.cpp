@@ -631,6 +631,25 @@ void DriverBase::exchange_blocks(const std::vector<BlockMove>& moves, bool with_
     transfer_block_data(sends, recvs);
 }
 
+void DriverBase::transfer_block_data(const std::vector<BlockMove>& sends,
+                                     const std::vector<BlockMove>& recvs) {
+    const std::int64_t t0 = now_ns();
+    for (const BlockMove& mv : sends) {
+        Block& b = mesh_.block(mv.key);
+        hcomm_.send(b.data(), b.data_size() * sizeof(double), mv.to, kBlockDataTagBase + mv.id);
+        mesh_.release(mv.key);
+    }
+    for (const BlockMove& mv : recvs) {
+        auto b = mesh_.make_block(mv.key);
+        hcomm_.recv(b->data(), b->data_size() * sizeof(double), mv.from,
+                    kBlockDataTagBase + mv.id);
+        mesh_.adopt(std::move(b));
+    }
+    if (!sends.empty() || !recvs.empty()) {
+        trace(0, t0, now_ns(), PhaseKind::RefineExchange);
+    }
+}
+
 void DriverBase::reduce_and_validate(const std::vector<double>& local_group_sums) {
     DFAMR_REQUIRE(static_cast<int>(local_group_sums.size()) == cfg_.num_groups(),
                   "one local sum per variable group expected");

@@ -1,8 +1,10 @@
 // Shared per-rank orchestration of the miniAMR main loop (Algorithm 1) and
-// the refinement / load-balancing mechanics. The three variants subclass
-// this and provide their parallelization of each phase:
-//   * MpiOnlyDriver  — everything sequential (reference implementation)
-//   * ForkJoinDriver — worksharing loops + master-only MPI
+// the refinement / load-balancing mechanics. Two drivers subclass this and
+// provide the parallelization of each phase:
+//   * SyncDriver     — the bulk-synchronous variants: MPI-only (everything
+//                      sequential, the reference) and fork-join (worksharing
+//                      loops + master-only MPI), which differ only in how a
+//                      loop over independent items runs
 //   * TampiOssDriver — the paper's data-flow taskification
 #pragma once
 
@@ -99,8 +101,10 @@ protected:
     /// Whole-block data transfers. `sends`/`recvs` are this rank's sides of
     /// the global move list, in deterministic order. Data messages use tag
     /// kBlockDataTagBase + move.id. Must leave transferred blocks adopted.
+    /// The default is blocking point-to-point on the main thread: every send
+    /// completes eagerly, then the receives run in order.
     virtual void transfer_block_data(const std::vector<BlockMove>& sends,
-                                     const std::vector<BlockMove>& recvs) = 0;
+                                     const std::vector<BlockMove>& recvs);
     /// Barrier-equivalent inside refinement after transfers (taskwait).
     virtual void sync_refine_step() {}
 

@@ -6,8 +6,7 @@
 #include <mutex>
 
 #include "common/error.hpp"
-#include "core/fork_join.hpp"
-#include "core/mpi_only.hpp"
+#include "core/sync_driver.hpp"
 #include "core/tampi_oss.hpp"
 #include "core/variants.hpp"
 
@@ -194,19 +193,13 @@ RunResult run_variant(const amr::Config& cfg, amr::Variant variant, amr::Tracer*
 
     world.run([&](mpi::Communicator& comm) {
         std::unique_ptr<DriverBase> driver;
-        switch (variant) {
-            case amr::Variant::MpiOnly: {
-                amr::Config rank_cfg = cfg;
-                rank_cfg.workers = 1;  // one rank per core, sequential inside
-                driver = std::make_unique<MpiOnlyDriver>(rank_cfg, comm, tracer);
-                break;
-            }
-            case amr::Variant::ForkJoin:
-                driver = std::make_unique<ForkJoinDriver>(cfg, comm, tracer);
-                break;
-            case amr::Variant::TampiOss:
-                driver = std::make_unique<TampiOssDriver>(cfg, comm, tracer);
-                break;
+        if (variant == amr::Variant::TampiOss) {
+            driver = std::make_unique<TampiOssDriver>(cfg, comm, tracer);
+        } else {
+            amr::Config rank_cfg = cfg;
+            // MPI-only: one rank per core, sequential inside.
+            if (variant == amr::Variant::MpiOnly) rank_cfg.workers = 1;
+            driver = std::make_unique<SyncDriver>(rank_cfg, comm, tracer, variant);
         }
         driver->set_control(opts.control);
         RankResult r;

@@ -1,7 +1,7 @@
 // Bridges the tasking runtime's cumulative RuntimeStats into the
 // variant-neutral SchedulerCounters carried by RankResult. Kept out of
 // result.hpp so the result types stay free of a tasking dependency (the
-// MPI-only driver never links a runtime).
+// MPI-only variant never creates a runtime).
 #pragma once
 
 #include "core/result.hpp"

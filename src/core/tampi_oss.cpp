@@ -522,22 +522,7 @@ void TampiOssDriver::do_merges(const std::vector<BlockKey>& parents) {
 void TampiOssDriver::transfer_block_data(const std::vector<BlockMove>& sends,
                                          const std::vector<BlockMove>& recvs) {
     if (!cfg_.taskify_refinement) {
-        const std::int64_t t0 = now_ns();
-        for (const BlockMove& mv : sends) {
-            Block& b = mesh_.block(mv.key);
-            hcomm_.send(b.data(), b.data_size() * sizeof(double), mv.to,
-                        kBlockDataTagBase + mv.id);
-            mesh_.release(mv.key);
-        }
-        for (const BlockMove& mv : recvs) {
-            auto b = mesh_.make_block(mv.key);
-            hcomm_.recv(b->data(), b->data_size() * sizeof(double), mv.from,
-                        kBlockDataTagBase + mv.id);
-            mesh_.adopt(std::move(b));
-        }
-        if (!sends.empty() || !recvs.empty()) {
-            trace(0, t0, now_ns(), PhaseKind::RefineExchange);
-        }
+        DriverBase::transfer_block_data(sends, recvs);
         return;
     }
     const int all = cfg_.num_vars;

@@ -445,16 +445,12 @@ private:
                     st.tail = join;
                     sim_.submit(join);
                 } else {  // ForkJoin
-                    // Workshared pack over all faces, then master sends.
-                    std::vector<std::int64_t> pack_items;
-                    for (const amr::NeighborExchange& ex : dp.neighbors) {
-                        for (const amr::FaceTransfer& f : ex.sends) {
-                            pack_items.push_back(copy_ns(face_bytes(dir, f.geom.rel, gv)));
-                        }
-                    }
-                    parallel_region(r, PhaseKind::Pack, pack_items);
+                    // Per chunk: a workshared pack of its faces, then the
+                    // master sends it.
                     for (const amr::NeighborExchange& ex : dp.neighbors) {
                         for (const amr::MessageChunk& chunk : ex.send_chunks) {
+                            parallel_region(r, PhaseKind::Pack,
+                                            chunk_face_costs(ex.sends, chunk, dir, gv));
                             const std::int64_t bytes = chunk.value_count * gv * 8;
                             auto send = serial(r, PhaseKind::Send, mpi_call());
                             link_send(send, r, dir, ex.peer, chunk, sinks, bytes);
@@ -469,24 +465,37 @@ private:
                         copy_items.push_back(copy_ns(face_bytes(dir, FaceRel::Same, gv)));
                     }
                     parallel_region(r, PhaseKind::IntraCopy, copy_items);
-                    // Master waits for ALL receives, then workshared unpack.
-                    auto wait = sim_.new_task(r, PhaseKind::CommWait, 0, 0);
-                    edge(st.tail, wait);
-                    for (auto& per_neighbor : sinks[static_cast<std::size_t>(r)]) {
-                        for (const SimTaskPtr& s : per_neighbor) edge(s, wait);
-                    }
-                    st.tail = wait;
-                    sim_.submit(wait);
-                    std::vector<std::int64_t> unpack_items;
-                    for (const amr::NeighborExchange& ex : dp.neighbors) {
-                        for (const amr::FaceTransfer& f : ex.recvs) {
-                            unpack_items.push_back(copy_ns(face_bytes(dir, f.geom.rel, gv)));
+                    // Waitany loop: the master waits for each message, then
+                    // a workshared unpack of its faces. Plan order stands in
+                    // for arrival order.
+                    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
+                        const amr::NeighborExchange& ex = dp.neighbors[ni];
+                        for (std::size_t ci = 0; ci < ex.recv_chunks.size(); ++ci) {
+                            auto wait = sim_.new_task(r, PhaseKind::CommWait, 0, 0);
+                            edge(st.tail, wait);
+                            edge(sinks[static_cast<std::size_t>(r)][ni][ci], wait);
+                            st.tail = wait;
+                            sim_.submit(wait);
+                            parallel_region(
+                                r, PhaseKind::Unpack,
+                                chunk_face_costs(ex.recvs, ex.recv_chunks[ci], dir, gv));
                         }
                     }
-                    parallel_region(r, PhaseKind::Unpack, unpack_items);
                 }
             }
         }
+    }
+
+    /// Copy cost of each face of one message chunk.
+    std::vector<std::int64_t> chunk_face_costs(const std::vector<amr::FaceTransfer>& faces,
+                                               const amr::MessageChunk& chunk, int dir,
+                                               int gv) const {
+        std::vector<std::int64_t> costs;
+        for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
+            const FaceRel rel = faces[static_cast<std::size_t>(f)].geom.rel;
+            costs.push_back(copy_ns(face_bytes(dir, rel, gv)));
+        }
+        return costs;
     }
 
     std::int64_t intra_copy_cost(const amr::DirectionPlan& dp, int gv) const {

@@ -107,36 +107,6 @@ TEST(Block, PackUnpackSameLevelRoundTrip) {
     }
 }
 
-TEST(Block, PackIntoByteViewMatchesDoublePack) {
-    // The zero-copy overloads pack straight into a transport frame's byte
-    // span; the bytes must be exactly the double-buffer pack.
-    const BlockShape shape = small_shape();
-    Block src = make_filled(shape, 2.0);
-    const FaceGeom geom{0, +1, FaceRel::Same, 0};
-    const std::size_t values = static_cast<std::size_t>(shape.face_values_same(0, 2));
-
-    std::vector<double> ref(values);
-    src.pack_face(geom, 0, 2, ref);
-
-    alignas(double) std::vector<double> backing(values);  // aligned byte view
-    const std::span<std::byte> bytes(reinterpret_cast<std::byte*>(backing.data()),
-                                     values * sizeof(double));
-    src.pack_face(geom, 0, 2, bytes);
-    EXPECT_EQ(0, std::memcmp(bytes.data(), ref.data(), bytes.size()));
-
-    Block a(BlockKey{}, shape), b(BlockKey{}, shape);
-    const FaceGeom ugeom{0, -1, FaceRel::Same, 0};
-    a.unpack_face(ugeom, 0, 2, ref);
-    b.unpack_face(ugeom, 0, 2, std::span<const std::byte>(bytes));
-    for (int v = 0; v < 2; ++v) {
-        for (int y = 1; y <= 4; ++y) {
-            for (int z = 1; z <= 4; ++z) {
-                EXPECT_EQ(a.at(v, 0, y, z), b.at(v, 0, y, z));
-            }
-        }
-    }
-}
-
 TEST(Block, CopyFaceMatchesPackUnpack) {
     const BlockShape shape = small_shape();
     Block src = make_filled(shape, 5.0);

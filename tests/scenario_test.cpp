@@ -527,27 +527,30 @@ class ScenarioVariants : public ::testing::TestWithParam<const char*> {};
 TEST_P(ScenarioVariants, AllVariantsBitIdentical) {
     for (const char* estimator : {"gradient", "curvature"}) {
         const Config cfg = scenario_config(GetParam(), estimator);
+        // --zero_copy sends the flux exchange through transport frames too.
+        Config zero_copy = cfg;
+        zero_copy.zero_copy = true;
         const RunResult mpi = run_variant(cfg, Variant::MpiOnly);
-        const RunResult fj = run_variant(cfg, Variant::ForkJoin);
-        const RunResult tampi = run_variant(cfg, Variant::TampiOss);
         EXPECT_TRUE(mpi.validation_ok) << estimator;
-        expect_checksums_identical(mpi, fj);
-        expect_checksums_identical(mpi, tampi);
-        EXPECT_EQ(mpi.final_blocks, fj.final_blocks) << estimator;
-        EXPECT_EQ(mpi.final_blocks, tampi.final_blocks) << estimator;
-        EXPECT_EQ(mpi.error_norm, fj.error_norm) << estimator;
-        EXPECT_EQ(mpi.error_norm, tampi.error_norm) << estimator;
-        // The conservation ledger is part of the bit-identity contract: the
-        // outflux tally is accumulated in one deterministic order in every
-        // variant, and the reflux residual is zero everywhere.
         EXPECT_EQ(mpi.mass_drift, 0.0) << estimator;
-        EXPECT_EQ(fj.mass_drift, 0.0) << estimator;
-        EXPECT_EQ(tampi.mass_drift, 0.0) << estimator;
-        EXPECT_EQ(mpi.boundary_outflux, fj.boundary_outflux) << estimator;
-        EXPECT_EQ(mpi.boundary_outflux, tampi.boundary_outflux) << estimator;
-        EXPECT_EQ(mpi.counters.reflux_corrections, fj.counters.reflux_corrections) << estimator;
-        EXPECT_EQ(mpi.counters.reflux_corrections, tampi.counters.reflux_corrections)
-            << estimator;
+        const std::pair<const char*, RunResult> others[] = {
+            {"fork_join", run_variant(cfg, Variant::ForkJoin)},
+            {"tampi_oss", run_variant(cfg, Variant::TampiOss)},
+            {"mpi_only --zero_copy", run_variant(zero_copy, Variant::MpiOnly)},
+            {"fork_join --zero_copy", run_variant(zero_copy, Variant::ForkJoin)},
+        };
+        for (const auto& [name, r] : others) {
+            SCOPED_TRACE(std::string(estimator) + ", " + name);
+            expect_checksums_identical(mpi, r);
+            EXPECT_EQ(mpi.final_blocks, r.final_blocks);
+            EXPECT_EQ(mpi.error_norm, r.error_norm);
+            // The conservation ledger is part of the bit-identity contract:
+            // the outflux tally is accumulated in one deterministic order in
+            // every variant, and the reflux residual is zero everywhere.
+            EXPECT_EQ(r.mass_drift, 0.0);
+            EXPECT_EQ(mpi.boundary_outflux, r.boundary_outflux);
+            EXPECT_EQ(mpi.counters.reflux_corrections, r.counters.reflux_corrections);
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "core/variants.hpp"
@@ -183,6 +184,29 @@ TEST(Variants, NonCubicBlocksMatchAcrossVariants) {
         EXPECT_TRUE(b.validation_ok) << to_string(v) << " --zero_copy";
         expect_checksums_match(a, b, 1e-12);
         EXPECT_EQ(a.final_blocks, b.final_blocks) << to_string(v) << " --zero_copy";
+    }
+}
+
+TEST(Variants, SyncVariantsMatchWithSeveralMessagesPerDirection) {
+    // Four ranks along x, faces split into up to two messages per neighbour:
+    // the interior ranks have two x neighbours, so they exchange several
+    // messages per direction, each applied by the Waitany loop as it arrives
+    // (workshared for fork-join).
+    const Config base = tiny_config(4, 1, 1);
+    const RunResult ref = run_variant(base, Variant::MpiOnly);
+    Config cfg = base;
+    cfg.send_faces = true;
+    cfg.max_comm_tasks = 2;
+    for (Variant v : {Variant::MpiOnly, Variant::ForkJoin}) {
+        for (bool zero_copy : {false, true}) {
+            cfg.zero_copy = zero_copy;
+            const RunResult r = run_variant(cfg, v);
+            const std::string what = to_string(v) + (zero_copy ? " --zero_copy" : "");
+            EXPECT_TRUE(r.validation_ok) << what;
+            EXPECT_GT(r.messages, ref.messages) << what << ": messages should be split";
+            EXPECT_EQ(ref.checksums, r.checksums) << what;
+            EXPECT_EQ(ref.final_blocks, r.final_blocks) << what;
+        }
     }
 }
 
