@@ -45,26 +45,38 @@ struct RequestState {
     Mailbox* mbox = nullptr;
 };
 
-/// A buffered message. `payload` is a view into `storage`, which owns the
-/// bytes — a net frame (payload at a 40-byte offset) for anything that may
-/// hit the wire, or a bare vector for frames received from a peer. The
-/// payload is copied exactly once when the message is buffered.
+/// A message on its way to a mailbox. `payload` views either bytes the
+/// message owns through `storage` — a net frame (payload at a 40-byte
+/// offset) for anything that may hit the wire, or a bare vector for frames
+/// received from a peer — or, before own() runs, the sender's bytes: a plain
+/// isend's borrowed buffer, or the frame of an isend_tx (`lent`).
 struct PendingMsg {
     int source = 0;
     int tag = 0;
     net::FrameBuf storage;
     std::span<const std::byte> payload;
+    net::FrameBuf lent;
+
+    bool owned() const { return storage != nullptr; }
+
+    /// Makes the message independent of the sender: a borrowed payload is
+    /// copied once into a frame, a lent frame is adopted as-is — counted as
+    /// the one staging copy it saves.
+    void own(std::atomic<std::uint64_t>& copies_elided) {
+        if (owned()) return;
+        if (lent) {
+            storage = std::move(lent);
+            copies_elided.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        storage = net::make_frame(payload.data(), payload.size());
+        payload = {storage->data() + net::kHeaderBytes, payload.size()};
+    }
 };
 
-/// Buffers a user payload once, into a frame that can either be parked in a
-/// mailbox or handed to a net::Endpoint as-is.
-inline PendingMsg make_buffered(int source, int tag, const void* buf, std::size_t bytes) {
-    PendingMsg msg;
-    msg.source = source;
-    msg.tag = tag;
-    msg.storage = net::make_frame(buf, bytes);
-    msg.payload = {msg.storage->data() + net::kHeaderBytes, bytes};
-    return msg;
+/// A message whose payload is still the sender's buffer.
+inline PendingMsg borrowed(int source, int tag, const void* buf, std::size_t bytes) {
+    return PendingMsg{source, tag, nullptr, {static_cast<const std::byte*>(buf), bytes}, nullptr};
 }
 
 struct PostedRecv {
@@ -90,6 +102,14 @@ struct DelayedMsg {
     std::uint64_t seq = 0;  // tie-breaker: preserves post order at equal release
     int dest = 0;
     PendingMsg msg;
+};
+
+/// The delivery scheduler's heap order: the earliest (release time, post
+/// order) at the front.
+struct ReleasesLater {
+    bool operator()(const DelayedMsg& a, const DelayedMsg& b) const {
+        return std::tie(a.release_ns, a.seq) > std::tie(b.release_ns, b.seq);
+    }
 };
 
 /// Per-(src,dst,tag) stream bookkeeping. MPI's non-overtaking rule only
@@ -207,60 +227,76 @@ bool matches(int want_source, int want_tag, int have_source, int have_tag) {
            (want_tag == kAnyTag || want_tag == have_tag);
 }
 
-/// Hands a message to the destination mailbox: matches a posted receive or
-/// parks it in the unexpected queue. Called from isend (immediate path) and
-/// from the delivery-scheduler thread (delayed path).
+/// The first message of `mbox.unexpected` a receive for (source, tag)
+/// matches, or end(). Caller holds mbox.m.
+std::deque<PendingMsg>::iterator find_unexpected(Mailbox& mbox, int source, int tag) {
+    return std::find_if(mbox.unexpected.begin(), mbox.unexpected.end(),
+                        [&](const PendingMsg& m) { return matches(source, tag, m.source, m.tag); });
+}
+
+/// Counts a completed delivery and wakes the receive's waiters.
+void complete_delivery(WorldState* world, const std::shared_ptr<RequestState>& req,
+                       const Status& st) {
+    world->messages_delivered.fetch_add(1, std::memory_order_relaxed);
+    world->bytes_delivered.fetch_add(st.bytes, std::memory_order_relaxed);
+    complete_request(req, st);
+}
+
+/// Hands a message to the destination mailbox: matches the first posted
+/// receive it fits or parks it in the unexpected queue. Serves local sends
+/// (whose payload may still be the sender's), wire arrivals and scheduler
+/// releases alike.
 void deliver_msg(WorldState* world, int dest, PendingMsg&& msg) {
     Mailbox& mbox = *world->mailboxes[static_cast<std::size_t>(dest)];
     std::shared_ptr<RequestState> matched_recv;
     Status matched_status;
     {
         std::lock_guard lock(mbox.m);
-        auto it = mbox.posted.begin();
-        for (; it != mbox.posted.end(); ++it) {
-            if (matches(it->source, it->tag, msg.source, msg.tag)) break;
+        auto it = std::find_if(mbox.posted.begin(), mbox.posted.end(), [&](const PostedRecv& r) {
+            return matches(r.source, r.tag, msg.source, msg.tag);
+        });
+        if (it == mbox.posted.end()) {
+            msg.own(world->copies_elided);
+            mbox.unexpected.push_back(std::move(msg));
+            return;
         }
-        if (it != mbox.posted.end()) {
-            DFAMR_REQUIRE(msg.payload.size() <= it->capacity,
-                          "message truncation: recv buffer too small");
-            if (it->view != nullptr) {
-                // Zero-copy receive: hand over the message's own storage —
-                // no landing-zone write at all, so no wire-region check.
-                it->view->storage = std::move(msg.storage);
-                it->view->payload = msg.payload;
+        DFAMR_REQUIRE(msg.payload.size() <= it->capacity,
+                      "message truncation: recv buffer too small");
+        if (it->view != nullptr) {
+            // Zero-copy receive: hand over the message's own storage — no
+            // landing-zone write at all, so no wire-region check. A message
+            // that was already buffered skips the copy out of that buffer.
+            if (msg.owned()) {
                 world->copies_elided.fetch_add(1, std::memory_order_relaxed);
             } else {
-                if (!msg.payload.empty()) {
-                    // Wire-path write into a posted buffer: validate against
-                    // the in-flight region registry before touching the
-                    // bytes. This runs on a transport progress thread or the
-                    // delivery scheduler — outside any task body, invisible
-                    // to the per-thread declared-region table.
-                    DFAMR_CHECK_WIRE_WRITE(it->buf, msg.payload.size());
-                    std::memcpy(it->buf, msg.payload.data(), msg.payload.size());
-                }
-                if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
+                msg.own(world->copies_elided);
             }
-            matched_recv = it->req;
-            matched_status = Status{msg.source, msg.tag, msg.payload.size()};
-            mbox.posted.erase(it);
+            it->view->storage = std::move(msg.storage);
+            it->view->payload = msg.payload;
         } else {
-            mbox.unexpected.push_back(std::move(msg));
+            if (!msg.payload.empty()) {
+                // Wire-path write into a posted buffer: validate against the
+                // in-flight region registry before touching the bytes. This
+                // may run on a transport progress thread or the delivery
+                // scheduler — outside any task body, invisible to the
+                // per-thread declared-region table.
+                DFAMR_CHECK_WIRE_WRITE(it->buf, msg.payload.size());
+                std::memcpy(it->buf, msg.payload.data(), msg.payload.size());
+            }
+            if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
         }
+        matched_recv = it->req;
+        matched_status = Status{msg.source, msg.tag, msg.payload.size()};
+        mbox.posted.erase(it);
     }
-    if (matched_recv) {
-        world->messages_delivered.fetch_add(1, std::memory_order_relaxed);
-        world->bytes_delivered.fetch_add(matched_status.bytes, std::memory_order_relaxed);
-        complete_request(matched_recv, matched_status);
-    }
+    complete_delivery(world, matched_recv, matched_status);
 }
 
-/// Sends a buffered message where it belongs: the local mailbox for the
-/// in-process transport or a self-send, the wire otherwise. Scheduler-
-/// released (fault-delayed) messages always travel eagerly: their payload
-/// is already buffered, so the rendezvous handshake would buy nothing.
+/// Sends a message eagerly where it belongs: the local mailbox for the
+/// in-process transport or a self-send, the wire otherwise.
 void route_msg(WorldState* world, int dest, PendingMsg&& msg) {
     if (world->wire() && dest != msg.source) {
+        msg.own(world->copies_elided);
         net::Transport* ep = world->endpoints[static_cast<std::size_t>(msg.source)].get();
         ep->send_eager(dest, msg.tag, std::move(msg.storage));
         return;
@@ -268,12 +304,31 @@ void route_msg(WorldState* world, int dest, PendingMsg&& msg) {
     deliver_msg(world, dest, std::move(msg));
 }
 
+/// Parks a message with the delivery scheduler when the fault injector
+/// delays it, or when an earlier message of its stream is still parked
+/// (non-overtaking). Returns false when the message may go out now.
+bool schedule_msg(WorldState* world, int dest, std::int64_t delay_ns, PendingMsg& msg) {
+    {
+        std::lock_guard lock(world->sched_m);
+        const auto key = std::make_tuple(msg.source, dest, msg.tag);
+        if (delay_ns <= 0 && world->streams.find(key) == world->streams.end()) return false;
+        StreamState& stream = world->streams[key];
+        const std::int64_t release = std::max(steady_now_ns() + delay_ns, stream.last_release_ns);
+        stream.last_release_ns = release;
+        ++stream.inflight;
+        msg.own(world->copies_elided);
+        world->sched_heap.push_back(DelayedMsg{release, world->sched_seq++, dest, std::move(msg)});
+        std::push_heap(world->sched_heap.begin(), world->sched_heap.end(), ReleasesLater{});
+    }
+    world->sched_cv.notify_one();
+    return true;
+}
+
 /// Delivery-scheduler thread body: releases parked messages in (release
-/// time, post order). Runs only in worlds with a fault injector.
+/// time, post order). Runs only in worlds with a fault injector. Released
+/// messages always travel eagerly: their payload is already buffered, so
+/// the rendezvous handshake would buy nothing.
 void scheduler_loop(WorldState* world) {
-    const auto heap_after = [](const DelayedMsg& a, const DelayedMsg& b) {
-        return std::tie(a.release_ns, a.seq) > std::tie(b.release_ns, b.seq);
-    };
     std::unique_lock lock(world->sched_m);
     for (;;) {
         if (world->sched_heap.empty()) {
@@ -290,15 +345,13 @@ void scheduler_loop(WorldState* world) {
             world->sched_cv.wait_for(lock, std::chrono::nanoseconds(next - now));
             continue;
         }
-        std::pop_heap(world->sched_heap.begin(), world->sched_heap.end(), heap_after);
+        std::pop_heap(world->sched_heap.begin(), world->sched_heap.end(), ReleasesLater{});
         DelayedMsg dm = std::move(world->sched_heap.back());
         world->sched_heap.pop_back();
         lock.unlock();
-        const int stream_src = dm.msg.source;
-        const int stream_tag = dm.msg.tag;
+        const auto key = std::make_tuple(dm.msg.source, dm.dest, dm.msg.tag);
         route_msg(world, dm.dest, std::move(dm.msg));
         lock.lock();
-        const auto key = std::make_tuple(stream_src, dm.dest, stream_tag);
         auto it = world->streams.find(key);
         if (it != world->streams.end() && --it->second.inflight == 0) {
             world->streams.erase(it);
@@ -317,12 +370,7 @@ public:
 
     void deliver(int src, int tag, net::FrameBuf storage,
                  std::span<const std::byte> payload) override {
-        PendingMsg msg;
-        msg.source = src;
-        msg.tag = tag;
-        msg.storage = std::move(storage);
-        msg.payload = payload;
-        deliver_msg(world_, owner_, std::move(msg));
+        deliver_msg(world_, owner_, PendingMsg{src, tag, std::move(storage), payload, nullptr});
     }
 
     void peer_gone(int peer, bool clean) override {
@@ -497,16 +545,27 @@ bool Communicator::aborted() const {
 Request Communicator::isend(const void* buf, std::size_t bytes, int dest, int tag) {
     DFAMR_REQUIRE(tag >= 0 && tag < kReservedTagBase,
                   "isend: tag must be in [0, kReservedTagBase)");
-    return isend_impl(buf, bytes, dest, tag, /*allow_fault=*/true);
+    DFAMR_REQUIRE(0 <= dest && dest < size_, "isend: destination rank out of range");
+    return post_send(detail::borrowed(rank_, tag, buf, bytes), dest, /*allow_fault=*/true);
 }
 
-Request Communicator::isend_impl(const void* buf, std::size_t bytes, int dest, int tag,
-                                 bool allow_fault) {
-    DFAMR_REQUIRE(0 <= dest && dest < size_, "isend: destination rank out of range");
-    DFAMR_REQUIRE(tag >= 0, "isend: tag must be non-negative");
+Request Communicator::isend_tx(const TxBuffer& tx, int dest, int tag) {
+    DFAMR_REQUIRE(tag >= 0 && tag < kReservedTagBase,
+                  "isend_tx: tag must be in [0, kReservedTagBase)");
+    DFAMR_REQUIRE(0 <= dest && dest < size_, "isend_tx: destination rank out of range");
+    DFAMR_REQUIRE(tx.storage != nullptr && tx.storage->size() >= net::kHeaderBytes &&
+                      tx.payload.data() == tx.storage->data() + net::kHeaderBytes &&
+                      tx.payload.size() == tx.storage->size() - net::kHeaderBytes,
+                  "isend_tx: buffer not from make_tx_buffer");
+    return post_send(detail::PendingMsg{rank_, tag, nullptr, tx.payload, tx.storage}, dest,
+                     /*allow_fault=*/true);
+}
+
+Request Communicator::post_send(detail::PendingMsg&& msg, int dest, bool allow_fault) {
     auto req = std::make_shared<detail::RequestState>();
     req->world = world_;
-    const bool wire_dest = world_->wire() && dest != rank_;
+    const int tag = msg.tag;
+    const std::size_t bytes = msg.payload.size();
 
     if (allow_fault && world_->faults != nullptr) {
         const FaultAction act = world_->faults->on_send(rank_, dest, tag);
@@ -518,226 +577,36 @@ Request Communicator::isend_impl(const void* buf, std::size_t bytes, int dest, i
         }
         if (act.drop) {
             // Transient delivery failure: the payload vanishes before it
-            // reaches the wire/mailbox; the sender learns synchronously via
-            // status.ok (the hardened layer retries). Identical on both
-            // transports by construction.
+            // reaches the wire or mailbox (a TxBuffer stays untouched, so a
+            // retry may re-post it); the sender learns synchronously via
+            // status.ok. Identical on every transport by construction.
             detail::complete_request(req, Status{rank_, tag, bytes, /*ok=*/false});
             return Request(std::move(req));
         }
-        bool scheduled = false;
-        {
-            std::lock_guard slock(world_->sched_m);
-            const auto key = std::make_tuple(rank_, dest, tag);
-            auto it = world_->streams.find(key);
-            // Route through the scheduler when delayed, or when an earlier
-            // message of the same stream is still parked (non-overtaking).
-            if (act.delay_ns > 0 || it != world_->streams.end()) {
-                const std::int64_t now = detail::steady_now_ns();
-                detail::StreamState& stream = world_->streams[key];
-                const std::int64_t release =
-                    std::max(now + act.delay_ns, stream.last_release_ns);
-                stream.last_release_ns = release;
-                ++stream.inflight;
-                world_->sched_heap.push_back(detail::DelayedMsg{
-                    release, world_->sched_seq++, dest, detail::make_buffered(rank_, tag, buf, bytes)});
-                std::push_heap(world_->sched_heap.begin(), world_->sched_heap.end(),
-                               [](const detail::DelayedMsg& a, const detail::DelayedMsg& b) {
-                                   return std::tie(a.release_ns, a.seq) >
-                                          std::tie(b.release_ns, b.seq);
-                               });
-                scheduled = true;
-            }
-        }
-        if (scheduled) {
-            world_->sched_cv.notify_one();
+        if (detail::schedule_msg(world_, dest, act.delay_ns, msg)) {
             detail::complete_request(req, Status{rank_, tag, bytes});
             return Request(std::move(req));
         }
-        // No fault on this attempt: fall through to the direct path, which
-        // buffers at most once (or not at all when a receive is waiting).
+        // No delay on this attempt and nothing parked ahead of it: take the
+        // direct path, which buffers at most once (or not at all when a
+        // receive is waiting).
     }
 
-    if (wire_dest) {
-        net::Transport* ep = world_->endpoints[static_cast<std::size_t>(rank_)].get();
-        net::FrameBuf frame = net::make_frame(buf, bytes);
-        if (bytes >= ep->rendezvous_threshold()) {
-            // The request completes when the granted Data frame is handed to
-            // the kernel (from the endpoint's writer thread).
-            const int src = rank_;
-            auto* world = world_;
-            ep->send_rendezvous(dest, tag, std::move(frame),
-                                [req, world, src, tag, bytes] {
-                                    (void)world;
-                                    detail::complete_request(req, Status{src, tag, bytes});
-                                });
-            return Request(std::move(req));
-        }
-        ep->send_eager(dest, tag, std::move(frame));
-        detail::complete_request(req, Status{rank_, tag, bytes});
+    net::Transport* ep =
+        world_->wire() && dest != rank_ ? world_->endpoints[static_cast<std::size_t>(rank_)].get()
+                                        : nullptr;
+    if (ep != nullptr && bytes >= ep->rendezvous_threshold()) {
+        // The request completes when the granted Data frame is handed off
+        // (from the transport's writer or progress thread).
+        msg.own(world_->copies_elided);
+        ep->send_rendezvous(dest, tag, std::move(msg.storage), [req, src = rank_, tag, bytes] {
+            detail::complete_request(req, Status{src, tag, bytes});
+        });
         return Request(std::move(req));
     }
-
-    detail::Mailbox& mbox = *world_->mailboxes[static_cast<std::size_t>(dest)];
-    std::shared_ptr<detail::RequestState> matched_recv;
-    Status matched_status;
-    {
-        std::lock_guard lock(mbox.m);
-        auto it = mbox.posted.begin();
-        for (; it != mbox.posted.end(); ++it) {
-            if (detail::matches(it->source, it->tag, rank_, tag)) break;
-        }
-        if (it != mbox.posted.end()) {
-            DFAMR_REQUIRE(bytes <= it->capacity, "message truncation: recv buffer too small");
-            if (it->view != nullptr) {
-                // A view receive needs owned storage; buffer once and hand
-                // the buffer over (same copy count as the memcpy path).
-                detail::PendingMsg m = detail::make_buffered(rank_, tag, buf, bytes);
-                it->view->storage = std::move(m.storage);
-                it->view->payload = m.payload;
-            } else {
-                if (bytes > 0) {
-                    DFAMR_CHECK_WIRE_WRITE(it->buf, bytes);
-                    std::memcpy(it->buf, buf, bytes);
-                }
-                if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
-            }
-            matched_recv = it->req;
-            matched_status = Status{rank_, tag, bytes};
-            mbox.posted.erase(it);
-        } else {
-            mbox.unexpected.push_back(detail::make_buffered(rank_, tag, buf, bytes));
-        }
-    }
-    if (matched_recv) {
-        world_->messages_delivered.fetch_add(1, std::memory_order_relaxed);
-        world_->bytes_delivered.fetch_add(bytes, std::memory_order_relaxed);
-        detail::complete_request(matched_recv, matched_status);
-    }
-    // Eager transfer: the payload is buffered/delivered, the send is complete.
-    detail::complete_request(req, Status{rank_, tag, bytes});
-    return Request(std::move(req));
-}
-
-Request Communicator::isend_tx(const TxBuffer& tx, int dest, int tag) {
-    DFAMR_REQUIRE(tag >= 0 && tag < kReservedTagBase,
-                  "isend_tx: tag must be in [0, kReservedTagBase)");
-    DFAMR_REQUIRE(0 <= dest && dest < size_, "isend_tx: destination rank out of range");
-    DFAMR_REQUIRE(tx.storage != nullptr && tx.storage->size() >= net::kHeaderBytes &&
-                      tx.payload.data() == tx.storage->data() + net::kHeaderBytes &&
-                      tx.payload.size() == tx.storage->size() - net::kHeaderBytes,
-                  "isend_tx: buffer not from make_tx_buffer");
-    auto req = std::make_shared<detail::RequestState>();
-    req->world = world_;
-    const std::size_t bytes = tx.payload.size();
-    const bool wire_dest = world_->wire() && dest != rank_;
-
-    // The message as a PendingMsg sharing the TxBuffer's storage: parking it
-    // costs a shared_ptr copy where the plain isend path pays make_buffered.
-    const auto as_pending = [&] {
-        detail::PendingMsg msg;
-        msg.source = rank_;
-        msg.tag = tag;
-        msg.storage = tx.storage;
-        msg.payload = {tx.payload.data(), tx.payload.size()};
-        return msg;
-    };
-
-    if (world_->faults != nullptr) {
-        const FaultAction act = world_->faults->on_send(rank_, dest, tag);
-        if (act.stall_ns > 0) {
-            std::this_thread::sleep_for(std::chrono::nanoseconds(act.stall_ns));
-        }
-        if (act.crash) {
-            throw Error("mpisim: injected crash at rank " + std::to_string(rank_));
-        }
-        if (act.drop) {
-            // The storage is untouched (header not yet encoded), so the
-            // hardened layer can re-post the same TxBuffer.
-            detail::complete_request(req, Status{rank_, tag, bytes, /*ok=*/false});
-            return Request(std::move(req));
-        }
-        bool scheduled = false;
-        {
-            std::lock_guard slock(world_->sched_m);
-            const auto key = std::make_tuple(rank_, dest, tag);
-            auto it = world_->streams.find(key);
-            if (act.delay_ns > 0 || it != world_->streams.end()) {
-                const std::int64_t now = detail::steady_now_ns();
-                detail::StreamState& stream = world_->streams[key];
-                const std::int64_t release =
-                    std::max(now + act.delay_ns, stream.last_release_ns);
-                stream.last_release_ns = release;
-                ++stream.inflight;
-                world_->sched_heap.push_back(
-                    detail::DelayedMsg{release, world_->sched_seq++, dest, as_pending()});
-                std::push_heap(world_->sched_heap.begin(), world_->sched_heap.end(),
-                               [](const detail::DelayedMsg& a, const detail::DelayedMsg& b) {
-                                   return std::tie(a.release_ns, a.seq) >
-                                          std::tie(b.release_ns, b.seq);
-                               });
-                scheduled = true;
-            }
-        }
-        if (scheduled) {
-            world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-            world_->sched_cv.notify_one();
-            detail::complete_request(req, Status{rank_, tag, bytes});
-            return Request(std::move(req));
-        }
-    }
-
-    if (wire_dest) {
-        net::Transport* ep = world_->endpoints[static_cast<std::size_t>(rank_)].get();
-        world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-        if (bytes >= ep->rendezvous_threshold()) {
-            const int src = rank_;
-            ep->send_rendezvous(dest, tag, tx.storage, [req, src, tag, bytes] {
-                detail::complete_request(req, Status{src, tag, bytes});
-            });
-            return Request(std::move(req));
-        }
-        ep->send_eager(dest, tag, tx.storage);
-        detail::complete_request(req, Status{rank_, tag, bytes});
-        return Request(std::move(req));
-    }
-
-    detail::Mailbox& mbox = *world_->mailboxes[static_cast<std::size_t>(dest)];
-    std::shared_ptr<detail::RequestState> matched_recv;
-    Status matched_status;
-    {
-        std::lock_guard lock(mbox.m);
-        auto it = mbox.posted.begin();
-        for (; it != mbox.posted.end(); ++it) {
-            if (detail::matches(it->source, it->tag, rank_, tag)) break;
-        }
-        if (it != mbox.posted.end()) {
-            DFAMR_REQUIRE(bytes <= it->capacity, "message truncation: recv buffer too small");
-            if (it->view != nullptr) {
-                // Fully zero-copy rendezvous of the two fast paths: the
-                // packed frame becomes the receiver's view directly.
-                it->view->storage = tx.storage;
-                it->view->payload = {tx.payload.data(), tx.payload.size()};
-                world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                if (bytes > 0) {
-                    DFAMR_CHECK_WIRE_WRITE(it->buf, bytes);
-                    std::memcpy(it->buf, tx.payload.data(), bytes);
-                }
-                if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
-            }
-            matched_recv = it->req;
-            matched_status = Status{rank_, tag, bytes};
-            mbox.posted.erase(it);
-        } else {
-            mbox.unexpected.push_back(as_pending());
-            world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    if (matched_recv) {
-        world_->messages_delivered.fetch_add(1, std::memory_order_relaxed);
-        world_->bytes_delivered.fetch_add(bytes, std::memory_order_relaxed);
-        detail::complete_request(matched_recv, matched_status);
-    }
+    // Eager transfer: once the payload is on the wire or in the mailbox, the
+    // send is complete.
+    detail::route_msg(world_, dest, std::move(msg));
     detail::complete_request(req, Status{rank_, tag, bytes});
     return Request(std::move(req));
 }
@@ -745,7 +614,9 @@ Request Communicator::isend_tx(const TxBuffer& tx, int dest, int tag) {
 Request Communicator::irecv(void* buf, std::size_t bytes, int source, int tag) {
     DFAMR_REQUIRE(tag == kAnyTag || (tag >= 0 && tag < kReservedTagBase),
                   "irecv: tag must be kAnyTag or in [0, kReservedTagBase)");
-    return irecv_impl(buf, bytes, source, tag);
+    DFAMR_REQUIRE(source == kAnySource || (0 <= source && source < size_),
+                  "irecv: source rank out of range");
+    return post_recv(buf, nullptr, bytes, source, tag);
 }
 
 Request Communicator::irecv_view(RxView* view, std::size_t capacity, int source, int tag) {
@@ -754,78 +625,42 @@ Request Communicator::irecv_view(RxView* view, std::size_t capacity, int source,
                   "irecv_view: tag must be kAnyTag or in [0, kReservedTagBase)");
     DFAMR_REQUIRE(source == kAnySource || (0 <= source && source < size_),
                   "irecv_view: source rank out of range");
+    return post_recv(nullptr, view, capacity, source, tag);
+}
+
+Request Communicator::post_recv(void* buf, RxView* view, std::size_t capacity, int source,
+                                int tag) {
     auto req = std::make_shared<detail::RequestState>();
     req->world = world_;
-
     detail::Mailbox& mbox = *world_->mailboxes[static_cast<std::size_t>(rank_)];
     req->mbox = &mbox;
-    bool delivered = false;
     Status st;
     {
         std::lock_guard lock(mbox.m);
-        auto it = mbox.unexpected.begin();
-        for (; it != mbox.unexpected.end(); ++it) {
-            if (detail::matches(source, tag, it->source, it->tag)) break;
+        auto it = detail::find_unexpected(mbox, source, tag);
+        if (it == mbox.unexpected.end()) {
+            // A buffer is now an in-flight wire landing zone: register it so
+            // delivery-path writes (which run on transport threads, not under
+            // this task's declared regions) are bounds-checked. A view has no
+            // landing zone: delivery hands over the frame.
+            if (view == nullptr) DFAMR_WIRE_REGISTER(buf, capacity, "mpisim.irecv");
+            mbox.posted.push_back(detail::PostedRecv{source, tag, buf, capacity, req, view});
+            return Request(std::move(req));
         }
-        if (it != mbox.unexpected.end()) {
-            DFAMR_REQUIRE(it->payload.size() <= capacity,
-                          "message truncation: recv buffer too small");
+        DFAMR_REQUIRE(it->payload.size() <= capacity, "message truncation: recv buffer too small");
+        if (view != nullptr) {
+            // The parked message is buffered already: hand the buffer over
+            // instead of copying out of it.
             view->storage = std::move(it->storage);
             view->payload = it->payload;
             world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-            st = Status{it->source, it->tag, it->payload.size()};
-            mbox.unexpected.erase(it);
-            delivered = true;
-        } else {
-            // No landing zone to register: delivery hands over the frame.
-            mbox.posted.push_back(
-                detail::PostedRecv{source, tag, nullptr, capacity, req, view});
+        } else if (!it->payload.empty()) {
+            std::memcpy(buf, it->payload.data(), it->payload.size());
         }
+        st = Status{it->source, it->tag, it->payload.size()};
+        mbox.unexpected.erase(it);
     }
-    if (delivered) {
-        world_->messages_delivered.fetch_add(1, std::memory_order_relaxed);
-        world_->bytes_delivered.fetch_add(st.bytes, std::memory_order_relaxed);
-        detail::complete_request(req, st);
-    }
-    return Request(std::move(req));
-}
-
-Request Communicator::irecv_impl(void* buf, std::size_t bytes, int source, int tag) {
-    DFAMR_REQUIRE(source == kAnySource || (0 <= source && source < size_),
-                  "irecv: source rank out of range");
-    auto req = std::make_shared<detail::RequestState>();
-    req->world = world_;
-
-    detail::Mailbox& mbox = *world_->mailboxes[static_cast<std::size_t>(rank_)];
-    req->mbox = &mbox;
-    bool delivered = false;
-    Status st;
-    {
-        std::lock_guard lock(mbox.m);
-        auto it = mbox.unexpected.begin();
-        for (; it != mbox.unexpected.end(); ++it) {
-            if (detail::matches(source, tag, it->source, it->tag)) break;
-        }
-        if (it != mbox.unexpected.end()) {
-            DFAMR_REQUIRE(it->payload.size() <= bytes,
-                          "message truncation: recv buffer too small");
-            if (!it->payload.empty()) std::memcpy(buf, it->payload.data(), it->payload.size());
-            st = Status{it->source, it->tag, it->payload.size()};
-            mbox.unexpected.erase(it);
-            delivered = true;
-        } else {
-            // The buffer is now an in-flight wire landing zone: register it
-            // so delivery-path writes (which run on transport threads, not
-            // under this task's declared regions) are bounds-checked.
-            DFAMR_WIRE_REGISTER(buf, bytes, "mpisim.irecv");
-            mbox.posted.push_back(detail::PostedRecv{source, tag, buf, bytes, req});
-        }
-    }
-    if (delivered) {
-        world_->messages_delivered.fetch_add(1, std::memory_order_relaxed);
-        world_->bytes_delivered.fetch_add(st.bytes, std::memory_order_relaxed);
-        detail::complete_request(req, st);
-    }
+    detail::complete_delivery(world_, req, st);
     return Request(std::move(req));
 }
 
@@ -840,13 +675,10 @@ void Communicator::recv(void* buf, std::size_t bytes, int source, int tag, Statu
 bool Communicator::iprobe(int source, int tag, Status* status) {
     detail::Mailbox& mbox = *world_->mailboxes[static_cast<std::size_t>(rank_)];
     std::lock_guard lock(mbox.m);
-    for (const detail::PendingMsg& msg : mbox.unexpected) {
-        if (detail::matches(source, tag, msg.source, msg.tag)) {
-            if (status != nullptr) *status = Status{msg.source, msg.tag, msg.payload.size()};
-            return true;
-        }
-    }
-    return false;
+    auto it = detail::find_unexpected(mbox, source, tag);
+    if (it == mbox.unexpected.end()) return false;
+    if (status != nullptr) *status = Status{it->source, it->tag, it->payload.size()};
+    return true;
 }
 
 void Communicator::abandon_posted_recvs() {
@@ -907,11 +739,11 @@ void Communicator::collective_wire(const void* in, std::size_t in_bytes, void* o
     constexpr int kCollResult = kReservedTagBase + 2;
     if (rank_ != 0) {
         std::uint64_t sizes[2] = {in_bytes, out_bytes};
-        isend_impl(sizes, sizeof sizes, 0, kCollGather, /*allow_fault=*/false).wait();
+        post_send(detail::borrowed(rank_, kCollGather, sizes, sizeof sizes), 0, false).wait();
         if (in_bytes > 0) {
-            isend_impl(in, in_bytes, 0, kCollGather, /*allow_fault=*/false).wait();
+            post_send(detail::borrowed(rank_, kCollGather, in, in_bytes), 0, false).wait();
         }
-        irecv_impl(out_bytes > 0 ? out : nullptr, out_bytes, 0, kCollResult).wait();
+        post_recv(out_bytes > 0 ? out : nullptr, nullptr, out_bytes, 0, kCollResult).wait();
         return;
     }
     const std::size_t n = static_cast<std::size_t>(size_);
@@ -921,12 +753,13 @@ void Communicator::collective_wire(const void* in, std::size_t in_bytes, void* o
     peer_out[0] = out_bytes;
     for (int r = 1; r < size_; ++r) {
         std::uint64_t sizes[2] = {0, 0};
-        irecv_impl(sizes, sizeof sizes, r, kCollGather).wait();
+        post_recv(sizes, nullptr, sizeof sizes, r, kCollGather).wait();
         peer_in[static_cast<std::size_t>(r)] = sizes[0];
         peer_out[static_cast<std::size_t>(r)] = sizes[1];
         if (sizes[0] > 0) {
             gathered[static_cast<std::size_t>(r)].resize(static_cast<std::size_t>(sizes[0]));
-            irecv_impl(gathered[static_cast<std::size_t>(r)].data(), sizes[0], r, kCollGather)
+            post_recv(gathered[static_cast<std::size_t>(r)].data(), nullptr, sizes[0], r,
+                      kCollGather)
                 .wait();
         }
     }
@@ -947,8 +780,8 @@ void Communicator::collective_wire(const void* in, std::size_t in_bytes, void* o
     if (combine) combine(ctx);
     for (int r = 1; r < size_; ++r) {
         const auto ri = static_cast<std::size_t>(r);
-        isend_impl(scratch[ri].data(), scratch[ri].size(), r, kCollResult,
-                   /*allow_fault=*/false)
+        post_send(detail::borrowed(rank_, kCollResult, scratch[ri].data(), scratch[ri].size()), r,
+                  /*allow_fault=*/false)
             .wait();
     }
 }

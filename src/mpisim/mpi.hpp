@@ -7,10 +7,14 @@
 // tag), plus the collectives the mini-app uses (barrier, bcast, allreduce,
 // reduce, allgather, alltoall).
 //
-// Transfer policy: eager — isend buffers the payload at post time, so a send
-// request is complete immediately and a receive completes as soon as it is
-// matched. MPI permits this buffering; ordering guarantees are preserved by
-// per-mailbox FIFO queues.
+// Transfer policy: eager — a send request is complete once its payload is
+// delivered into a posted receive, buffered (at most once) into the
+// destination's unexpected queue, or handed to the wire; a receive completes
+// as soon as it is matched. MPI permits this buffering; ordering guarantees
+// are preserved by per-mailbox FIFO queues. Over a wire, payloads at or
+// above the rendezvous threshold complete when the transport hands their
+// Data frame off. One send routine and one receive routine implement this
+// for plain and zero-copy (isend_tx / irecv_view) messages alike.
 //
 // Thread-safety: equivalent to MPI_THREAD_MULTIPLE. Any thread of a rank
 // (e.g. a tasking worker running a communication task) may post operations
@@ -23,9 +27,10 @@
 // rendezvous threshold, Rts/Cts/Data handshake at or above it); a received
 // frame is fed into the same deliver path as a local send, so ordering,
 // wildcards and fault semantics are identical. TransportKind::Shm swaps the
-// sockets for per-pair lock-free shared-memory rings (net::ShmTransport)
-// carrying the exact same frames — cheaper for co-located ranks, and still
-// bit-identical because everything above the Transport interface is shared.
+// sockets for per-pair lock-free shared-memory rings (net::ShmTransport) —
+// cheaper for co-located ranks, and still bit-identical because both
+// transports run the same protocol code (net::FramedTransport) and
+// everything above the Transport interface is shared.
 // A wire world started by dfamr_mpirun (DFAMR_RANK et al. in the
 // environment) runs ONE local rank per process and meshes with its sibling
 // processes; otherwise all ranks live in this process, each with its own
@@ -128,6 +133,7 @@ public:
 
 namespace detail {
 struct RequestState;
+struct PendingMsg;
 struct Mailbox;
 struct CollectiveCtx;
 struct WorldState;
@@ -169,6 +175,8 @@ private:
 /// — no staging copy. `storage` is shared, so retrying an isend_tx (the
 /// HardenedComm path) re-uses the same bytes safely. Works on every
 /// transport: in-process, the frame simply becomes the parked message.
+/// Wherever a plain isend would buffer the payload, isend_tx lends this
+/// frame instead and counts one copies_elided.
 struct TxBuffer {
     net::FrameBuf storage;
     std::span<std::byte> payload;
@@ -215,9 +223,11 @@ public:
     /// a retry wrapper can re-post the same buffer.
     Request isend_tx(const TxBuffer& tx, int dest, int tag);
     /// Zero-copy receive: on completion `*view` holds the message payload
-    /// in place (no copy into a user buffer; counted as copies_elided when
-    /// the match avoided a memcpy). `capacity` bounds the accepted message
-    /// size like irecv's `bytes`. `view` must stay valid until completion.
+    /// in place (no copy into a user buffer). A message that was buffered
+    /// before it met this receive — parked, received from a wire, or held
+    /// by the fault scheduler — skips its copy-out and counts one
+    /// copies_elided. `capacity` bounds the accepted message size like
+    /// irecv's `bytes`. `view` must stay valid until completion.
     Request irecv_view(RxView* view, std::size_t capacity, int source, int tag);
     void send(const void* buf, std::size_t bytes, int dest, int tag);
     void recv(void* buf, std::size_t bytes, int source, int tag, Status* status = nullptr);
@@ -247,11 +257,15 @@ private:
     Communicator(detail::WorldState* world, int rank, int size)
         : world_(world), rank_(rank), size_(size) {}
 
-    // Internal p2p entry points: `allow_fault` is false for protocol
-    // traffic (wire collectives), which must never be chaos-injected —
-    // matching the in-process collectives, which don't touch the injector.
-    Request isend_impl(const void* buf, std::size_t bytes, int dest, int tag, bool allow_fault);
-    Request irecv_impl(void* buf, std::size_t bytes, int source, int tag);
+    // The one send and the one receive routine under the public entry
+    // points. post_send takes a plain send's borrowed bytes or an isend_tx
+    // frame through fault scheduling, the wire hand-off and local delivery;
+    // `allow_fault` is false for protocol traffic (wire collectives), which
+    // must never be chaos-injected — matching the in-process collectives,
+    // which don't touch the injector. post_recv copies into `buf`, or hands
+    // the message's storage to `view` when that is non-null.
+    Request post_send(detail::PendingMsg&& msg, int dest, bool allow_fault);
+    Request post_recv(void* buf, RxView* view, std::size_t capacity, int source, int tag);
 
     // Type-erased collective entry. In-process, the last arriving rank runs
     // `combine` on a shared context; over the wire, rank 0 gathers every

@@ -1,15 +1,10 @@
 // One rank's TCP transport endpoint: a full-duplex connection to every peer,
 // a writer thread draining an ordered frame queue, and a reader (progress)
-// thread that reassembles incoming frames and feeds them to a Sink — the
-// hook mpisim implements with its matching/mailbox machinery.
-//
-// Transfer policy: payloads below the rendezvous threshold travel eagerly in
-// one frame. At or above it, the sender posts a header-only Rts and keeps
-// the payload; the receiver's progress thread grants a Cts, and the payload
-// follows in a Data frame. Because later frames of the same (source, tag)
-// stream can overtake the Data on the wire, the receiver parks them behind
-// the pending rendezvous and releases them in order once the Data lands —
-// MPI non-overtaking order holds across both transfer modes.
+// thread that feeds every byte it receives to the frame decoder
+// (framed_transport.hpp), which hands complete messages to a Sink — the
+// hook mpisim implements with its matching/mailbox machinery. This file only
+// moves bytes: the connect and Hello handshake, the two threads, and writev
+// coalescing.
 //
 // Coalescing (opt-in): when enabled, the writer thread batches consecutive
 // same-destination Eager frames from its queue into one Coalesced frame
@@ -20,32 +15,28 @@
 //
 // Threading: send_eager/send_rendezvous may be called from any thread. The
 // reader thread never blocks on a partially received frame (non-blocking
-// sockets, per-connection reassembly state), so every endpoint always
-// drains its peers; that is what makes the writer threads' blocking sends
-// deadlock-free even when two ranks exchange large payloads simultaneously.
+// sockets, per-peer reassembly state), so every endpoint always drains its
+// peers; that is what makes the writer threads' blocking sends deadlock-free
+// even when two ranks exchange large payloads simultaneously.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "common/lockdep.hpp"
+#include "net/framed_transport.hpp"
 #include "net/socket.hpp"
-#include "net/transport.hpp"
-#include "net/wire.hpp"
 
 namespace dfamr::net {
 
-class Endpoint final : public Transport {
+class Endpoint final : public FramedTransport {
 public:
     /// Creates the endpoint and binds its data listener (ephemeral port).
     /// `sink` must outlive the endpoint. With `coalesce`, the writer batches
@@ -57,49 +48,18 @@ public:
     Endpoint(const Endpoint&) = delete;
     Endpoint& operator=(const Endpoint&) = delete;
 
-    int rank() const override { return rank_; }
     std::uint16_t listen_port() const { return listen_port_; }
-    std::size_t rendezvous_threshold() const override { return rndz_threshold_; }
 
     /// Establishes the peer mesh from the rank -> address table (this rank
     /// dials every lower rank, accepts from every higher one) and starts the
     /// reader and writer threads. Must be called exactly once.
     void connect_mesh(const std::vector<HostPort>& table);
 
-    /// Queues `frame` (payload already in place) for eager transfer. The
-    /// payload is considered delivered to the transport on return.
-    void send_eager(int dest, int tag, FrameBuf frame) override;
-
-    /// Starts a rendezvous transfer: posts the Rts now, sends the payload
-    /// when the peer grants it. `on_sent` fires (from the writer thread)
-    /// once the Data frame is handed to the kernel; it may be null.
-    void send_rendezvous(int dest, int tag, FrameBuf frame,
-                         std::function<void()> on_sent) override;
-
-    /// Snapshot of the wire counters.
-    NetCounters counters() const override;
-    /// Per-peer bytes/frames, indexed by peer rank.
-    std::vector<PeerStats> peer_counters() const override;
-
-    /// Attaches a wire observer (nullptr detaches). Must be called before
-    /// connect_mesh; the observer must outlive the endpoint.
-    void set_wire_observer(WireObserver* obs) override { observer_ = obs; }
-
 private:
     struct QueuedWrite {
         int dest = 0;
         FrameBuf frame;
         std::function<void()> on_written;
-    };
-
-    /// Receiver-side per-(source, tag) hold-back entry: either a message
-    /// ready to deliver, or the placeholder of a granted rendezvous whose
-    /// Data frame is still in flight (placeholder = true).
-    struct HeldFrame {
-        bool placeholder = false;
-        std::uint32_t seq = 0;
-        FrameBuf storage;
-        std::span<const std::byte> payload;
     };
 
     struct Connection {
@@ -109,18 +69,9 @@ private:
         // socket itself stays open until destruction so the fd can't be
         // reused under the other thread.
         std::atomic<bool> open{false};
-        bool saw_bye = false;  // reader-thread only
-        // Reader reassembly state.
-        std::array<std::byte, kHeaderBytes> header_buf;
-        std::size_t header_got = 0;
-        bool have_header = false;
-        FrameHeader header;
-        FrameBuf payload;
-        std::size_t payload_got = 0;
-        // Non-overtaking hold-back, keyed by tag (source is the peer).
-        std::map<int, std::deque<HeldFrame>> held;
     };
 
+    void enqueue(int dest, FrameBuf frame, std::function<void()> on_written = nullptr) override;
     void reader_loop();
     void writer_loop();
     /// Pops the front write plus — under coalescing — every later Eager for
@@ -131,22 +82,11 @@ private:
     /// Sends a batch of eager frames as one Coalesced frame. Returns false
     /// when the connection died mid-write.
     bool write_coalesced(Connection& conn, const std::vector<QueuedWrite>& batch);
-    /// Reads whatever is available on `conn` without blocking; dispatches
-    /// every completed frame. Returns false when the connection ended.
-    bool drain_connection(Connection& conn);
-    void handle_frame(Connection& conn, FrameHeader h, FrameBuf payload);
-    void deliver_or_hold(Connection& conn, int tag, FrameBuf storage,
-                         std::span<const std::byte> payload);
-    void enqueue(int dest, FrameBuf frame, std::function<void()> on_written = nullptr);
-    /// Completes and forgets rendezvous transfers headed at a dead peer.
-    void drop_pending_for(int peer);
+    /// Reads whatever is available on `conn` without blocking, feeding the
+    /// decoder. Returns More once drained, or how the stream ended.
+    ReadStatus drain_connection(Connection& conn);
     void wake_reader();
-    FrameBuf header_only_frame(FrameKind kind, int tag, std::uint32_t seq, std::uint64_t aux);
 
-    const int rank_;
-    const int nranks_;
-    const std::size_t rndz_threshold_;
-    Sink* const sink_;
     const ProgressTrace trace_;
     const bool coalesce_;
 
@@ -160,21 +100,10 @@ private:
     std::deque<QueuedWrite> write_q_;
     bool writer_shutdown_ = false;
 
-    // Sender-side rendezvous transfers awaiting their Cts.
-    lockdep::Mutex rndz_m_{"net.rndz"};
-    std::condition_variable_any rndz_cv_;
-    std::uint32_t next_seq_ = 1;
-    std::map<std::pair<int, std::uint32_t>, QueuedWrite> pending_rndz_;
-
     std::thread reader_;
     std::thread writer_;
     std::atomic<bool> reader_stop_{false};
     bool mesh_started_ = false;
-
-    mutable lockdep::Mutex counters_m_{"net.counters"};
-    NetCounters counters_;
-    std::vector<PeerStats> peers_;  // by peer rank (self row stays zero)
-    WireObserver* observer_ = nullptr;
 };
 
 }  // namespace dfamr::net

@@ -12,20 +12,11 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/timing.hpp"
 
 namespace dfamr::net {
 
 namespace {
-
-std::int64_t now_ns() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-// Same batch caps as the TCP writer's coalescing path.
-constexpr std::size_t kMaxCoalesceMsgs = 64;
-constexpr std::size_t kMaxCoalesceBytes = 256 * 1024;
 
 // How long open_peers waits for a peer's segment. The caller's barrier
 // means the segment exists before we look; this only covers scheduling
@@ -60,19 +51,14 @@ std::string ShmTransport::segment_name(int from, int to) const {
 }
 
 ShmTransport::ShmTransport(const ShmOptions& opts, Sink* sink)
-    : rank_(opts.rank),
-      nranks_(opts.nranks),
-      rndz_threshold_(opts.rendezvous_threshold),
+    : FramedTransport(opts.rank, opts.nranks, opts.rendezvous_threshold, sink),
       ring_bytes_(opts.ring_bytes),
       ns_(opts.ns),
       coalesce_(opts.coalesce),
-      sink_(sink),
       trace_(opts.trace) {
-    DFAMR_REQUIRE(rank_ >= 0 && rank_ < nranks_, "shm: rank out of range");
     DFAMR_REQUIRE(!ns_.empty(), "shm: namespace required");
     peers_.reserve(static_cast<std::size_t>(nranks_));
     for (int i = 0; i < nranks_; ++i) peers_.push_back(std::make_unique<Peer>());
-    peer_stats_.resize(static_cast<std::size_t>(nranks_));
     const std::size_t seg_bytes = shm_segment_bytes(ring_bytes_);
     for (int j = 0; j < nranks_; ++j) {
         if (j == rank_) continue;
@@ -97,28 +83,21 @@ ShmTransport::ShmTransport(const ShmOptions& opts, Sink* sink)
         p.out_map = base;
         p.map_bytes = seg_bytes;
         p.out.attach(base, ring_bytes_);
-        p.header_buf.resize(kHeaderBytes);
     }
 }
 
 ShmTransport::~ShmTransport() {
     if (started_) {
-        // 1. Let in-flight rendezvous transfers finish (bounded: a dead peer
-        //    never grants its Cts, and the world is aborting anyway). The
-        //    progress thread keeps running through every wait below, so it
-        //    still grants Cts to peers and drains their frames — mutual
-        //    flush-waits cannot deadlock.
-        {
-            std::unique_lock lk(rndz_m_);
-            rndz_cv_.wait_for(lk, std::chrono::seconds(10),
-                              [&] { return pending_rndz_.empty(); });
-            pending_rndz_.clear();
-        }
+        // 1. Let in-flight rendezvous transfers finish. The progress thread
+        //    keeps running through every wait below, so it still grants Cts
+        //    to peers and drains their frames — mutual flush-waits cannot
+        //    deadlock.
+        drain_rendezvous();
         // 2. Say goodbye, then wait (bounded) for the queues to drain into
         //    the rings.
         for (auto& p : peers_) {
             if (p->rank >= 0 && p->rank != rank_ && p->open.load()) {
-                enqueue(p->rank, header_only_frame(FrameKind::Bye, 0, 0, 0));
+                enqueue(p->rank, header_only_frame(FrameKind::Bye));
             }
         }
         const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -183,58 +162,10 @@ void ShmTransport::open_peers() {
         p.in_map = base;
         p.in.attach(base, hdr->capacity);
         p.open.store(true, std::memory_order_release);
-        enqueue(j, header_only_frame(FrameKind::Hello, 0, 0, 0));
+        enqueue(j, header_only_frame(FrameKind::Hello));
     }
     started_ = true;
     progress_ = std::thread([this] { progress_loop(); });
-}
-
-void ShmTransport::send_eager(int dest, int tag, FrameBuf frame) {
-    DFAMR_REQUIRE(frame->size() >= kHeaderBytes, "shm: frame too small");
-    FrameHeader h;
-    h.kind = FrameKind::Eager;
-    h.src = rank_;
-    h.tag = tag;
-    h.payload_bytes = frame->size() - kHeaderBytes;
-    encode_header(h, frame->data());
-    enqueue(dest, std::move(frame));
-}
-
-void ShmTransport::send_rendezvous(int dest, int tag, FrameBuf frame,
-                                   std::function<void()> on_sent) {
-    DFAMR_REQUIRE(frame->size() >= kHeaderBytes, "shm: frame too small");
-    const std::uint64_t payload_bytes = frame->size() - kHeaderBytes;
-    std::uint32_t seq = 0;
-    {
-        std::lock_guard lk(rndz_m_);
-        seq = next_seq_++;
-        FrameHeader data;
-        data.kind = FrameKind::Data;
-        data.src = rank_;
-        data.tag = tag;
-        data.seq = seq;
-        data.payload_bytes = payload_bytes;
-        encode_header(data, frame->data());
-        QueuedWrite w;
-        w.frame = std::move(frame);
-        w.on_written = std::move(on_sent);
-        pending_rndz_[{dest, seq}] = std::move(w);
-    }
-    {
-        std::lock_guard lk(counters_m_);
-        ++counters_.rendezvous;
-    }
-    enqueue(dest, header_only_frame(FrameKind::Rts, tag, seq, payload_bytes));
-}
-
-NetCounters ShmTransport::counters() const {
-    std::lock_guard lk(counters_m_);
-    return counters_;
-}
-
-std::vector<PeerStats> ShmTransport::peer_counters() const {
-    std::lock_guard lk(counters_m_);
-    return peer_stats_;
 }
 
 void ShmTransport::enqueue(int dest, FrameBuf frame, std::function<void()> on_written) {
@@ -277,14 +208,7 @@ void ShmTransport::enqueue(int dest, FrameBuf frame, std::function<void()> on_wr
             }
         }
         if (wrote_all) {
-            {
-                std::lock_guard lk(counters_m_);
-                ++counters_.frames_sent;
-                counters_.bytes_sent += frame_bytes;
-                auto& ps = peer_stats_[static_cast<std::size_t>(dest)];
-                ps.frames_sent += 1;
-                ps.bytes_sent += frame_bytes;
-            }
+            count_sent(dest, frame_bytes);
             if (on_written) on_written();
             return;
         }
@@ -301,23 +225,6 @@ void ShmTransport::enqueue(int dest, FrameBuf frame, std::function<void()> on_wr
         p.pending.push_back(std::move(w));
     }
     out_cv_.notify_all();
-}
-
-void ShmTransport::drop_pending_for(int peer) {
-    std::vector<std::function<void()>> callbacks;
-    {
-        std::lock_guard lk(rndz_m_);
-        for (auto it = pending_rndz_.begin(); it != pending_rndz_.end();) {
-            if (it->first.first == peer) {
-                if (it->second.on_written) callbacks.push_back(std::move(it->second.on_written));
-                it = pending_rndz_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-    rndz_cv_.notify_all();
-    for (auto& cb : callbacks) cb();
 }
 
 void ShmTransport::report_gone(Peer& p, bool clean) {
@@ -347,19 +254,6 @@ void ShmTransport::probe_peers() {
         if (pid == self || pid <= 0) continue;  // co-threaded loopback world
         if (::kill(pid, 0) != 0 && errno == ESRCH) report_gone(p, /*clean=*/false);
     }
-}
-
-FrameBuf ShmTransport::header_only_frame(FrameKind kind, int tag, std::uint32_t seq,
-                                         std::uint64_t aux) {
-    auto buf = std::make_shared<std::vector<std::byte>>(kHeaderBytes);
-    FrameHeader h;
-    h.kind = kind;
-    h.src = rank_;
-    h.tag = tag;
-    h.seq = seq;
-    h.aux = aux;
-    encode_header(h, buf->data());
-    return buf;
 }
 
 void ShmTransport::maybe_coalesce(Peer& p) {
@@ -400,16 +294,10 @@ void ShmTransport::maybe_coalesce(Peer& p) {
         off += padded_sub_bytes(static_cast<std::size_t>(e.bytes));
         if (w.on_written) callbacks.push_back(std::move(w.on_written));
     }
-    FrameHeader h;
-    h.kind = FrameKind::Coalesced;
-    h.src = rank_;
-    h.aux = run;
-    h.payload_bytes = payload_total;
-    encode_header(h, buf->data());
+    encode_header(make_header(FrameKind::Coalesced, 0, 0, payload_total, run), buf->data());
     p.pending.erase(p.pending.begin(), p.pending.begin() + static_cast<std::ptrdiff_t>(run));
     QueuedWrite composed;
     composed.frame = std::move(buf);
-    composed.is_coalesced = true;
     composed.sub_count = run;
     if (!callbacks.empty()) {
         composed.on_written = [cbs = std::move(callbacks)] {
@@ -459,18 +347,7 @@ bool ShmTransport::flush_outbound() {
             if (n > 0) worked = true;
             front->offset += n;
             if (front->offset < front->frame->size()) break;  // ring full for now
-            {
-                std::lock_guard lk(counters_m_);
-                ++counters_.frames_sent;
-                counters_.bytes_sent += front->frame->size();
-                auto& ps = peer_stats_[static_cast<std::size_t>(p.rank)];
-                ps.frames_sent += 1;
-                ps.bytes_sent += front->frame->size();
-                if (front->is_coalesced) {
-                    ++counters_.coalesced_frames_sent;
-                    counters_.coalesced_messages += front->sub_count;
-                }
-            }
+            count_sent(p.rank, front->frame->size(), front->sub_count);
             std::function<void()> cb;
             {
                 std::lock_guard lk(out_m_);
@@ -490,156 +367,17 @@ bool ShmTransport::drain_inbound() {
         if (p.rank < 0 || p.rank == rank_) continue;
         if (!p.open.load(std::memory_order_acquire) || !p.in.valid()) continue;
         for (;;) {
-            if (p.saw_bye) {
-                report_gone(p, /*clean=*/true);
-                break;
-            }
-            std::byte* dst = nullptr;
-            std::size_t want = 0;
-            if (!p.have_header) {
-                dst = p.header_buf.data() + p.header_got;
-                want = kHeaderBytes - p.header_got;
-            } else {
-                dst = p.payload->data() + p.payload_got;
-                want = p.payload->size() - p.payload_got;
-            }
-            const std::size_t n = p.in.try_read({dst, want});
+            const std::size_t n = p.in.try_read(read_target(p.rank));
             if (n == 0) break;  // drained
             worked = true;
-            {
-                std::lock_guard lk(counters_m_);
-                counters_.bytes_received += n;
-                peer_stats_[static_cast<std::size_t>(p.rank)].bytes_received += n;
+            const ReadStatus st = on_read(p.rank, n);
+            if (st != ReadStatus::More) {
+                report_gone(p, st == ReadStatus::Bye);
+                break;
             }
-            if (!p.have_header) {
-                p.header_got += n;
-                if (p.header_got < kHeaderBytes) continue;
-                p.header = decode_header({p.header_buf.data(), kHeaderBytes});
-                DFAMR_REQUIRE(p.header.magic == kWireMagic, "shm: corrupt ring stream");
-                p.have_header = true;
-                p.header_got = 0;
-                if (p.header.payload_bytes > 0) {
-                    p.payload = std::make_shared<std::vector<std::byte>>(
-                        static_cast<std::size_t>(p.header.payload_bytes));
-                    p.payload_got = 0;
-                    continue;
-                }
-                p.payload = nullptr;
-            } else {
-                p.payload_got += n;
-                if (p.payload_got < p.payload->size()) continue;
-            }
-            // A full frame is assembled.
-            {
-                std::lock_guard lk(counters_m_);
-                ++counters_.frames_received;
-                peer_stats_[static_cast<std::size_t>(p.rank)].frames_received += 1;
-            }
-            FrameHeader h = p.header;
-            FrameBuf payload = std::move(p.payload);
-            p.have_header = false;
-            p.payload = nullptr;
-            p.payload_got = 0;
-            if (observer_ != nullptr) observer_->on_frame_received(p.rank, h);
-            handle_frame(p, h, std::move(payload));
         }
     }
     return worked;
-}
-
-void ShmTransport::handle_frame(Peer& p, FrameHeader h, FrameBuf payload) {
-    switch (h.kind) {
-        case FrameKind::Hello:
-            DFAMR_REQUIRE(!p.hello_seen && h.src == p.rank, "shm: bad Hello");
-            p.hello_seen = true;
-            return;
-        case FrameKind::Eager: {
-            std::span<const std::byte> view =
-                payload ? std::span<const std::byte>(*payload) : std::span<const std::byte>{};
-            deliver_or_hold(p, h.tag, std::move(payload), view);
-            return;
-        }
-        case FrameKind::Coalesced: {
-            const auto count = static_cast<std::size_t>(h.aux);
-            DFAMR_REQUIRE(payload && payload->size() >= count * kSubMsgEntryBytes,
-                          "shm: coalesced frame shorter than its table");
-            const std::span<const std::byte> all(*payload);
-            std::size_t off = count * kSubMsgEntryBytes;
-            for (std::size_t i = 0; i < count; ++i) {
-                const SubMsgEntry e = decode_sub_entry(all.subspan(i * kSubMsgEntryBytes));
-                const auto bytes = static_cast<std::size_t>(e.bytes);
-                DFAMR_REQUIRE(off + bytes <= all.size(),
-                              "shm: coalesced sub-payload out of range");
-                deliver_or_hold(p, e.tag, FrameBuf(payload), all.subspan(off, bytes));
-                off += padded_sub_bytes(bytes);
-            }
-            return;
-        }
-        case FrameKind::Rts: {
-            HeldFrame slot;
-            slot.placeholder = true;
-            slot.seq = h.seq;
-            p.held[h.tag].push_back(std::move(slot));
-            enqueue(p.rank, header_only_frame(FrameKind::Cts, h.tag, h.seq, 0));
-            return;
-        }
-        case FrameKind::Cts: {
-            QueuedWrite w;
-            {
-                std::lock_guard lk(rndz_m_);
-                auto it = pending_rndz_.find({p.rank, h.seq});
-                DFAMR_REQUIRE(it != pending_rndz_.end(), "shm: Cts for unknown rendezvous");
-                w = std::move(it->second);
-                pending_rndz_.erase(it);
-            }
-            rndz_cv_.notify_all();
-            enqueue(p.rank, std::move(w.frame), std::move(w.on_written));
-            return;
-        }
-        case FrameKind::Data: {
-            auto it = p.held.find(h.tag);
-            DFAMR_REQUIRE(it != p.held.end() && !it->second.empty(),
-                          "shm: Data with no pending rendezvous");
-            bool filled = false;
-            for (auto& slot : it->second) {
-                if (slot.placeholder && slot.seq == h.seq) {
-                    slot.placeholder = false;
-                    slot.payload = payload ? std::span<const std::byte>(*payload)
-                                           : std::span<const std::byte>{};
-                    slot.storage = std::move(payload);
-                    filled = true;
-                    break;
-                }
-            }
-            DFAMR_REQUIRE(filled, "shm: Data seq matches no placeholder");
-            auto& dq = it->second;
-            while (!dq.empty() && !dq.front().placeholder) {
-                HeldFrame f = std::move(dq.front());
-                dq.pop_front();
-                sink_->deliver(p.rank, h.tag, std::move(f.storage), f.payload);
-            }
-            if (dq.empty()) p.held.erase(it);
-            return;
-        }
-        case FrameKind::Bye:
-            p.saw_bye = true;
-            return;
-        default:
-            DFAMR_REQUIRE(false, "shm: unexpected frame kind");
-    }
-}
-
-void ShmTransport::deliver_or_hold(Peer& p, int tag, FrameBuf storage,
-                                   std::span<const std::byte> payload) {
-    auto it = p.held.find(tag);
-    if (it != p.held.end() && !it->second.empty()) {
-        HeldFrame f;
-        f.storage = std::move(storage);
-        f.payload = payload;
-        it->second.push_back(std::move(f));
-        return;
-    }
-    sink_->deliver(p.rank, tag, std::move(storage), payload);
 }
 
 void ShmTransport::progress_loop() {

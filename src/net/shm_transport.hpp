@@ -1,11 +1,13 @@
 // Shared-memory transport for co-located ranks: one SPSC byte-stream ring
-// (shm_ring.hpp) per directed pair of ranks, carrying the exact same frame
-// protocol as the TCP endpoint — Hello first, Eager / Rts / Cts / Data with
-// receiver-side hold-back for non-overtaking order, Bye last. Because the
-// frames are identical and mpisim's matching sits above the Transport
-// interface, checksums are bit-identical across transports by construction;
-// fault injection also lives above the transport, so chaos runs work
-// unchanged.
+// (shm_ring.hpp) per directed pair of ranks, carrying the frame protocol of
+// framed_transport.hpp — the same code, not just the same format, as the TCP
+// endpoint: Hello first, Eager / Rts / Cts / Data with receiver-side
+// hold-back for non-overtaking order, Bye last. This file only moves bytes:
+// the segments, the rings, the progress loop, liveness probes, the inline
+// fast path and composed-copy coalescing. Because mpisim's matching sits
+// above the Transport interface, checksums are bit-identical across
+// transports by construction; fault injection also lives above the
+// transport, so chaos runs work unchanged.
 //
 // Segment lifecycle (two-phase, race-free):
 //   1. The constructor creates and maps every *outbound* segment
@@ -30,17 +32,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/lockdep.hpp"
+#include "net/framed_transport.hpp"
 #include "net/shm_ring.hpp"
-#include "net/transport.hpp"
-#include "net/wire.hpp"
 
 namespace dfamr::net {
 
@@ -57,7 +56,7 @@ struct ShmOptions {
     ProgressTrace trace;
 };
 
-class ShmTransport final : public Transport {
+class ShmTransport final : public FramedTransport {
 public:
     /// Phase 1: creates and maps this rank's outbound segments. `sink` must
     /// outlive the transport.
@@ -72,37 +71,13 @@ public:
     /// been constructed before any rank calls this (see file comment).
     void open_peers();
 
-    int rank() const override { return rank_; }
-    std::size_t rendezvous_threshold() const override { return rndz_threshold_; }
-
-    void send_eager(int dest, int tag, FrameBuf frame) override;
-    void send_rendezvous(int dest, int tag, FrameBuf frame,
-                         std::function<void()> on_sent) override;
-
-    NetCounters counters() const override;
-    std::vector<PeerStats> peer_counters() const override;
-
-    /// Must be called before open_peers; the observer must outlive the
-    /// transport.
-    void set_wire_observer(WireObserver* obs) override { observer_ = obs; }
-
 private:
     struct QueuedWrite {
         FrameBuf frame;
         std::function<void()> on_written;
-        bool observed = false;     // on_frame_sent already fired
-        std::size_t offset = 0;    // bytes of the frame already in the ring
-        // Coalesced-frame bookkeeping for the counters.
-        bool is_coalesced = false;
-        std::uint64_t sub_count = 0;
-    };
-
-    /// Receiver-side hold-back entry; same semantics as Endpoint::HeldFrame.
-    struct HeldFrame {
-        bool placeholder = false;
-        std::uint32_t seq = 0;
-        FrameBuf storage;
-        std::span<const std::byte> payload;
+        bool observed = false;        // on_frame_sent already fired
+        std::size_t offset = 0;       // bytes of the frame already in the ring
+        std::uint64_t sub_count = 0;  // messages batched, for a Coalesced frame
     };
 
     struct Peer {
@@ -114,47 +89,26 @@ private:
         ShmRing out;
         ShmRing in;
         std::atomic<bool> open{false};
-        bool hello_seen = false;  // progress-thread only
-        bool saw_bye = false;     // progress-thread only
         bool gone_reported = false;
-        // Inbound reassembly state (progress-thread only).
-        std::vector<std::byte> header_buf;
-        std::size_t header_got = 0;
-        bool have_header = false;
-        FrameHeader header;
-        FrameBuf payload;
-        std::size_t payload_got = 0;
-        // Non-overtaking hold-back, keyed by tag.
-        std::map<int, std::deque<HeldFrame>> held;
         // Outbound frames not yet fully in the ring (front may be partial).
         std::deque<QueuedWrite> pending;  // guarded by out_m_
     };
 
+    void enqueue(int dest, FrameBuf frame, std::function<void()> on_written = nullptr) override;
     void progress_loop();
     /// Streams pending outbound frames into the rings; true if bytes moved.
     bool flush_outbound();
-    /// Drains inbound rings and dispatches completed frames; true if bytes
-    /// moved.
+    /// Drains inbound rings into the decoder; true if bytes moved.
     bool drain_inbound();
     /// Replaces a run of queued Eager frames with one Coalesced frame.
     void maybe_coalesce(Peer& p);
-    void handle_frame(Peer& p, FrameHeader h, FrameBuf payload);
-    void deliver_or_hold(Peer& p, int tag, FrameBuf storage,
-                         std::span<const std::byte> payload);
-    void enqueue(int dest, FrameBuf frame, std::function<void()> on_written = nullptr);
-    void drop_pending_for(int peer);
     void report_gone(Peer& p, bool clean);
     void probe_peers();
-    FrameBuf header_only_frame(FrameKind kind, int tag, std::uint32_t seq, std::uint64_t aux);
     std::string segment_name(int from, int to) const;
 
-    const int rank_;
-    const int nranks_;
-    const std::size_t rndz_threshold_;
     const std::uint32_t ring_bytes_;
     const std::string ns_;
     const bool coalesce_;
-    Sink* const sink_;
     const ProgressTrace trace_;
 
     std::vector<std::unique_ptr<Peer>> peers_;  // by rank (self slot unused)
@@ -162,20 +116,9 @@ private:
     lockdep::Mutex out_m_{"shm.out"};
     std::condition_variable_any out_cv_;
 
-    // Sender-side rendezvous transfers awaiting their Cts.
-    lockdep::Mutex rndz_m_{"shm.rndz"};
-    std::condition_variable_any rndz_cv_;
-    std::uint32_t next_seq_ = 1;
-    std::map<std::pair<int, std::uint32_t>, QueuedWrite> pending_rndz_;
-
     std::thread progress_;
     std::atomic<bool> stop_{false};
     bool started_ = false;
-
-    mutable lockdep::Mutex counters_m_{"shm.counters"};
-    NetCounters counters_;
-    std::vector<PeerStats> peer_stats_;
-    WireObserver* observer_ = nullptr;
 };
 
 /// Ring size from the environment (DFAMR_SHM_RING_BYTES) or the default.

@@ -1,9 +1,10 @@
-// The transport abstraction shared by every wire backend (TCP endpoint,
-// shared-memory rings): eager and rendezvous sends into a peer mesh, a Sink
-// that receives complete messages, and uniform wire counters. mpisim talks
-// to this interface only, so the matching/mailbox machinery is identical
-// across backends — that is what makes checksums bit-identical across
-// transports by construction.
+// The transport abstraction mpisim talks to: eager and rendezvous sends
+// into a peer mesh, a Sink that receives complete messages, and uniform wire
+// counters. net::FramedTransport implements it once for the frame protocol
+// (framed_transport.hpp); the TCP endpoint and the shared-memory rings
+// derive from that and only move bytes. Because the matching/mailbox
+// machinery above and the protocol code below are shared, checksums are
+// bit-identical across transports by construction.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,8 @@ public:
     virtual void deliver(int src, int tag, FrameBuf storage,
                          std::span<const std::byte> payload) = 0;
     /// The connection to `peer` ended: `clean` when a Bye frame preceded
-    /// EOF, false when the peer vanished (crash / kill).
+    /// EOF, false when the peer vanished (crash / kill) or sent a frame
+    /// that breaks the protocol.
     virtual void peer_gone(int peer, bool clean) = 0;
 };
 

@@ -1,5 +1,6 @@
-// Wire format of the TCP transport: length-prefixed frames over one
-// full-duplex connection per peer pair.
+// Wire format of every wire transport: length-prefixed frames over one
+// ordered byte stream per directed peer pair (a TCP connection, or a
+// shared-memory ring).
 //
 // Every frame starts with a fixed 40-byte little-endian header. Small
 // payloads travel eagerly inside a single Eager frame; payloads at or above
@@ -8,7 +9,8 @@
 // receiver's progress thread answers with Cts (clear-to-send), and only then
 // does the payload move in a Data frame. The receiver preserves MPI
 // non-overtaking order per (source, tag) stream by holding frames that
-// arrive between an Rts and its Data (see endpoint.cpp).
+// arrive between an Rts and its Data. framed_transport.cpp implements the
+// protocol once for both transports.
 #pragma once
 
 #include <cstdint>

@@ -8,29 +8,37 @@
 
 namespace dfamr::resilience {
 
-mpi::Request isend_with_retry(mpi::Communicator& comm, const void* buf, std::size_t bytes,
-                              int dest, int tag, const RetryPolicy& policy, amr::Tracer* tracer,
-                              int worker) {
+namespace {
+
+/// The one backoff loop: re-posts a send while fault injection drops it.
+template <typename Post>
+mpi::Request retry_send(const Post& post, const char* op, int rank, int dest, int tag,
+                        const RetryPolicy& policy, amr::Tracer* tracer, int worker) {
     std::int64_t backoff = policy.backoff_ns;
     for (int attempt = 1;; ++attempt) {
-        mpi::Request req = comm.isend(buf, bytes, dest, tag);
+        mpi::Request req = post();
         mpi::Status st;
         // Eager transport: the send completes before isend returns, so a
         // transient drop is visible synchronously. A request still in
         // flight is treated as accepted.
         if (!req.test(&st) || st.ok) return req;
-        if (attempt >= policy.max_attempts) {
-            throw CommTimeout("isend", comm.rank(), dest, tag);
-        }
+        if (attempt >= policy.max_attempts) throw CommTimeout(op, rank, dest, tag);
         const std::int64_t t0 = now_ns();
         std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
         backoff = std::min(static_cast<std::int64_t>(static_cast<double>(backoff) *
                                                      policy.backoff_factor),
                            policy.max_backoff_ns);
-        if (tracer != nullptr) {
-            tracer->record(comm.rank(), worker, t0, now_ns(), amr::PhaseKind::Retry);
-        }
+        if (tracer != nullptr) tracer->record(rank, worker, t0, now_ns(), amr::PhaseKind::Retry);
     }
+}
+
+}  // namespace
+
+mpi::Request isend_with_retry(mpi::Communicator& comm, const void* buf, std::size_t bytes,
+                              int dest, int tag, const RetryPolicy& policy, amr::Tracer* tracer,
+                              int worker) {
+    return retry_send([&] { return comm.isend(buf, bytes, dest, tag); }, "isend", comm.rank(),
+                      dest, tag, policy, tracer, worker);
 }
 
 mpi::Request HardenedComm::isend(const void* buf, std::size_t bytes, int dest, int tag) {
@@ -42,23 +50,8 @@ mpi::Request HardenedComm::irecv(void* buf, std::size_t bytes, int source, int t
 }
 
 mpi::Request HardenedComm::isend_tx(const mpi::TxBuffer& tx, int dest, int tag) {
-    std::int64_t backoff = policy_.backoff_ns;
-    for (int attempt = 1;; ++attempt) {
-        mpi::Request req = comm_.isend_tx(tx, dest, tag);
-        mpi::Status st;
-        if (!req.test(&st) || st.ok) return req;
-        if (attempt >= policy_.max_attempts) {
-            throw CommTimeout("isend_tx", comm_.rank(), dest, tag);
-        }
-        const std::int64_t t0 = now_ns();
-        std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-        backoff = std::min(static_cast<std::int64_t>(static_cast<double>(backoff) *
-                                                     policy_.backoff_factor),
-                           policy_.max_backoff_ns);
-        if (tracer_ != nullptr) {
-            tracer_->record(comm_.rank(), 0, t0, now_ns(), amr::PhaseKind::Retry);
-        }
-    }
+    return retry_send([&] { return comm_.isend_tx(tx, dest, tag); }, "isend_tx", comm_.rank(),
+                      dest, tag, policy_, tracer_, 0);
 }
 
 mpi::Request HardenedComm::irecv_view(mpi::RxView* view, std::size_t capacity, int source,

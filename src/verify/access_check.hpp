@@ -63,7 +63,7 @@ bool access_checking_active();
 // ---- wire-region registry -------------------------------------------------
 //
 // The per-thread declared-region table above cannot see the transport: a
-// net::Endpoint reader thread (or the delivery scheduler) memcpy-ing an
+// transport's receiving thread (or the delivery scheduler) memcpy-ing an
 // incoming payload into a posted receive buffer runs outside any task body,
 // so those writes — including every ghost-exchange landing zone — passed
 // unchecked. The wire-region registry closes that blind spot: posting a

@@ -138,7 +138,7 @@ struct Checker {
     }
 
     /// Processes one frame arriving at the receiving end of channel `c` —
-    /// the model twin of Endpoint::handle_frame, including the synchronous
+    /// the model twin of FramedTransport::handle_frame, including the synchronous
     /// Cts / Data enqueues. Returns false on a safety violation (the state
     /// is then not expanded further).
     bool process(MState& s, int c, const MFrame& f) {
@@ -157,7 +157,7 @@ struct Checker {
             }
             case net::FrameKind::Cts: {
                 // A Cts on channel c grants a transfer of direction 1-c; the
-                // endpoint enqueues the Data frame synchronously.
+                // transport enqueues the Data frame synchronously.
                 const int t = 1 - c;
                 if (!step_sender(s, t, f.seq, SenderEvent::RecvCts)) return false;
                 if (!step_sender(s, t, f.seq, SenderEvent::SendData)) return false;

@@ -1,5 +1,5 @@
 // Wire-protocol state-machine verification for the eager/rendezvous
-// transport of src/net (wire.hpp + endpoint.cpp).
+// transports of src/net (wire.hpp + framed_transport.cpp).
 //
 // The protocol is encoded ONCE as explicit transition tables
 // (sender_table / receiver_table / channel phase rules) and consumed by two
@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "common/lockdep.hpp"
-#include "net/endpoint.hpp"
+#include "net/transport.hpp"
 #include "net/wire.hpp"
 
 namespace dfamr::verify::mc {

@@ -1,22 +1,33 @@
 // Wire transport tests: framing, loopback worlds (every rank a thread, each
 // with a real TCP endpoint on localhost or a shared-memory ring mesh),
 // rendezvous threshold behavior, MPI non-overtaking order over the wire,
-// collectives parity, fault injection + retry, the wait_any_for
-// timeout-vs-abort contract, the shm ring, and the coalescing / zero-copy
-// fast-path goldens.
+// collectives parity, fault injection + retry, the copy and delivery
+// counters of every send/receive pairing, malformed frames from a peer, the
+// wait_any_for timeout-vs-abort contract, the shm ring, and the coalescing /
+// zero-copy fast-path goldens.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/variants.hpp"
 #include "mpisim/mpi.hpp"
+#include "net/endpoint.hpp"
 #include "net/shm_ring.hpp"
+#include "net/shm_transport.hpp"
+#include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "resilience/fault_plan.hpp"
 #include "resilience/hardened_comm.hpp"
@@ -439,6 +450,232 @@ TEST(NetLoopback, FaultDelayPreservesStreamOrder) {
             }
         }
     });
+}
+
+// ---- copy and delivery counters ------------------------------------------
+
+enum class SendKind { Plain, Tx };
+enum class RecvKind { Buffer, View };
+enum class Order { PostedFirst, ParkedFirst };
+
+// Expected copies_elided, indexed [send][recv]: one count per staging copy
+// the plain path (isend into irecv) would have made. A message matched
+// directly in-process costs the plain path one copy, which only a tx send
+// into a view avoids. A message staged before its receive sees it (parked
+// unexpected, sent over a wire, or held by the fault scheduler) costs the
+// plain path two: isend_tx skips the buffering one, irecv_view the copy out.
+constexpr std::uint64_t kElidedDirect[2][2] = {{0, 0}, {0, 1}};
+constexpr std::uint64_t kElidedStaged[2][2] = {{0, 1}, {1, 2}};
+
+// send, recv, order, transport, payload bytes, fault-delayed
+using CounterParam = std::tuple<SendKind, RecvKind, Order, TransportKind, std::size_t, bool>;
+
+class CopyCounters : public ::testing::TestWithParam<CounterParam> {};
+
+TEST_P(CopyCounters, ElidedCopiesAndDeliveriesAreExact) {
+    const auto [send, recv, order, transport, bytes, delayed] = GetParam();
+    resilience::FaultConfig fc;
+    fc.seed = 10;  // drops the message's first two attempts, then delays it
+    fc.delay_prob = 1.0;
+    fc.drop_prob = 0.3;
+    resilience::FaultPlan plan(fc);
+    WorldOptions opts = tcp_options(1024);
+    opts.transport = transport;
+    World world(2, opts, delayed ? &plan : nullptr);
+    constexpr int kTag = 4;
+    const auto msg = pattern(bytes, 17);
+    std::atomic<bool> posted{false};
+    world.run([&](Communicator& comm) {
+        resilience::RetryPolicy policy;
+        policy.backoff_ns = 1000;
+        resilience::HardenedComm hc(comm, policy);
+        if (comm.rank() == 0) {
+            while (order == Order::PostedFirst && !posted.load()) std::this_thread::yield();
+            if (send == SendKind::Plain) {
+                hc.isend(msg.data(), msg.size(), 1, kTag).wait();
+            } else {
+                mpi::TxBuffer tx = mpi::make_tx_buffer(bytes);
+                std::copy(msg.begin(), msg.end(), tx.payload.begin());
+                hc.isend_tx(tx, 1, kTag).wait();
+            }
+            return;
+        }
+        while (order == Order::ParkedFirst && !comm.iprobe(0, kTag)) std::this_thread::yield();
+        std::vector<std::byte> buf(bytes);
+        mpi::RxView view;
+        mpi::Request req = recv == RecvKind::Buffer ? hc.irecv(buf.data(), bytes, 0, kTag)
+                                                    : hc.irecv_view(&view, bytes, 0, kTag);
+        posted.store(true);
+        Status st;
+        req.wait(&st);
+        EXPECT_EQ(st.bytes, bytes);
+        if (recv == RecvKind::View) buf.assign(view.payload.begin(), view.payload.end());
+        EXPECT_EQ(buf, msg);
+    });
+    const bool staged =
+        transport != TransportKind::Inproc || order == Order::ParkedFirst || delayed;
+    const auto s = static_cast<std::size_t>(send);
+    const auto r = static_cast<std::size_t>(recv);
+    EXPECT_EQ(world.net_counters().copies_elided, staged ? kElidedStaged[s][r] : kElidedDirect[s][r]);
+    EXPECT_EQ(world.messages_delivered(), 1u);
+    EXPECT_EQ(world.bytes_delivered(), bytes);
+    // Dropped attempts count nothing; a dropped isend_tx is re-posted as is.
+    if (delayed) {
+        EXPECT_GT(plan.drops(), 0u);
+    }
+}
+
+std::string counter_case_name(const ::testing::TestParamInfo<CounterParam>& info) {
+    const auto [send, recv, order, transport, bytes, delayed] = info.param;
+    const char* transports[] = {"Inproc", "Tcp", "Shm"};
+    return std::string(send == SendKind::Plain ? "Plain" : "Tx") +
+           (recv == RecvKind::Buffer ? "IntoBuffer" : "IntoView") +
+           (order == Order::PostedFirst ? "Posted" : "Parked") +
+           transports[static_cast<int>(transport)] + std::to_string(bytes) +
+           (delayed ? "Delayed" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, CopyCounters,
+    ::testing::Combine(::testing::Values(SendKind::Plain, SendKind::Tx),
+                       ::testing::Values(RecvKind::Buffer, RecvKind::View),
+                       ::testing::Values(Order::PostedFirst, Order::ParkedFirst),
+                       ::testing::Values(TransportKind::Inproc, TransportKind::Tcp,
+                                         TransportKind::Shm),
+                       ::testing::Values(std::size_t{256}, std::size_t{4096}),  // eager, rendezvous
+                       ::testing::Values(false)),
+    counter_case_name);
+
+// Fault-delayed sends, retried through HardenedComm past dropped attempts:
+// the scheduler stages every message, on every transport.
+INSTANTIATE_TEST_SUITE_P(
+    FaultDelayed, CopyCounters,
+    ::testing::Combine(::testing::Values(SendKind::Plain, SendKind::Tx),
+                       ::testing::Values(RecvKind::Buffer, RecvKind::View),
+                       ::testing::Values(Order::PostedFirst, Order::ParkedFirst),
+                       ::testing::Values(TransportKind::Inproc, TransportKind::Tcp),
+                       ::testing::Values(std::size_t{4096}), ::testing::Values(true)),
+    counter_case_name);
+
+// ---- malformed frames: a protocol violation is an unclean peer loss ------
+
+/// Records what a transport reports upward.
+class CaptureSink final : public net::Sink {
+public:
+    void deliver(int, int, net::FrameBuf, std::span<const std::byte>) override { ++delivered; }
+    void peer_gone(int peer, bool clean) override {
+        {
+            std::lock_guard lk(m_);
+            gone_.emplace_back(peer, clean);
+        }
+        cv_.notify_all();
+    }
+    /// Waits (bounded) for peer_gone(peer, clean).
+    bool wait_gone(int peer, bool clean) {
+        std::unique_lock lk(m_);
+        return cv_.wait_for(lk, std::chrono::seconds(10), [&] {
+            return std::find(gone_.begin(), gone_.end(), std::make_pair(peer, clean)) !=
+                   gone_.end();
+        });
+    }
+
+    std::atomic<int> delivered{0};
+
+private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    std::vector<std::pair<int, bool>> gone_;
+};
+
+std::vector<std::byte> frame_bytes(net::FrameKind kind, std::uint32_t seq = 0,
+                                   std::uint64_t payload_bytes = 0, std::uint64_t aux = 0,
+                                   std::vector<std::byte> payload = {}) {
+    net::FrameHeader h;
+    h.kind = kind;
+    h.src = 1;
+    h.seq = seq;
+    h.payload_bytes = payload_bytes;
+    h.aux = aux;
+    std::vector<std::byte> out(net::kHeaderBytes);
+    net::encode_header(h, out.data());
+    out.insert(out.end(), payload.begin(), payload.end());
+    return out;
+}
+
+std::vector<std::byte> malformed_frame(int which) {
+    switch (which) {
+        case 0: {  // Coalesced table claiming more entries than its payload holds
+            std::vector<std::byte> table(net::kSubMsgEntryBytes + 8);
+            net::encode_sub_entry(net::SubMsgEntry{3, 0, 8}, table.data());
+            return frame_bytes(net::FrameKind::Coalesced, 0, table.size(), 5, table);
+        }
+        case 1:  // Cts for a rendezvous that was never posted
+            return frame_bytes(net::FrameKind::Cts, 999);
+        case 2:  // unknown frame kind
+            return frame_bytes(static_cast<net::FrameKind>(42));
+        case 3:  // a second Hello
+            return frame_bytes(net::FrameKind::Hello);
+        default:  // an Eager header announcing 2^62 payload bytes
+            return frame_bytes(net::FrameKind::Eager, 0, std::uint64_t{1} << 62);
+    }
+}
+
+class MalformedFrame : public ::testing::TestWithParam<int> {};
+
+TEST_P(MalformedFrame, EndsThePeerAsAnUncleanLoss) {
+    CaptureSink sink;
+    net::Endpoint ep(0, 2, /*rendezvous_threshold=*/1024, &sink);
+    // Play rank 1 over a raw socket: dial rank 0 and say Hello.
+    net::Socket peer = net::dial({"127.0.0.1", ep.listen_port()}, /*attempts=*/50);
+    net::write_all(peer, frame_bytes(net::FrameKind::Hello));
+    ep.connect_mesh({{"127.0.0.1", ep.listen_port()}, {"127.0.0.1", 0}});
+    // A rendezvous send the raw peer never grants.
+    std::atomic<bool> sent{false};
+    const auto payload = pattern(2048, 5);
+    ep.send_rendezvous(1, 7, net::make_frame(payload.data(), payload.size()),
+                       [&] { sent.store(true); });
+    net::write_all(peer, malformed_frame(GetParam()));
+    ASSERT_TRUE(sink.wait_gone(1, /*clean=*/false));
+    EXPECT_TRUE(sent.load()) << "the pending rendezvous send was left hanging";
+    EXPECT_EQ(sink.delivered.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tcp, MalformedFrame, ::testing::Range(0, 5));
+
+TEST(ShmMalformed, CorruptHeaderInInboundRingIsAnUncleanLoss) {
+    CaptureSink sink;
+    net::ShmOptions opts;
+    opts.rank = 0;
+    opts.nranks = 2;
+    opts.ring_bytes = 1 << 16;
+    opts.ns = "malformed" + std::to_string(static_cast<long>(::getpid()));
+    net::ShmTransport tp(opts, &sink);
+    // Play rank 1: create its outbound segment, which rank 0 reads as its
+    // inbound ring. Our own pid as producer keeps the liveness probe quiet.
+    const std::string name = "/dfamr_" + opts.ns + "_1to0";
+    const std::size_t seg_bytes = net::shm_segment_bytes(opts.ring_bytes);
+    const int fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(seg_bytes)), 0);
+    void* base = ::mmap(nullptr, seg_bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    ::close(fd);
+    ASSERT_NE(base, MAP_FAILED);
+    net::ShmRing::init(base, opts.ring_bytes, static_cast<std::int32_t>(::getpid()));
+    net::ShmRing ring(base, opts.ring_bytes);
+    tp.open_peers();  // maps and unlinks the segment
+    std::atomic<bool> sent{false};
+    const auto payload = pattern(2048, 6);
+    tp.send_rendezvous(1, 7, net::make_frame(payload.data(), payload.size()),
+                       [&] { sent.store(true); });
+    auto bytes = frame_bytes(net::FrameKind::Hello);
+    auto corrupt = frame_bytes(net::FrameKind::Eager, 0, 16);
+    corrupt[0] = std::byte{0x77};  // bad magic
+    bytes.insert(bytes.end(), corrupt.begin(), corrupt.end());
+    ASSERT_EQ(ring.try_write(bytes), bytes.size());
+    EXPECT_TRUE(sink.wait_gone(1, /*clean=*/false));
+    EXPECT_TRUE(sent.load()) << "the pending rendezvous send was left hanging";
+    EXPECT_EQ(sink.delivered.load(), 0);
+    ::munmap(base, seg_bytes);
 }
 
 // ---- wait_any_for: kTimeout vs RankError ---------------------------------
