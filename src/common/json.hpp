@@ -20,6 +20,11 @@ public:
     explicit ParseError(const std::string& what) : std::runtime_error("json: " + what) {}
 };
 
+/// Deepest array/object nesting parse() accepts. The project's emitters
+/// nest at most 5 levels; the cap turns hostile input (a megabyte of '[')
+/// into a ParseError instead of a stack overflow in the recursion.
+inline constexpr int kMaxDepth = 256;
+
 class Value {
 public:
     enum class Kind { Null, Bool, Number, String, Array, Object };
@@ -142,8 +147,15 @@ private:
 
     Value value() {
         switch (peek()) {
-            case '{': return object();
-            case '[': return array();
+            case '{':
+            case '[': {
+                if (++depth_ > kMaxDepth) {
+                    fail("nesting deeper than " + std::to_string(kMaxDepth));
+                }
+                Value v = s_[pos_] == '{' ? object() : array();
+                --depth_;
+                return v;
+            }
             case '"': return Value(string());
             case 't':
                 if (!consume_literal("true")) fail("bad literal");
@@ -263,6 +275,7 @@ private:
 
     const std::string& s_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 }  // namespace detail

@@ -87,9 +87,9 @@ inline FrameHeader decode_header(std::span<const std::byte> in) {
     return h;
 }
 
-/// Wire-level counters surfaced through core::RunResult and
-/// BENCH_scaling.json. bytes_* count everything on the wire (headers
-/// included); frames_* count frames of every kind.
+/// Wire-level counters surfaced through core::RunResult and the "net"
+/// object of the metrics JSON (core/metrics.hpp). bytes_* count everything
+/// on the wire (headers included); frames_* count frames of every kind.
 struct NetCounters {
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;

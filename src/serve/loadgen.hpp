@@ -58,7 +58,7 @@ struct LoadGenReport {
     ServerStats server;       // final server stats (incl. peak queue depth)
 
     bool ok() const { return checksum_mismatches == 0 && failed == 0; }
-    /// One JSON object (the soak artifact / bench "serving" section).
+    /// One JSON object (the soak artifact dfamr_loadgen --json writes).
     std::string to_json() const;
 };
 

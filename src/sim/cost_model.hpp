@@ -27,18 +27,13 @@ struct CostModel {
     double checksum_ns_per_cell_var = 1.5;
 
     // --- runtime/MPI overheads -------------------------------------------
-    double task_overhead_ns = 400;   // per-task scheduling/creation overhead
-    // Per-task overhead of the work-stealing tasking runtime (the tasking
-    // variants' scheduler after the per-worker-deque rewrite). The old
-    // global-mutex runtime serialized every submit/dispatch/completion on
-    // one lock — its 400 ns above is the mutex-bound per-task cost at the
-    // paper's 12 workers per rank. The work-stealing runtime has no global
-    // serial section: bench/sched_micro measures ~380-590 ns total per task
-    // on a 2-core host, but only the completion+dispatch slice rides each
-    // worker's critical path (submission overlaps execution, and the
-    // immediate-successor path — ~98% of stencil-chain handoffs in
-    // sched_micro — hands tasks over without touching any queue). That
-    // slice is what this constant models.
+    // Per-task overhead of the work-stealing tasking runtime on a worker's
+    // critical path. Submission overlaps execution, and the
+    // immediate-successor path hands a finished task's successor over
+    // without touching any queue, so only the completion + dispatch slice
+    // of the runtime's per-task cost is charged. perfbench's
+    // tasking.ns_per_task.{chain,fanout} probes measure the whole per-task
+    // cost, submit through taskwait, on the build host.
     double tasking_overhead_ns = 150;
     double mpi_call_ns = 300;        // posting an Isend/Irecv
     double control_ns_per_block = 2500;  // refinement marking/control per block
@@ -64,20 +59,6 @@ struct CostModel {
     // Memory-bound kernel slowdown when a rank spans both NUMA domains.
     double numa_penalty = 1.30;
 
-    std::int64_t compute_cost(double kernel_ns) const {
-        return static_cast<std::int64_t>(kernel_ns + task_overhead_ns);
-    }
-    std::int64_t stencil_cost(std::int64_t cells, int vars, bool data_flow_locality) const {
-        double ns = stencil_ns_per_cell_var * static_cast<double>(cells) * vars;
-        if (data_flow_locality) ns /= locality_speedup;
-        return compute_cost(ns);
-    }
-    std::int64_t copy_cost(std::int64_t bytes) const {
-        return compute_cost(copy_ns_per_byte * static_cast<double>(bytes));
-    }
-    std::int64_t checksum_cost(std::int64_t cells, int vars) const {
-        return compute_cost(checksum_ns_per_cell_var * static_cast<double>(cells) * vars);
-    }
     /// Wire time of a message (added on top of the sender's egress queue).
     std::int64_t wire_ns(std::int64_t bytes, bool same_node) const {
         const double a = same_node ? intra_node_alpha_ns : alpha_ns;

@@ -172,9 +172,9 @@ private:
     bool refine_tasking() const { return tasking() && cfg_.taskify_refinement; }
 
     std::int64_t overhead() const {
-        // Work-stealing runtime constant (see CostModel::tasking_overhead_ns);
-        // the legacy task_overhead_ns models the retired global-mutex
-        // scheduler and remains for the micro_substrates comparisons.
+        // Per-task runtime cost on a worker's critical path (see
+        // CostModel::tasking_overhead_ns); perfbench's tasking.ns_per_task.*
+        // probes measure the runtime's whole per-task cost.
         return tasking() ? static_cast<std::int64_t>(costs_.tasking_overhead_ns) : 0;
     }
     std::int64_t stencil_ns(std::int64_t blocks, int vars) const {

@@ -71,6 +71,13 @@ TEST(Json, RejectsMalformedInput) {
     EXPECT_THROW(json::parse("\"open"), json::ParseError);
     EXPECT_THROW(json::parse(""), json::ParseError);
     EXPECT_THROW(json::parse("1ee5"), json::ParseError);
+    // Nesting is capped: hostile depth is a typed error, not a stack overflow.
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_THROW(json::parse(std::string(100000, '[')), json::ParseError);
+    EXPECT_NO_THROW(json::parse(nested(json::kMaxDepth)));
+    EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)), json::ParseError);
 }
 
 TEST(Json, TypeMismatchThrows) {

@@ -25,7 +25,6 @@ CostModel unit_costs() {
     m.intra_node_alpha_ns = 100;
     m.intra_node_bytes_per_ns = 1.0;
     m.mpi_call_ns = 10;
-    m.task_overhead_ns = 0;
     return m;
 }
 
