@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -62,18 +63,51 @@ int BlockKey::octant_in_parent(int max_level) const {
     return o;
 }
 
-Block::Block(BlockKey key, const BlockShape& shape)
-    : key_(key), shape_(shape), data_(static_cast<std::size_t>(shape.total_cells()), 0.0) {
+namespace {
+std::size_t checked_cells(const BlockShape& shape) {
     DFAMR_REQUIRE(shape.nx > 0 && shape.ny > 0 && shape.nz > 0 && shape.num_vars > 0,
                   "invalid block shape");
+    return static_cast<std::size_t>(shape.total_cells());
+}
+}  // namespace
+
+Block::Block(BlockKey key, const BlockShape& shape)
+    : Block(key, shape, std::make_shared<BlockArena>(checked_cells(shape))) {}
+
+Block::Block(BlockKey key, const BlockShape& shape, std::shared_ptr<BlockArena> arena)
+    : key_(key), shape_(shape), arena_(std::move(arena)) {
+    DFAMR_REQUIRE(arena_ != nullptr && arena_->buffer_doubles() == checked_cells(shape),
+                  "block arena buffers do not match the block shape");
+    data_ = arena_->acquire();
+}
+
+Block::~Block() {
+    if (data_ != nullptr) arena_->release(data_);
+}
+
+Block::Block(Block&& other) noexcept
+    : key_(other.key_),
+      shape_(other.shape_),
+      arena_(std::move(other.arena_)),
+      data_(std::exchange(other.data_, nullptr)) {}
+
+Block& Block::operator=(Block&& other) noexcept {
+    if (this != &other) {
+        if (data_ != nullptr) arena_->release(data_);
+        key_ = other.key_;
+        shape_ = other.shape_;
+        arena_ = std::move(other.arena_);
+        data_ = std::exchange(other.data_, nullptr);
+    }
+    return *this;
 }
 
 std::span<double> Block::group_span(int var_begin, int var_end) {
-    return {data_.data() + var_begin * shape_.stride_var(),
+    return {data_ + var_begin * shape_.stride_var(),
             static_cast<std::size_t>((var_end - var_begin) * shape_.stride_var())};
 }
 std::span<const double> Block::group_span(int var_begin, int var_end) const {
-    return {data_.data() + var_begin * shape_.stride_var(),
+    return {data_ + var_begin * shape_.stride_var(),
             static_cast<std::size_t>((var_end - var_begin) * shape_.stride_var())};
 }
 
@@ -208,7 +242,7 @@ void Block::pack_face(const FaceGeom& g, int var_begin, int var_end, std::span<d
     double* o = out.data();
     with_cell_stride(f, [&](auto cell) {
         for (int var = var_begin; var < var_end; ++var) {
-            const auto mine = face_rows(data_.data(), f, var, a, cell);
+            const auto mine = face_rows(data(), f, var, a, cell);
             switch (g.rel) {
                 case FaceRel::Same:
                     copy_rows(dense(o, f.V), mine, f.U, f.V);
@@ -237,7 +271,7 @@ void Block::unpack_face(const FaceGeom& g, int var_begin, int var_end,
     const double* o = in.data();
     with_cell_stride(f, [&](auto cell) {
         for (int var = var_begin; var < var_end; ++var) {
-            const auto mine = face_rows(data_.data(), f, var, a, cell);
+            const auto mine = face_rows(data_, f, var, a, cell);
             switch (g.rel) {
                 case FaceRel::Same:
                     copy_rows(mine, dense(o, f.V), f.U, f.V);
@@ -269,8 +303,8 @@ void Block::copy_face_from(const Block& src, const FaceGeom& g, int var_begin, i
     const int boundary = g.sense > 0 ? 1 : n;  // the source's interior plane facing me
     with_cell_stride(f, [&](auto cell) {
         for (int var = var_begin; var < var_end; ++var) {
-            const auto mine = face_rows(data_.data(), f, var, ghost, cell);
-            const auto theirs = face_rows(src.data_.data(), f, var, boundary, cell);
+            const auto mine = face_rows(data_, f, var, ghost, cell);
+            const auto theirs = face_rows(src.data(), f, var, boundary, cell);
             switch (g.rel) {
                 case FaceRel::Same:
                     copy_rows(mine, theirs, f.U, f.V);
@@ -291,8 +325,8 @@ void Block::reflect_face(int axis, int sense, int var_begin, int var_end) {
     const int n = shape_.dim(axis);
     with_cell_stride(f, [&](auto cell) {
         for (int var = var_begin; var < var_end; ++var) {
-            copy_rows(face_rows(data_.data(), f, var, sense > 0 ? n + 1 : 0, cell),
-                      face_rows(data_.data(), f, var, sense > 0 ? n : 1, cell),
+            copy_rows(face_rows(data_, f, var, sense > 0 ? n + 1 : 0, cell),
+                      face_rows(data_, f, var, sense > 0 ? n : 1, cell),
                       f.U, f.V);
         }
     });

@@ -7,7 +7,7 @@
 // higher resolution (the defining property of miniAMR's octree scheme).
 // Storage follows Rico et al.: one contiguous array per block holding all
 // variables, with a one-cell ghost shell per variable
-// (layout [var][x][y][z], z contiguous).
+// (layout [var][x][y][z], z contiguous). The array is a BlockArena buffer.
 #pragma once
 
 #include <algorithm>
@@ -15,9 +15,10 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
+#include "amr/block_arena.hpp"
 #include "amr/scratch.hpp"
 #include "common/geometry.hpp"
 
@@ -120,12 +121,19 @@ struct BlockShape {
 };
 
 /// A mesh block with data. Movable, non-copyable (data can be large).
+/// Its cells live in a buffer of its arena, zeroed at construction and
+/// returned to the arena by the destructor. Moving hands the buffer over;
+/// a moved-from block holds none.
 class Block {
 public:
+    /// A block with a private arena.
     Block(BlockKey key, const BlockShape& shape);
+    /// A block whose buffer comes from `arena` (sized for `shape`).
+    Block(BlockKey key, const BlockShape& shape, std::shared_ptr<BlockArena> arena);
+    ~Block();
 
-    Block(Block&&) = default;
-    Block& operator=(Block&&) = default;
+    Block(Block&& other) noexcept;
+    Block& operator=(Block&& other) noexcept;
     Block(const Block&) = delete;
     Block& operator=(const Block&) = delete;
 
@@ -133,9 +141,11 @@ public:
     void set_key(BlockKey k) { key_ = k; }
     const BlockShape& shape() const { return shape_; }
 
-    double* data() { return data_.data(); }
-    const double* data() const { return data_.data(); }
-    std::size_t data_size() const { return data_.size(); }
+    double* data() { return data_; }
+    const double* data() const { return data_; }
+    std::size_t data_size() const {
+        return data_ != nullptr ? static_cast<std::size_t>(shape_.total_cells()) : 0;
+    }
     /// Contiguous storage of variables [var_begin, var_end) — the unit the
     /// paper's task dependencies are declared on (§IV-D).
     std::span<double> group_span(int var_begin, int var_end);
@@ -211,7 +221,8 @@ private:
 
     BlockKey key_;
     BlockShape shape_;
-    std::vector<double> data_;
+    std::shared_ptr<BlockArena> arena_;
+    double* data_ = nullptr;
 };
 
 template <class Row>

@@ -7,14 +7,25 @@
 namespace dfamr::amr {
 
 Mesh::Mesh(const Config& cfg, int rank)
-    : cfg_(cfg), rank_(rank), shape_{cfg.nx, cfg.ny, cfg.nz, cfg.num_vars}, structure_(cfg) {
+    : Mesh(cfg, rank, std::make_shared<BlockArena>(static_cast<std::size_t>(
+                          BlockShape{cfg.nx, cfg.ny, cfg.nz, cfg.num_vars}.total_cells()))) {}
+
+Mesh::Mesh(const Config& cfg, int rank, std::shared_ptr<BlockArena> arena)
+    : cfg_(cfg),
+      rank_(rank),
+      shape_{cfg.nx, cfg.ny, cfg.nz, cfg.num_vars},
+      arena_(std::move(arena)),
+      structure_(cfg) {
     DFAMR_REQUIRE(rank >= 0 && rank < cfg.num_ranks(), "rank out of range");
+    DFAMR_REQUIRE(arena_ != nullptr &&
+                      arena_->buffer_doubles() == static_cast<std::size_t>(shape_.total_cells()),
+                  "block arena buffers do not match the block shape");
 }
 
 void Mesh::init_blocks() {
     blocks_.clear();
     for (const BlockKey& key : structure_.blocks_of(rank_)) {
-        auto b = std::make_unique<Block>(key, shape_);
+        auto b = make_block(key);
         b->init_cells(structure_.box(key), cfg_.seed);
         blocks_.emplace(key, std::move(b));
     }
@@ -55,21 +66,21 @@ std::unique_ptr<Block> Mesh::release(const BlockKey& key) {
 }
 
 std::unique_ptr<Block> Mesh::make_block(const BlockKey& key) const {
-    return std::make_unique<Block>(key, shape_);
+    return std::make_unique<Block>(key, shape_, arena_);
 }
 
 void Mesh::split_block(const BlockKey& parent) {
     std::unique_ptr<Block> parent_block = release(parent);
     for (int octant = 0; octant < 8; ++octant) {
         const BlockKey child_key = parent.child(octant, structure_.max_level());
-        auto child = std::make_unique<Block>(child_key, shape_);
+        auto child = make_block(child_key);
         child->fill_from_parent(*parent_block, octant);
         blocks_.emplace(child_key, std::move(child));
     }
 }
 
 void Mesh::merge_children(const BlockKey& parent) {
-    auto merged = std::make_unique<Block>(parent, shape_);
+    auto merged = make_block(parent);
     for (int octant = 0; octant < 8; ++octant) {
         const BlockKey child_key = parent.child(octant, structure_.max_level());
         std::unique_ptr<Block> child = release(child_key);

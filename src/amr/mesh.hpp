@@ -16,11 +16,16 @@ namespace dfamr::amr {
 
 class Mesh {
 public:
+    /// A mesh whose blocks come from a private arena.
     Mesh(const Config& cfg, int rank);
+    /// A mesh whose blocks come from `arena`, which the ranks of one run
+    /// share (its buffers must fit the configured block shape).
+    Mesh(const Config& cfg, int rank, std::shared_ptr<BlockArena> arena);
 
     const Config& config() const { return cfg_; }
     int rank() const { return rank_; }
     const BlockShape& shape() const { return shape_; }
+    const std::shared_ptr<BlockArena>& arena() const { return arena_; }
     GlobalStructure& structure() { return structure_; }
     const GlobalStructure& structure() const { return structure_; }
 
@@ -40,7 +45,8 @@ public:
     void clear_blocks() { blocks_.clear(); }
     /// Removes a block and returns it (for transfers to another rank).
     std::unique_ptr<Block> release(const BlockKey& key);
-    /// Creates an empty (zeroed) block for receiving remote data.
+    /// Creates a zeroed block from the mesh's arena (for receiving remote
+    /// data, or for a refinement step to fill).
     std::unique_ptr<Block> make_block(const BlockKey& key) const;
 
     // --- local refinement data operations ---------------------------------
@@ -61,6 +67,7 @@ private:
     Config cfg_;
     int rank_;
     BlockShape shape_;
+    std::shared_ptr<BlockArena> arena_;
     GlobalStructure structure_;
     std::map<BlockKey, std::unique_ptr<Block>> blocks_;
 };

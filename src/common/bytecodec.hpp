@@ -73,6 +73,13 @@ struct Reader {
         raw(&v, sizeof v);
         return v;
     }
+    /// Checks an untrusted element count against the input left, at
+    /// `each` (> 0) bytes per element at least, before anything is sized
+    /// from it.
+    std::size_t fits(std::uint64_t n, std::size_t each) const {
+        DFAMR_REQUIRE(n <= left / each, "codec: element count exceeds the input left");
+        return static_cast<std::size_t>(n);
+    }
     std::string str() {
         const std::uint32_t n = u32();
         DFAMR_REQUIRE(n <= left, "codec: truncated string");

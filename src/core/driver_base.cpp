@@ -20,13 +20,14 @@ resilience::RetryPolicy retry_policy(const Config& cfg) {
 }
 }  // namespace
 
-DriverBase::DriverBase(const Config& cfg, mpi::Communicator& comm, Tracer* tracer)
+DriverBase::DriverBase(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
+                       std::shared_ptr<amr::BlockArena> arena)
     : cfg_(cfg),
       comm_(comm),
       rank_(comm.rank()),
       tracer_(tracer),
       hcomm_(comm, retry_policy(cfg), tracer),
-      mesh_(cfg, comm.rank()) {
+      mesh_(cfg, comm.rank(), std::move(arena)) {
     cfg_.validate();
     DFAMR_REQUIRE(cfg_.num_ranks() == comm.size(),
                   "communicator size must match npx*npy*npz");
@@ -289,15 +290,20 @@ void DriverBase::restore_state() {
 
     mesh_.structure().restore_leaves(state.owners);
     mesh_.clear_blocks();
-    for (auto& [key, data] : from_memory
-                                 ? resilience::read_rank_blocks(image, rank_)
-                                 : resilience::read_rank_blocks(cfg_.restore_path, rank_)) {
+    auto blocks = from_memory ? resilience::read_rank_blocks(image, rank_)
+                              : resilience::read_rank_blocks(cfg_.restore_path, rank_);
+    std::vector<BlockKey> keys;
+    keys.reserve(blocks.size());
+    for (const auto& [key, data] : blocks) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    DFAMR_REQUIRE(keys == mesh_.structure().blocks_of(rank_),
+                  "checkpoint: the rank's section holds other blocks than the rank owns");
+    for (auto& [key, data] : blocks) {
         auto block = mesh_.make_block(key);
         DFAMR_REQUIRE(data.size() == block->data_size(), "checkpoint block size mismatch");
         std::copy(data.begin(), data.end(), block->data());
         mesh_.adopt(std::move(block));
     }
-    DFAMR_ASSERT(mesh_.num_owned() == mesh_.structure().blocks_of(rank_).size());
     rebuild_comm_plan();
     trace(0, t0, now_ns(), PhaseKind::Control);
     comm_.barrier();  // ranks enter the resumed loop together

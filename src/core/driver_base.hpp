@@ -54,7 +54,9 @@ inline constexpr int kBlockDataTagBase = amr::kExchangeTagBase + 16;
 
 class DriverBase {
 public:
-    DriverBase(const Config& cfg, mpi::Communicator& comm, Tracer* tracer);
+    /// `arena` holds the run's block storage; every rank of a run shares it.
+    DriverBase(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
+               std::shared_ptr<amr::BlockArena> arena);
     virtual ~DriverBase() = default;
 
     /// Attaches cooperative run control (suspend/cancel hooks, in-memory

@@ -190,16 +190,20 @@ RunResult run_variant(const amr::Config& cfg, amr::Variant variant, amr::Tracer*
     std::mutex results_mutex;
     std::vector<RankResult> results(static_cast<std::size_t>(cfg.num_ranks()));
     RunResult distributed_total;
+    // One block arena for the run's local ranks: a block moved between
+    // ranks frees a buffer the receiver can reuse (DESIGN.md §8).
+    const auto arena = std::make_shared<amr::BlockArena>(static_cast<std::size_t>(
+        amr::BlockShape{cfg.nx, cfg.ny, cfg.nz, cfg.num_vars}.total_cells()));
 
     world.run([&](mpi::Communicator& comm) {
         std::unique_ptr<DriverBase> driver;
         if (variant == amr::Variant::TampiOss) {
-            driver = std::make_unique<TampiOssDriver>(cfg, comm, tracer);
+            driver = std::make_unique<TampiOssDriver>(cfg, comm, tracer, arena);
         } else {
             amr::Config rank_cfg = cfg;
             // MPI-only: one rank per core, sequential inside.
             if (variant == amr::Variant::MpiOnly) rank_cfg.workers = 1;
-            driver = std::make_unique<SyncDriver>(rank_cfg, comm, tracer, variant);
+            driver = std::make_unique<SyncDriver>(rank_cfg, comm, tracer, arena, variant);
         }
         driver->set_control(opts.control);
         RankResult r;

@@ -41,8 +41,8 @@ std::span<T> face_section(std::span<T> msg, const amr::MessageChunk& chunk,
 }  // namespace
 
 SyncDriver::SyncDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
-                       amr::Variant variant)
-    : DriverBase(cfg, comm, tracer) {
+                       std::shared_ptr<amr::BlockArena> arena, amr::Variant variant)
+    : DriverBase(cfg, comm, tracer, std::move(arena)) {
     DFAMR_REQUIRE(variant == amr::Variant::MpiOnly || variant == amr::Variant::ForkJoin,
                   "SyncDriver runs the MPI-only and fork-join variants only");
     if (variant == amr::Variant::MpiOnly) return;
@@ -307,10 +307,11 @@ void SyncDriver::checksum_stage() {
 
 void SyncDriver::do_splits(const std::vector<BlockKey>& parents) {
     // Only the master touches the mesh map: parents leave it before the
-    // loop, children enter it after. Each item allocates one child and
-    // fills it; the item that drops a parent's last reference frees it.
-    // With a plain loop that is Mesh::split_block's allocate-fill-free
-    // order; with a team, allocation and first touch run on the team.
+    // loop, children enter it after. Each item takes one child from the
+    // arena and fills it; the item that drops a parent's last reference
+    // returns it. With a plain loop that is Mesh::split_block's
+    // take-fill-free order; with a team, the arena pops, the clears of
+    // recycled buffers and the first touches of fresh ones run on the team.
     struct Item {
         std::shared_ptr<const Block> parent;
         int octant;
@@ -335,7 +336,7 @@ void SyncDriver::do_splits(const std::vector<BlockKey>& parents) {
 }
 
 void SyncDriver::do_merges(const std::vector<BlockKey>& parents) {
-    // Same split of work as do_splits: each item allocates one parent,
+    // Same split of work as do_splits: each item takes one parent,
     // absorbs its 8 children and frees them (Mesh::merge_children's order).
     struct Item {
         std::array<std::unique_ptr<Block>, 8> children;

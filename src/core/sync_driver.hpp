@@ -23,7 +23,8 @@ namespace dfamr::core {
 class SyncDriver final : public DriverBase {
 public:
     /// `variant` is MpiOnly or ForkJoin; only fork-join creates a runtime.
-    SyncDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer, amr::Variant variant);
+    SyncDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
+               std::shared_ptr<amr::BlockArena> arena, amr::Variant variant);
     ~SyncDriver() override;  // out-of-line: verifier_ is incomplete here
 
 protected:

@@ -14,8 +14,9 @@ using tasking::in;
 using tasking::inout;
 using tasking::out;
 
-TampiOssDriver::TampiOssDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer)
-    : DriverBase(cfg, comm, tracer), rt_(cfg.workers - 1), tampi_(rt_) {
+TampiOssDriver::TampiOssDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
+                               std::shared_ptr<amr::BlockArena> arena)
+    : DriverBase(cfg, comm, tracer, std::move(arena)), rt_(cfg.workers - 1), tampi_(rt_) {
     // Task-bound communication uses the same retry/timeout budget as the
     // driver-level hardened operations; a timed-out request surfaces as a
     // CommTimeout at the next taskwait instead of hanging the worker pool.

@@ -32,7 +32,8 @@ namespace dfamr::core {
 
 class TampiOssDriver final : public DriverBase {
 public:
-    TampiOssDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer);
+    TampiOssDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
+                   std::shared_ptr<amr::BlockArena> arena);
     ~TampiOssDriver() override;
 
 protected:

@@ -17,6 +17,13 @@ using bytes::Writer;
 
 constexpr char kMagic[8] = {'D', 'F', 'A', 'M', 'R', 'C', 'K', 'P'};
 
+// Encoded sizes of the image's repeated records, which bound the counts a
+// reader accepts before it sizes anything from them.
+constexpr std::size_t kKeyBytes = 4 + 3 * 8;
+constexpr std::size_t kObjectBytes = 4 + 4 + 4 * 3 * 8;
+constexpr std::size_t kKeyedIntBytes = kKeyBytes + 4;
+constexpr std::size_t kBlockHeaderBytes = kKeyBytes + 8;
+
 // Gather tags: a dedicated pair inside the exchange-control tag space,
 // disjoint from kAckTag (+0), kBlockIdTag (+1) and kBlockDataTagBase (+16).
 constexpr int kSizeTag = amr::kExchangeTagBase + 8;
@@ -104,8 +111,7 @@ CheckpointState parse_header(Reader& r) {
     st.boundary_outflux = r.f64();
     st.reflux_corrections = r.i64();
 
-    const std::uint32_t nobjects = r.u32();
-    st.objects.resize(nobjects);
+    st.objects.resize(r.fits(r.u32(), kObjectBytes));
     for (amr::ObjectSpec& obj : st.objects) {
         obj.type = static_cast<amr::ObjectType>(r.i32());
         obj.bounce = r.u32() != 0;
@@ -115,22 +121,20 @@ CheckpointState parse_header(Reader& r) {
         obj.inc = get_vec3d(r);
     }
 
-    const std::uint32_t nsums = r.u32();
-    st.checksums.resize(nsums);
+    st.checksums.resize(r.fits(r.u32(), sizeof(double)));
     for (double& v : st.checksums) v = r.f64();
-    const std::uint32_t nref = r.u32();
-    st.checksum_reference.resize(nref);
+    st.checksum_reference.resize(r.fits(r.u32(), sizeof(double)));
     for (double& v : st.checksum_reference) v = r.f64();
     st.validation_ok = r.u32() != 0;
 
-    const std::uint32_t nleaves = r.u32();
-    for (std::uint32_t i = 0; i < nleaves; ++i) {
+    const std::size_t nleaves = r.fits(r.u32(), kKeyedIntBytes);
+    for (std::size_t i = 0; i < nleaves; ++i) {
         const amr::BlockKey key = get_key(r);
         st.owners[key] = r.i32();
     }
 
-    const std::uint32_t nderef = r.u32();
-    for (std::uint32_t i = 0; i < nderef; ++i) {
+    const std::size_t nderef = r.fits(r.u32(), kKeyedIntBytes);
+    for (std::size_t i = 0; i < nderef; ++i) {
         const amr::BlockKey key = get_key(r);
         st.deref_counts[key] = r.i32();
     }
@@ -287,16 +291,17 @@ std::vector<std::pair<amr::BlockKey, std::vector<double>>> read_rank_blocks(
         offset = r.u64();
         size = r.u64();
     }
-    DFAMR_REQUIRE(offset + size <= image.size(), "checkpoint: section out of bounds");
+    // Written so that no sum can wrap.
+    DFAMR_REQUIRE(size <= image.size() && offset <= image.size() - size,
+                  "checkpoint: section out of bounds");
 
     Reader section{image.data() + offset, static_cast<std::size_t>(size)};
-    const std::uint32_t nblocks = section.u32();
+    const std::size_t nblocks = section.fits(section.u32(), kBlockHeaderBytes);
     std::vector<std::pair<amr::BlockKey, std::vector<double>>> out;
     out.reserve(nblocks);
-    for (std::uint32_t i = 0; i < nblocks; ++i) {
+    for (std::size_t i = 0; i < nblocks; ++i) {
         const amr::BlockKey key = get_key(section);
-        const std::uint64_t count = section.u64();
-        std::vector<double> data(static_cast<std::size_t>(count));
+        std::vector<double> data(section.fits(section.u64(), sizeof(double)));
         section.raw(data.data(), data.size() * sizeof(double));
         out.emplace_back(key, std::move(data));
     }

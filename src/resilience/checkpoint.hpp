@@ -101,7 +101,9 @@ CheckpointState read_checkpoint_state(std::span<const std::byte> image);
 CheckpointState read_checkpoint_state(const std::string& path);
 
 /// Reads one rank's block section of an in-memory image: (key, cell data)
-/// pairs.
+/// pairs. Throws dfamr::Error where the section or a count in it does not
+/// fit in the image; checking the keys and sizes against the mesh is the
+/// caller's.
 std::vector<std::pair<amr::BlockKey, std::vector<double>>> read_rank_blocks(
     std::span<const std::byte> image, int rank);
 /// Same, reading the image from a file.

@@ -6,9 +6,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "amr/block.hpp"
@@ -598,6 +600,31 @@ TEST(Block, ChecksumSumsInteriorOnly) {
     }
     EXPECT_DOUBLE_EQ(b.checksum(0, 1), 64.0);  // 4^3 interior cells
     EXPECT_DOUBLE_EQ(b.checksum(1, 2), 0.0);
+}
+
+TEST(Block, MoveHandsTheBufferOver) {
+    const BlockShape shape{4, 4, 4, 2};
+    const auto arena = std::make_shared<BlockArena>(static_cast<std::size_t>(shape.total_cells()));
+    {
+        Block a(BlockKey{}, shape, arena);
+        a.at(1, 2, 3, 4) = 7.0;
+        double* const buffer = a.data();
+        Block b(std::move(a));
+        EXPECT_EQ(b.data(), buffer);
+        EXPECT_EQ(b.at(1, 2, 3, 4), 7.0);
+        EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+        EXPECT_EQ(a.data_size(), 0u);
+        {
+            Block c(BlockKey{}, shape, arena);
+            c = std::move(b);  // c's own buffer goes back, b's comes over
+            EXPECT_EQ(c.data(), buffer);
+            EXPECT_EQ(c.at(1, 2, 3, 4), 7.0);
+            EXPECT_EQ(arena->free_buffers(), 1u);
+        }
+        EXPECT_EQ(arena->free_buffers(), 2u);
+    }
+    // The moved-from a and b released nothing.
+    EXPECT_EQ(arena->free_buffers(), 2u);
 }
 
 TEST(Block, FaceValueCounts) {

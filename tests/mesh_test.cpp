@@ -1,10 +1,24 @@
-// Tests for the per-rank Mesh (block storage + refinement data operations)
-// and the CommBuffers layout (including the reference aliasing that
-// motivates --separate_buffers).
+// Tests for the per-rank Mesh (block storage + refinement data operations),
+// the BlockArena contract its blocks rely on, and the CommBuffers layout
+// (including the reference aliasing that motivates --separate_buffers).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
+#include "amr/block_arena.hpp"
 #include "amr/mesh.hpp"
 #include "common/error.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace dfamr::amr {
 namespace {
@@ -100,6 +114,169 @@ TEST(Mesh, FlopsPerVarSweep) {
     Mesh mesh(cfg, 0);
     mesh.init_blocks();
     EXPECT_EQ(mesh.flops_per_var_sweep(), 8 * 7 * 4 * 4 * 4);
+}
+
+// ---------------------------------------------------------------------------
+// BlockArena
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kDoubles = 1000;
+
+bool all_equal(const double* p, std::size_t n, double v) {
+    return std::all_of(p, p + n, [v](double x) { return x == v; });
+}
+
+/// Whether the page holding `p` is mapped in (mincore).
+bool resident(const void* p) {
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    unsigned char in_core = 0;
+    const int rc = mincore(reinterpret_cast<void*>(reinterpret_cast<std::uintptr_t>(p) / page * page),
+                           1, &in_core);
+    EXPECT_EQ(rc, 0);
+    return (in_core & 1) != 0;
+}
+
+TEST(BlockArena, FreshBufferIsZeroAndUntouchedUntilItsFirstWrite) {
+    BlockArena arena(kDoubles);
+    double* p = arena.acquire();
+    EXPECT_FALSE(resident(p));  // the first touch is the caller's
+    p[0] = 1.0;
+    EXPECT_TRUE(resident(p));
+    EXPECT_TRUE(all_equal(p + 1, kDoubles - 1, 0.0));
+    arena.release(p);
+}
+
+TEST(BlockArena, ReacquiredBufferReadsZero) {
+    BlockArena arena(kDoubles);
+    double* p = arena.acquire();
+    std::fill_n(p, kDoubles, 3.5);
+    arena.release(p);
+    double* q = arena.acquire();
+    EXPECT_EQ(q, p);
+    EXPECT_TRUE(all_equal(q, kDoubles, 0.0));
+    arena.release(q);
+}
+
+TEST(BlockArena, ReuseIsLastInFirstOut) {
+    BlockArena arena(kDoubles);
+    double* a = arena.acquire();
+    double* b = arena.acquire();
+    double* c = arena.acquire();
+    arena.release(a);
+    arena.release(b);
+    arena.release(c);
+    EXPECT_EQ(arena.free_buffers(), 3u);
+    EXPECT_EQ(arena.acquire(), c);
+    EXPECT_EQ(arena.acquire(), b);
+    EXPECT_EQ(arena.acquire(), a);
+    EXPECT_EQ(arena.free_buffers(), 0u);
+    for (double* p : {a, b, c}) arena.release(p);
+}
+
+TEST(BlockArena, SplitMergeCyclesMapNoSlabAfterTheFirst) {
+    // 10^3 x 24 values per block: 192 kB, 21 to a 4 MiB slab, so splitting
+    // the rank's 8 blocks outgrows the first slab.
+    Config cfg = mesh_config();
+    cfg.nx = cfg.ny = cfg.nz = 8;
+    cfg.num_vars = 24;
+    Mesh mesh(cfg, 0);
+    mesh.init_blocks();
+    const std::vector<BlockKey> parents = mesh.owned_keys();
+    const double before = mesh.local_checksum(0, cfg.num_vars);
+    const auto cycle = [&] {
+        for (const BlockKey& key : parents) mesh.split_block(key);
+        for (const BlockKey& key : parents) mesh.merge_children(key);
+    };
+    cycle();
+    const std::size_t slabs = mesh.arena()->slabs();
+    EXPECT_GT(slabs, 1u);
+    for (int i = 0; i < 3; ++i) cycle();
+    EXPECT_EQ(mesh.arena()->slabs(), slabs);
+    EXPECT_NEAR(mesh.local_checksum(0, cfg.num_vars), before, 1e-9 * before);
+}
+
+TEST(BlockArena, MeshesSharingAnArenaReuseEachOthersBuffers) {
+    const Config cfg = mesh_config();
+    const auto arena = std::make_shared<BlockArena>(
+        static_cast<std::size_t>(BlockShape{cfg.nx, cfg.ny, cfg.nz, cfg.num_vars}.total_cells()));
+    Mesh m0(cfg, 0, arena), m1(cfg, 1, arena);
+    m0.init_blocks();
+    m1.init_blocks();
+    // Rank 0 sends a block away; rank 1's next block takes its buffer.
+    const BlockKey gone = m0.owned_keys().front();
+    const double* freed = m0.block(gone).data();
+    m0.release(gone).reset();
+    const BlockKey parent = m1.owned_keys().front();
+    const double sum = m1.block(parent).checksum(0, cfg.num_vars);
+    m1.split_block(parent);
+    const int max_level = m1.structure().max_level();
+    EXPECT_EQ(m1.block(parent.child(0, max_level)).data(), freed);
+    double children = 0;
+    for (int octant = 0; octant < 8; ++octant) {
+        children += m1.block(parent.child(octant, max_level)).checksum(0, cfg.num_vars);
+    }
+    EXPECT_NEAR(children, 8 * sum, 1e-9 * sum);
+}
+
+TEST(BlockArena, MeshRejectsAnArenaOfAnotherBlockSize) {
+    const Config cfg = mesh_config();
+    EXPECT_THROW(Mesh(cfg, 0, std::make_shared<BlockArena>(7)), Error);
+}
+
+TEST(BlockArena, ReleasedBufferIsPoisonedUntilReacquired) {
+#if defined(__SANITIZE_ADDRESS__)
+    BlockArena arena(kDoubles);
+    double* p = arena.acquire();
+    arena.release(p);
+    EXPECT_TRUE(__asan_address_is_poisoned(p));
+    EXPECT_TRUE(__asan_address_is_poisoned(p + kDoubles - 1));
+    EXPECT_DEATH(
+        {
+            volatile double v = *p;
+            (void)v;
+        },
+        "use-after-poison");
+    double* q = arena.acquire();
+    ASSERT_EQ(q, p);
+    EXPECT_FALSE(__asan_address_is_poisoned(q));
+    EXPECT_FALSE(__asan_address_is_poisoned(q + kDoubles - 1));
+    arena.release(q);
+#else
+    GTEST_SKIP() << "AddressSanitizer builds only";
+#endif
+}
+
+TEST(BlockArena, ConcurrentAcquireWriteRelease) {
+    // Every rank thread and task worker of a run shares one free list.
+    // ThreadSanitizer builds repeat this test.
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 2000;
+    constexpr std::size_t kHeld = 3;
+    constexpr std::size_t kSmall = 256;
+    BlockArena arena(kSmall);
+    std::atomic<int> bad{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&arena, &bad, mark = t + 1.0] {
+            std::array<double*, kHeld> held{};
+            for (int r = 0; r < kRounds; ++r) {
+                for (double*& p : held) {
+                    p = arena.acquire();
+                    if (!all_equal(p, kSmall, 0.0)) ++bad;
+                    std::fill_n(p, kSmall, mark);
+                }
+                for (double* p : held) {
+                    if (!all_equal(p, kSmall, mark)) ++bad;
+                    arena.release(p);
+                }
+            }
+        });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(bad.load(), 0);
+    EXPECT_GE(arena.free_buffers(), kHeld);
+    EXPECT_LE(arena.free_buffers(), kThreads * kHeld);
+    EXPECT_EQ(arena.slabs(), 1u);
 }
 
 TEST(CommBuffersLayout, SeparateBuffersAreDisjoint) {

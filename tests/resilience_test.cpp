@@ -5,8 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
+#include "common/bytecodec.hpp"
 #include "core/variants.hpp"
 #include "mpisim/mpi.hpp"
 #include "resilience/checkpoint.hpp"
@@ -402,6 +407,128 @@ TEST(Checkpoint, CrashedRunRestoresFromLastCheckpointBitForBit) {
     const RunResult restored = run_variant(restored_cfg, Variant::MpiOnly);
     EXPECT_TRUE(restored.validation_ok);
     expect_checksums_identical(full, restored);
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile checkpoint images: every one must end in dfamr::Error
+// ---------------------------------------------------------------------------
+
+/// A one-rank image of an empty state whose block section is `section`.
+std::vector<std::byte> one_rank_image(const std::vector<std::byte>& section) {
+    resilience::CheckpointState state;
+    state.nranks = 1;
+    std::vector<std::byte> image;
+    mpi::World world(1);
+    world.run([&](mpi::Communicator& comm) {
+        resilience::HardenedComm hcomm(comm, RetryPolicy{});
+        image = resilience::build_checkpoint(hcomm, state, section);
+    });
+    return image;
+}
+
+/// A block section listing one block of `count` values and holding none.
+std::vector<std::byte> one_block_section(std::uint64_t count) {
+    bytes::Writer w;
+    w.u32(1);
+    w.i32(0);  // key: level, then the anchor
+    w.i64(0);
+    w.i64(0);
+    w.i64(0);
+    w.u64(count);
+    return std::move(w.bytes);
+}
+
+template <class T>
+void poke(std::vector<std::byte>& image, std::size_t at, T value) {
+    ASSERT_LE(at + sizeof value, image.size());
+    std::memcpy(image.data() + at, &value, sizeof value);
+}
+
+template <class T>
+T peek(const std::vector<std::byte>& image, std::size_t at) {
+    T value{};
+    std::memcpy(&value, image.data() + at, sizeof value);
+    return value;
+}
+
+TEST(CheckpointImage, SectionOffsetThatWrapsAroundThrows) {
+    const std::vector<std::byte> section = one_block_section(0);
+    std::vector<std::byte> image = one_rank_image(section);
+    // The one-entry section table (offset, size) sits right before the section.
+    const std::size_t table = image.size() - section.size() - 2 * sizeof(std::uint64_t);
+    ASSERT_EQ(peek<std::uint64_t>(image, table), table + 2 * sizeof(std::uint64_t));
+    // offset + size wraps to 16, which is inside the image.
+    poke<std::uint64_t>(image, table, ~std::uint64_t{0} - 15);
+    poke<std::uint64_t>(image, table + sizeof(std::uint64_t), 32);
+    EXPECT_THROW(resilience::read_rank_blocks(image, 0), Error);
+}
+
+TEST(CheckpointImage, BlockValueCountsBeyondTheSectionThrow) {
+    for (const std::uint64_t count : {std::uint64_t{1} << 61, std::uint64_t{1} << 40}) {
+        const std::vector<std::byte> image = one_rank_image(one_block_section(count));
+        EXPECT_THROW(resilience::read_rank_blocks(image, 0), Error) << "count " << count;
+    }
+}
+
+TEST(CheckpointImage, HeaderCountsBeyondTheBytesLeftThrow) {
+    // With an empty state the header's u32 counts sit at fixed offsets:
+    // objects, checksums, drift reference, (validation flag), leaves and
+    // deref counters.
+    const std::vector<std::byte> good = one_rank_image(one_block_section(0));
+    for (const std::size_t at : {80u, 84u, 88u, 96u, 100u}) {
+        std::vector<std::byte> image = good;
+        ASSERT_EQ(peek<std::uint32_t>(image, at), 0u) << "offset " << at;
+        poke<std::uint32_t>(image, at, 0xffffffffu);
+        EXPECT_THROW(resilience::read_checkpoint_state(image), Error) << "offset " << at;
+        EXPECT_THROW(resilience::read_rank_blocks(image, 0), Error) << "offset " << at;
+    }
+}
+
+TEST(CheckpointImage, SectionHoldingAnotherRanksBlocksThrows) {
+    const std::string path = temp_path("dfamr_ckpt_swapped.bin");
+    Config cfg = tiny_config();
+    cfg.num_tsteps = 1;
+    cfg.checkpoint_every = 1;
+    cfg.checkpoint_path = path;
+    run_variant(cfg, Variant::MpiOnly);
+
+    // Swap the two section-table entries, so that each rank reads the
+    // other's blocks: well-formed bytes, wrong keys.
+    std::vector<std::byte> image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        const std::string raw((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+        image.resize(raw.size());
+        std::memcpy(image.data(), raw.data(), raw.size());
+    }
+    constexpr std::size_t kEntry = 2 * sizeof(std::uint64_t);
+    std::size_t table = 0;
+    for (; table + 2 * kEntry <= image.size(); ++table) {
+        const auto off0 = peek<std::uint64_t>(image, table);
+        const auto off1 = peek<std::uint64_t>(image, table + kEntry);
+        if (off0 == table + 2 * kEntry && off1 == off0 + peek<std::uint64_t>(image, table + 8) &&
+            off1 + peek<std::uint64_t>(image, table + kEntry + 8) == image.size()) {
+            break;
+        }
+    }
+    ASSERT_LT(table + 2 * kEntry, image.size()) << "section table not found";
+    std::vector<std::byte> entry0(image.begin() + static_cast<std::ptrdiff_t>(table),
+                                  image.begin() + static_cast<std::ptrdiff_t>(table + kEntry));
+    std::copy_n(image.begin() + static_cast<std::ptrdiff_t>(table + kEntry), kEntry,
+                image.begin() + static_cast<std::ptrdiff_t>(table));
+    std::copy(entry0.begin(), entry0.end(),
+              image.begin() + static_cast<std::ptrdiff_t>(table + kEntry));
+    resilience::write_checkpoint_file(path, image);
+
+    Config restored = tiny_config();
+    restored.restore_path = path;
+    try {
+        run_variant(restored, Variant::MpiOnly);
+        ADD_FAILURE() << "a section of another rank's blocks was restored";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("checkpoint"), std::string::npos) << e.what();
+    }
     std::remove(path.c_str());
 }
 
