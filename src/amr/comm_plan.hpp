@@ -18,10 +18,12 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "amr/block.hpp"
 #include "amr/structure.hpp"
+#include "common/error.hpp"
 
 namespace dfamr::amr {
 
@@ -141,5 +143,31 @@ struct FluxPlan {
 };
 
 FluxPlan build_flux_plan(const CommPlan& plan, const BlockShape& shape);
+
+/// Walks a direction's same-rank items by destination block: calls
+/// fn(dst, dst_copies, dst_boundary) once per block that receives an
+/// intra-rank copy or a boundary reflection, in key order, with the runs of
+/// `copies` whose dst is that block and of `boundary` whose block it is.
+/// CommPlan appends both lists in owned-key order and build_flux_plan's
+/// filter keeps it (pass no boundary faces for a flux plan); the walk
+/// asserts that order.
+template <class Fn>
+void for_each_destination(std::span<const IntraCopy> copies,
+                          std::span<const std::pair<BlockKey, int>> boundary, Fn&& fn) {
+    std::size_t c = 0, b = 0;
+    while (c < copies.size() || b < boundary.size()) {
+        const bool copy_first =
+            b == boundary.size() || (c < copies.size() && copies[c].dst <= boundary[b].first);
+        const BlockKey dst = copy_first ? copies[c].dst : boundary[b].first;
+        std::size_t c_end = c, b_end = b;
+        while (c_end < copies.size() && copies[c_end].dst == dst) ++c_end;
+        while (b_end < boundary.size() && boundary[b_end].first == dst) ++b_end;
+        DFAMR_ASSERT(c_end == copies.size() || dst < copies[c_end].dst);
+        DFAMR_ASSERT(b_end == boundary.size() || dst < boundary[b_end].first);
+        fn(dst, copies.subspan(c, c_end - c), boundary.subspan(b, b_end - b));
+        c = c_end;
+        b = b_end;
+    }
+}
 
 }  // namespace dfamr::amr

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <iterator>
 #include <span>
 
 #include "amr/scratch.hpp"
 #include "common/error.hpp"
 #include "common/timing.hpp"
+#include "verify/verifier.hpp"
 
 namespace dfamr::core {
 
@@ -654,6 +656,20 @@ void DriverBase::transfer_block_data(const std::vector<BlockMove>& sends,
     if (!sends.empty() || !recvs.empty()) {
         trace(0, t0, now_ns(), PhaseKind::RefineExchange);
     }
+}
+
+std::unique_ptr<verify::Verifier> DriverBase::attach_verifier(tasking::Runtime& rt) {
+#if defined(DFAMR_VERIFY)
+    const bool opt_in = false;
+#else
+    const char* e = std::getenv("DFAMR_DEPLINT");
+    if (e == nullptr || e[0] != '1') return nullptr;
+    const bool opt_in = true;
+#endif
+    auto verifier = std::make_unique<verify::Verifier>();
+    if (opt_in) verifier->deplint().set_check_on_shutdown(true);
+    verifier->attach(rt);
+    return verifier;
 }
 
 void DriverBase::reduce_and_validate(const std::vector<double>& local_group_sums) {

@@ -24,6 +24,13 @@
 #include "scenario/problem_generator.hpp"
 #include "scenario/refinement_condition.hpp"
 
+namespace dfamr::tasking {
+class Runtime;
+}
+namespace dfamr::verify {
+class Verifier;
+}
+
 namespace dfamr::core {
 
 using amr::Block;
@@ -111,6 +118,12 @@ protected:
     virtual void sync_refine_step() {}
 
     // ---- shared mechanics (implemented here) -------------------------------
+    /// DepLint + the access checker, attached to a variant's runtime: in
+    /// DFAMR_VERIFY builds, and in default builds under DFAMR_DEPLINT=1, where
+    /// a dirty proof aborts the rank at shutdown (multi-process golden runs
+    /// prove their task graphs race-free). Null otherwise. Callers declare
+    /// the result before the runtime: its shutdown fires into the hook.
+    static std::unique_ptr<verify::Verifier> attach_verifier(tasking::Runtime& rt);
     /// Runs refinement rounds + load balancing, updates structure and plans.
     void refinement_phase(int timesteps_elapsed);
     /// Performs the §IV-B ACK/id/data exchange protocol for the given global

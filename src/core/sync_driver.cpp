@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <type_traits>
 
@@ -47,18 +46,7 @@ SyncDriver::SyncDriver(const Config& cfg, mpi::Communicator& comm, Tracer* trace
                   "SyncDriver runs the MPI-only and fork-join variants only");
     if (variant == amr::Variant::MpiOnly) return;
     rt_ = std::make_unique<tasking::Runtime>(cfg.workers - 1);
-#if defined(DFAMR_VERIFY)
-    verifier_ = std::make_unique<verify::Verifier>();
-    verifier_->attach(*rt_);
-#else
-    // Opt-in race prover: see TampiOssDriver — DFAMR_DEPLINT=1 attaches
-    // DepLint in default builds for the multi-process golden tests.
-    if (const char* e = std::getenv("DFAMR_DEPLINT"); e != nullptr && e[0] == '1') {
-        verifier_ = std::make_unique<verify::Verifier>();
-        verifier_->deplint().set_check_on_shutdown(true);
-        verifier_->attach(*rt_);
-    }
-#endif
+    verifier_ = attach_verifier(*rt_);
 }
 
 SyncDriver::~SyncDriver() = default;

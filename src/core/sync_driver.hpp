@@ -14,10 +14,6 @@
 #include "core/driver_base.hpp"
 #include "tasking/runtime.hpp"
 
-namespace dfamr::verify {
-class Verifier;
-}
-
 namespace dfamr::core {
 
 class SyncDriver final : public DriverBase {

@@ -1,6 +1,7 @@
 #include "core/tampi_oss.hpp"
 
-#include <cstdlib>
+#include <array>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/timing.hpp"
@@ -26,21 +27,7 @@ TampiOssDriver::TampiOssDriver(const Config& cfg, mpi::Communicator& comm, Trace
     // out, so the rank unwinds in milliseconds instead of riding out a
     // full comm_timeout per in-flight transfer.
     tampi_.set_abort_probe([&comm] { return comm.aborted(); });
-#if defined(DFAMR_VERIFY)
-    verifier_ = std::make_unique<verify::Verifier>();
-    verifier_->attach(rt_);
-#else
-    // Opt-in race prover for default builds: DFAMR_DEPLINT=1 attaches the
-    // verifier so multi-process golden runs (dfamr_mpirun rank processes)
-    // prove their task graphs free of unordered conflicts — a dirty proof
-    // aborts the rank and the launcher propagates the failure. Costs
-    // nothing unless the variable is set.
-    if (const char* e = std::getenv("DFAMR_DEPLINT"); e != nullptr && e[0] == '1') {
-        verifier_ = std::make_unique<verify::Verifier>();
-        verifier_->deplint().set_check_on_shutdown(true);
-        verifier_->attach(rt_);
-    }
-#endif
+    verifier_ = attach_verifier(rt_);
 }
 
 TampiOssDriver::~TampiOssDriver() {
@@ -51,138 +38,241 @@ TampiOssDriver::~TampiOssDriver() {
     }
 }
 
-Dep TampiOssDriver::block_dep_in(const BlockKey& key, int gb, int ge) {
-    auto span = mesh_.block(key).group_span(gb, ge);
-    return in(span.data(), span.size_bytes());
-}
+namespace {
 
-Dep TampiOssDriver::block_dep_inout(const BlockKey& key, int gb, int ge) {
-    auto span = mesh_.block(key).group_span(gb, ge);
-    return inout(span.data(), span.size_bytes());
-}
+/// Task labels of one exchange, for DepLint reports.
+struct ExchangeLabels {
+    const char* recv;
+    const char* pack;
+    const char* send;
+    const char* apply;
+    const char* local;
+};
 
-Dep TampiOssDriver::reg_dep_in(const BlockKey& key, int gb, int ge) {
-    auto span = flux_register(key).slice(gb, ge);
-    return in(span.data(), span.size_bytes());
-}
+}  // namespace
 
-Dep TampiOssDriver::reg_dep_inout(const BlockKey& key, int gb, int ge) {
-    auto span = flux_register(key).slice(gb, ge);
-    return inout(span.data(), span.size_bytes());
+/// The ghost exchange: packs and copies read the source block's group span,
+/// unpacks, copies and reflections write the destination's.
+struct TampiOssDriver::GhostFaces {
+    static constexpr ExchangeLabels kLabels{"recv", "pack", "send", "unpack", "intra_copy"};
+    TampiOssDriver* d;
+    int dir, gb, ge;
+
+    const amr::DirectionPlan& plan() const { return d->plan_.direction(dir); }
+    std::span<const std::pair<BlockKey, int>> boundary() const { return plan().boundary; }
+    std::span<double> send_stream(std::size_t ni) const {
+        return d->buffers_->send_stream(dir, static_cast<int>(ni));
+    }
+    std::span<double> recv_stream(std::size_t ni) const {
+        return d->buffers_->recv_stream(dir, static_cast<int>(ni));
+    }
+    std::span<double> source(const BlockKey& key) const {
+        return d->mesh_.block(key).group_span(gb, ge);
+    }
+    std::array<std::span<double>, 1> targets(const BlockKey& key) const { return {source(key)}; }
+    void pack(const amr::FaceTransfer& face, std::span<double> out) const {
+        d->mesh_.block(face.mine).pack_face(face.geom, gb, ge, out);
+    }
+    void apply(const amr::FaceTransfer& face, std::span<const double> in) const {
+        d->mesh_.block(face.mine).unpack_face(face.geom, gb, ge, in);
+    }
+    void copy(const amr::IntraCopy& c) const {
+        d->mesh_.block(c.dst).copy_face_from(d->mesh_.block(c.src), c.geom, gb, ge);
+    }
+    void reflect(const BlockKey& key, int sense) const {
+        d->mesh_.block(key).reflect_face(dir, sense, gb, ge);
+    }
+};
+
+/// The reflux (DESIGN.md §18): packs and intra-rank refluxes read the fine
+/// source's flux register; applies and intra-rank refluxes correct the
+/// coarse destination block and its register. The flux plan has no
+/// boundary faces: the boundary-outflux task tallies those.
+struct TampiOssDriver::FluxFaces {
+    static constexpr ExchangeLabels kLabels{"flux_recv", "flux_pack", "flux_send", "reflux",
+                                            "reflux_intra"};
+    TampiOssDriver* d;
+    int dir, gb, ge;
+
+    const amr::FluxPlan::Direction& plan() const { return d->flux_plan_.direction(dir); }
+    std::span<const std::pair<BlockKey, int>> boundary() const { return {}; }
+    std::span<double> send_stream(std::size_t ni) const {
+        return d->flux_send_[static_cast<std::size_t>(dir)][ni];
+    }
+    std::span<double> recv_stream(std::size_t ni) const {
+        return d->flux_recv_[static_cast<std::size_t>(dir)][ni];
+    }
+    std::span<double> source(const BlockKey& key) const {
+        return d->flux_register(key).slice(gb, ge);
+    }
+    std::array<std::span<double>, 2> targets(const BlockKey& key) const {
+        return {d->mesh_.block(key).group_span(gb, ge), source(key)};
+    }
+    void pack(const amr::FaceTransfer& face, std::span<double> out) const {
+        d->flux_register(face.mine).pack_restricted(face.geom.axis, face.geom.sense, gb, ge, out);
+    }
+    void apply(const amr::FaceTransfer& face, std::span<const double> in) const {
+        d->apply_flux_correction(face, gb, ge, in);
+    }
+    void copy(const amr::IntraCopy& c) const { d->apply_intra_flux(c, gb, ge); }
+    void reflect(const BlockKey&, int) const {}
+};
+
+template <class Faces>
+void TampiOssDriver::submit_exchange(const Faces& faces) {
+    const int gvars = faces.ge - faces.gb;
+    const auto section = [gvars](std::span<double> stream, std::int64_t offset,
+                                 std::int64_t count) {
+        return stream.subspan(static_cast<std::size_t>(offset * gvars),
+                              static_cast<std::size_t>(count * gvars));
+    };
+    const std::vector<amr::NeighborExchange>& neighbors = faces.plan().neighbors;
+
+    // 1) Receive tasks: TAMPI_Irecv binds the task's completion to the
+    //    arrival (the task body itself returns immediately).
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        const amr::NeighborExchange& ex = neighbors[ni];
+        for (const amr::MessageChunk& chunk : ex.recv_chunks) {
+            const auto msg = section(faces.recv_stream(ni), chunk.value_offset, chunk.value_count);
+            const int peer = ex.peer;
+            const int tag = chunk.tag;
+            rt_.submit(
+                [this, msg, peer, tag] {
+                    const std::int64_t t0 = now_ns();
+                    tampi_.irecv(comm_, msg.data(), msg.size_bytes(), peer, tag);
+                    trace(worker_index(), t0, now_ns(), PhaseKind::Recv);
+                },
+                {out(msg)}, Faces::kLabels.recv);
+        }
+    }
+
+    // 2) Pack tasks per face + one send task per message. The send task's
+    //    single region dependency covers every packed section of its
+    //    message (contiguous by construction) — the multidependency of §IV-A.
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        const amr::NeighborExchange& ex = neighbors[ni];
+        const std::span<double> stream = faces.send_stream(ni);
+        for (const amr::MessageChunk& chunk : ex.send_chunks) {
+            for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
+                const amr::FaceTransfer* face = &ex.sends[static_cast<std::size_t>(f)];
+                const auto sec = section(stream, face->value_offset, face->value_count);
+                const auto src = faces.source(face->mine);
+                rt_.submit(
+                    [this, faces, face, sec, src] {
+                        const std::int64_t t0 = now_ns();
+                        DFAMR_CHECK_READ(src.data(), src.size_bytes());
+                        DFAMR_CHECK_WRITE(sec.data(), sec.size_bytes());
+                        faces.pack(*face, sec);
+                        trace(worker_index(), t0, now_ns(), PhaseKind::Pack);
+                    },
+                    {in(src.data(), src.size_bytes()), out(sec)}, Faces::kLabels.pack);
+            }
+            const auto msg = section(stream, chunk.value_offset, chunk.value_count);
+            const int peer = ex.peer;
+            const int tag = chunk.tag;
+            rt_.submit(
+                [this, msg, peer, tag] {
+                    const std::int64_t t0 = now_ns();
+                    tampi_.isend(comm_, msg.data(), msg.size_bytes(), peer, tag);
+                    trace(worker_index(), t0, now_ns(), PhaseKind::Send);
+                },
+                {in(msg.data(), msg.size_bytes())}, Faces::kLabels.send);
+        }
+    }
+
+    // 3) Same-rank items while the messages are in flight: one task per
+    //    destination block (the taskification inherited from Rico et al.,
+    //    coarsened). Each copy is traced on its own; reflections are not.
+    amr::for_each_destination(
+        faces.plan().copies, faces.boundary(),
+        [&](const BlockKey& dst, std::span<const amr::IntraCopy> copies,
+            std::span<const std::pair<BlockKey, int>> boundary) {
+            std::vector<Dep> deps;
+            for (const amr::IntraCopy& c : copies) {
+                const auto src = faces.source(c.src);
+                deps.push_back(in(src.data(), src.size_bytes()));
+            }
+            for (const std::span<double> target : faces.targets(dst)) deps.push_back(inout(target));
+            rt_.submit(
+                [this, faces, copies, boundary] {
+                    for (const amr::IntraCopy& c : copies) {
+                        const std::int64_t t0 = now_ns();
+                        faces.copy(c);
+                        trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
+                    }
+                    for (const auto& [key, sense] : boundary) faces.reflect(key, sense);
+                },
+                std::move(deps), Faces::kLabels.local);
+        });
+
+    // 4) Apply tasks: one per incoming face, gated by the receive task
+    //    through the stream section.
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        const amr::NeighborExchange& ex = neighbors[ni];
+        const std::span<double> stream = faces.recv_stream(ni);
+        for (const amr::MessageChunk& chunk : ex.recv_chunks) {
+            for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
+                const amr::FaceTransfer* face = &ex.recvs[static_cast<std::size_t>(f)];
+                const auto sec = section(stream, face->value_offset, face->value_count);
+                const auto targets = faces.targets(face->mine);
+                std::vector<Dep> deps{in(sec.data(), sec.size_bytes())};
+                for (const std::span<double> target : targets) deps.push_back(inout(target));
+                rt_.submit(
+                    [this, faces, face, sec, targets] {
+                        const std::int64_t t0 = now_ns();
+                        DFAMR_CHECK_READ(sec.data(), sec.size_bytes());
+                        for (const std::span<double> target : targets) {
+                            DFAMR_CHECK_WRITE(target.data(), target.size_bytes());
+                        }
+                        faces.apply(*face, sec);
+                        trace(worker_index(), t0, now_ns(), PhaseKind::Unpack);
+                    },
+                    std::move(deps), Faces::kLabels.apply);
+            }
+        }
+    }
 }
 
 void TampiOssDriver::communicate_stage(int group) {
     // Algorithm 3: tasks are instantiated for each direction; whether the
     // directions can actually run concurrently depends on the buffers
     // (--separate_buffers) — the dependency system works it out.
-    for (int dir = 0; dir < 3; ++dir) {
-        submit_direction(dir, group);
-    }
+    const int gb = group_begin(group), ge = group_end(group);
+    for (int dir = 0; dir < 3; ++dir) submit_exchange(GhostFaces{this, dir, gb, ge});
 }
 
-void TampiOssDriver::submit_direction(int dir, int group) {
+void TampiOssDriver::reflux_stage(int group) {
+    // Like communicate_stage, this only instantiates tasks; the dependency
+    // system orders each direction's corrections after the kernels that
+    // recorded the registers and before anything that re-reads the blocks.
+    // The inout on each coarse block and its register serializes the
+    // corrections of different directions on the same block in submission
+    // order (dir 0 -> 1 -> 2, matching the synchronous variants' loop).
     const int gb = group_begin(group), ge = group_end(group);
-    const int gvars = ge - gb;
-    const amr::DirectionPlan& dp = plan_.direction(dir);
+    for (int dir = 0; dir < 3; ++dir) {
+        submit_exchange(FluxFaces{this, dir, gb, ge});
 
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        auto recv_stream = buffers_->recv_stream(dir, static_cast<int>(ni));
-        auto send_stream = buffers_->send_stream(dir, static_cast<int>(ni));
-
-        // Receive tasks: one per message chunk, out-dependency on the
-        // chunk's buffer section; TAMPI_Irecv binds the task's completion
-        // to the arrival (the task body itself returns immediately).
-        for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-            auto span = recv_stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                            static_cast<std::size_t>(chunk.value_count * gvars));
-            const int peer = ex.peer;
-            const int tag = chunk.tag;
-            rt_.submit(
-                [this, span, peer, tag] {
-                    const std::int64_t t0 = now_ns();
-                    tampi_.irecv(comm_, span.data(), span.size_bytes(), peer, tag);
-                    trace(worker_index(), t0, now_ns(), PhaseKind::Recv);
-                },
-                {out(span.data(), span.size_bytes())}, "recv");
+        // One boundary-outflux task per direction: in on every boundary
+        // block's register, inout on the scalar accumulator — the latter
+        // serializes the three directions in submission order so the tally
+        // is bitwise identical to the synchronous variants'.
+        const amr::DirectionPlan& dp = plan_.direction(dir);
+        if (dp.boundary.empty()) continue;
+        std::vector<Dep> deps;
+        for (const auto& [key, sense] : dp.boundary) {
+            (void)sense;
+            const auto reg = flux_register(key).slice(gb, ge);
+            deps.push_back(in(reg.data(), reg.size_bytes()));
         }
-
-        // Pack tasks (one per face) + send task per chunk. The send task's
-        // single region dependency covers every packed section of its chunk
-        // (contiguous by construction) — the multidependency of §IV-A.
-        for (const amr::MessageChunk& chunk : ex.send_chunks) {
-            for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
-                const amr::FaceTransfer* face = &ex.sends[static_cast<std::size_t>(f)];
-                auto section =
-                    send_stream.subspan(static_cast<std::size_t>(face->value_offset * gvars),
-                                        static_cast<std::size_t>(face->value_count * gvars));
-                rt_.submit(
-                    [this, face, section, gb, ge] {
-                        const std::int64_t t0 = now_ns();
-                        auto blk = mesh_.block(face->mine).group_span(gb, ge);
-                        DFAMR_CHECK_READ(blk.data(), blk.size_bytes());
-                        DFAMR_CHECK_WRITE(section.data(), section.size_bytes());
-                        mesh_.block(face->mine).pack_face(face->geom, gb, ge, section);
-                        trace(worker_index(), t0, now_ns(), PhaseKind::Pack);
-                    },
-                    {block_dep_in(face->mine, gb, ge), out(section.data(), section.size_bytes())},
-                    "pack");
-            }
-            auto span = send_stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                            static_cast<std::size_t>(chunk.value_count * gvars));
-            const int peer = ex.peer;
-            const int tag = chunk.tag;
-            rt_.submit(
-                [this, span, peer, tag] {
-                    const std::int64_t t0 = now_ns();
-                    tampi_.isend(comm_, span.data(), span.size_bytes(), peer, tag);
-                    trace(worker_index(), t0, now_ns(), PhaseKind::Send);
-                },
-                {in(span.data(), span.size_bytes())}, "send");
-        }
-
-        // Unpack tasks: one per face, gated by the receive task through the
-        // buffer section, writing into the block's group range.
-        for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-            for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
-                const amr::FaceTransfer* face = &ex.recvs[static_cast<std::size_t>(f)];
-                auto section =
-                    recv_stream.subspan(static_cast<std::size_t>(face->value_offset * gvars),
-                                        static_cast<std::size_t>(face->value_count * gvars));
-                rt_.submit(
-                    [this, face, section, gb, ge] {
-                        const std::int64_t t0 = now_ns();
-                        auto blk = mesh_.block(face->mine).group_span(gb, ge);
-                        DFAMR_CHECK_READ(section.data(), section.size_bytes());
-                        DFAMR_CHECK_WRITE(blk.data(), blk.size_bytes());
-                        mesh_.block(face->mine).unpack_face(face->geom, gb, ge, section);
-                        trace(worker_index(), t0, now_ns(), PhaseKind::Unpack);
-                    },
-                    {in(section.data(), section.size_bytes()),
-                     block_dep_inout(face->mine, gb, ge)},
-                    "unpack");
-            }
-        }
-    }
-
-    // Intra-process copies (the taskification inherited from Rico et al.).
-    for (const amr::IntraCopy& copy_ref : dp.copies) {
-        const amr::IntraCopy* copy = &copy_ref;
+        deps.push_back(inout(&boundary_outflux_, sizeof boundary_outflux_));
         rt_.submit(
-            [this, copy, gb, ge] {
+            [this, dir, gb, ge] {
                 const std::int64_t t0 = now_ns();
-                mesh_.block(copy->dst).copy_face_from(mesh_.block(copy->src), copy->geom, gb, ge);
-                trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
+                DFAMR_CHECK_WRITE(&boundary_outflux_, sizeof boundary_outflux_);
+                accumulate_boundary_outflux(dir, gb, ge);
+                trace(worker_index(), t0, now_ns(), PhaseKind::ChecksumLocal);
             },
-            {block_dep_in(copy->src, gb, ge), block_dep_inout(copy->dst, gb, ge)}, "intra_copy");
-    }
-    for (const auto& [key, sense] : dp.boundary) {
-        const int sense_copy = sense;
-        rt_.submit(
-            [this, key, dir, sense_copy, gb, ge] {
-                mesh_.block(key).reflect_face(dir, sense_copy, gb, ge);
-            },
-            {block_dep_inout(key, gb, ge)}, "reflect");
+            std::move(deps), "boundary_outflux");
     }
 }
 
@@ -192,8 +282,8 @@ void TampiOssDriver::stencil_stage(int group) {
         // Scenario runs also write the block's flux register inside
         // update_block; declaring it inout orders the reflux pass's
         // pack/apply tasks after the kernel.
-        std::vector<Dep> deps{block_dep_inout(key, gb, ge)};
-        if (generator_ != nullptr) deps.push_back(reg_dep_inout(key, gb, ge));
+        std::vector<Dep> deps{inout(mesh_.block(key).group_span(gb, ge))};
+        if (generator_ != nullptr) deps.push_back(inout(flux_register(key).slice(gb, ge)));
         rt_.submit(
             [this, key, gb, ge] {
                 const std::int64_t t0 = now_ns();
@@ -211,141 +301,6 @@ void TampiOssDriver::stencil_stage(int group) {
     }
 }
 
-void TampiOssDriver::reflux_stage(int group) {
-    // Like communicate_stage, this only instantiates tasks; the dependency
-    // system orders each direction's corrections after the kernels that
-    // recorded the registers and before anything that re-reads the blocks.
-    for (int dir = 0; dir < 3; ++dir) {
-        submit_reflux_direction(dir, group);
-    }
-}
-
-void TampiOssDriver::submit_reflux_direction(int dir, int group) {
-    const int gb = group_begin(group), ge = group_end(group);
-    const int gvars = ge - gb;
-    const amr::FluxPlan::Direction& fd = flux_plan_.direction(dir);
-    auto& send_bufs = flux_send_[static_cast<std::size_t>(dir)];
-    auto& recv_bufs = flux_recv_[static_cast<std::size_t>(dir)];
-
-    for (std::size_t ni = 0; ni < fd.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = fd.neighbors[ni];
-        std::span<double> recv_stream(recv_bufs[ni]);
-        std::span<double> send_stream(send_bufs[ni]);
-
-        // Receive tasks: TAMPI-bound, out-dependency on the stream section.
-        for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-            auto span = recv_stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                            static_cast<std::size_t>(chunk.value_count * gvars));
-            const int peer = ex.peer;
-            const int tag = chunk.tag;
-            rt_.submit(
-                [this, span, peer, tag] {
-                    const std::int64_t t0 = now_ns();
-                    tampi_.irecv(comm_, span.data(), span.size_bytes(), peer, tag);
-                    trace(worker_index(), t0, now_ns(), PhaseKind::Recv);
-                },
-                {out(span.data(), span.size_bytes())}, "flux_recv");
-        }
-
-        // Restriction (pack) tasks per fine face + one send task per chunk.
-        for (const amr::MessageChunk& chunk : ex.send_chunks) {
-            for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
-                const amr::FaceTransfer* face = &ex.sends[static_cast<std::size_t>(f)];
-                auto section =
-                    send_stream.subspan(static_cast<std::size_t>(face->value_offset * gvars),
-                                        static_cast<std::size_t>(face->value_count * gvars));
-                rt_.submit(
-                    [this, face, section, gb, ge] {
-                        const std::int64_t t0 = now_ns();
-                        auto reg = flux_register(face->mine).slice(gb, ge);
-                        DFAMR_CHECK_READ(reg.data(), reg.size_bytes());
-                        DFAMR_CHECK_WRITE(section.data(), section.size_bytes());
-                        flux_register(face->mine)
-                            .pack_restricted(face->geom.axis, face->geom.sense, gb, ge, section);
-                        trace(worker_index(), t0, now_ns(), PhaseKind::Pack);
-                    },
-                    {reg_dep_in(face->mine, gb, ge), out(section.data(), section.size_bytes())},
-                    "flux_pack");
-            }
-            auto span = send_stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                            static_cast<std::size_t>(chunk.value_count * gvars));
-            const int peer = ex.peer;
-            const int tag = chunk.tag;
-            rt_.submit(
-                [this, span, peer, tag] {
-                    const std::int64_t t0 = now_ns();
-                    tampi_.isend(comm_, span.data(), span.size_bytes(), peer, tag);
-                    trace(worker_index(), t0, now_ns(), PhaseKind::Send);
-                },
-                {in(span.data(), span.size_bytes())}, "flux_send");
-        }
-
-        // Apply tasks: one per received coarse-side face. The inout on the
-        // block's group span serializes corrections of different directions
-        // on the same block in submission order (dir 0 -> 1 -> 2, matching
-        // the synchronous variants' sequential loop).
-        for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-            for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
-                const amr::FaceTransfer* face = &ex.recvs[static_cast<std::size_t>(f)];
-                auto section =
-                    recv_stream.subspan(static_cast<std::size_t>(face->value_offset * gvars),
-                                        static_cast<std::size_t>(face->value_count * gvars));
-                rt_.submit(
-                    [this, face, section, gb, ge] {
-                        const std::int64_t t0 = now_ns();
-                        DFAMR_CHECK_READ(section.data(), section.size_bytes());
-                        auto blk = mesh_.block(face->mine).group_span(gb, ge);
-                        DFAMR_CHECK_WRITE(blk.data(), blk.size_bytes());
-                        auto reg = flux_register(face->mine).slice(gb, ge);
-                        DFAMR_CHECK_WRITE(reg.data(), reg.size_bytes());
-                        apply_flux_correction(*face, gb, ge,
-                                              std::span<const double>(section));
-                        trace(worker_index(), t0, now_ns(), PhaseKind::Unpack);
-                    },
-                    {in(section.data(), section.size_bytes()), block_dep_inout(face->mine, gb, ge),
-                     reg_dep_inout(face->mine, gb, ge)},
-                    "reflux");
-            }
-        }
-    }
-
-    // Intra-rank refluxes: restrict the fine source register on the fly.
-    for (const amr::IntraCopy& copy_ref : fd.copies) {
-        const amr::IntraCopy* copy = &copy_ref;
-        rt_.submit(
-            [this, copy, gb, ge] {
-                const std::int64_t t0 = now_ns();
-                apply_intra_flux(*copy, gb, ge);
-                trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
-            },
-            {reg_dep_in(copy->src, gb, ge), block_dep_inout(copy->dst, gb, ge),
-             reg_dep_inout(copy->dst, gb, ge)},
-            "reflux_intra");
-    }
-
-    // One boundary-outflux task per direction: in on every boundary block's
-    // register, inout on the scalar accumulator — the latter serializes the
-    // three directions in submission order so the tally is bitwise identical
-    // to the synchronous variants'.
-    const amr::DirectionPlan& dp = plan_.direction(dir);
-    if (!dp.boundary.empty()) {
-        std::vector<Dep> deps;
-        for (const auto& [key, sense] : dp.boundary) {
-            (void)sense;
-            deps.push_back(reg_dep_in(key, gb, ge));
-        }
-        deps.push_back(inout(&boundary_outflux_, sizeof boundary_outflux_));
-        rt_.submit(
-            [this, dir, gb, ge] {
-                const std::int64_t t0 = now_ns();
-                DFAMR_CHECK_WRITE(&boundary_outflux_, sizeof boundary_outflux_);
-                accumulate_boundary_outflux(dir, gb, ge);
-                trace(worker_index(), t0, now_ns(), PhaseKind::ChecksumLocal);
-            },
-            std::move(deps), "boundary_outflux");
-    }
-}
-
 void TampiOssDriver::checksum_stage() {
     ChecksumSlot& slot = slots_[slot_index_];
     DFAMR_REQUIRE(!slot.pending, "checksum slot reused before validation");
@@ -360,6 +315,7 @@ void TampiOssDriver::checksum_stage() {
         for (std::size_t i = 0; i < keys.size(); ++i) {
             const BlockKey key = keys[i];
             double* cell = row + i;
+            const auto data = mesh_.block(key).group_span(gb, ge);
             rt_.submit(
                 [this, key, gb, ge, cell] {
                     const std::int64_t t0 = now_ns();
@@ -371,7 +327,7 @@ void TampiOssDriver::checksum_stage() {
                     *cell = checksum_weight(key) * mesh_.block(key).checksum(gb, ge);
                     trace(worker_index(), t0, now_ns(), PhaseKind::ChecksumLocal);
                 },
-                {block_dep_in(key, gb, ge), out(cell, sizeof(double))}, "checksum_local");
+                {in(data.data(), data.size_bytes()), out(cell, sizeof(double))}, "checksum_local");
         }
         double* sum_cell = &slot.group_sums[static_cast<std::size_t>(g)];
         const std::size_t nkeys = keys.size();
@@ -426,10 +382,8 @@ int TampiOssDriver::worker_index() {
     return w >= 0 ? w + 1 : 0;
 }
 
-void TampiOssDriver::final_sync() {
+void TampiOssDriver::drain_checksums() {
     rt_.taskwait();
-    result_.stencil_flops = flops_.load();
-    // Validate a deferred checksum stage, if one is still pending.
     for (int i = 0; i < 2; ++i) {
         ChecksumSlot& slot = slots_[1 - slot_index_];  // older first
         if (slot.pending) {
@@ -440,18 +394,15 @@ void TampiOssDriver::final_sync() {
     }
 }
 
+void TampiOssDriver::final_sync() {
+    drain_checksums();
+    result_.stencil_flops = flops_.load();
+}
+
 void TampiOssDriver::sync_before_refine() {
-    rt_.taskwait();
     // A deferred checksum crossing a refinement boundary must be resolved
     // now: the collective is ordered with other ranks' refinement phases.
-    for (int i = 0; i < 2; ++i) {
-        ChecksumSlot& slot = slots_[1 - slot_index_];
-        if (slot.pending) {
-            reduce_and_validate(slot.group_sums);
-            slot.pending = false;
-        }
-        slot_index_ = 1 - slot_index_;
-    }
+    drain_checksums();
 }
 
 void TampiOssDriver::sync_refine_step() { rt_.taskwait(); }

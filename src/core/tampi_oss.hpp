@@ -1,12 +1,16 @@
 // The paper's contribution (§IV): the complete data-flow taskification of
 // miniAMR on OmpSs-2-style tasks + TAMPI.
 //
-//  * communicate (Algorithm 3): receive tasks (TAMPI_Irecv, out-dependency
-//    on the receive-buffer section), pack tasks (in: block face / out:
-//    send-buffer section), send tasks (TAMPI_Isend, in-dependency — with
-//    aggregated messages a single region dependency over the chunk's
-//    contiguous sections plays the role of the paper's multidependency),
-//    intra-process copy tasks, unpack tasks. No MPI_Waitany anywhere.
+//  * communicate (Algorithm 3) and reflux: one submitter, submit_exchange,
+//    serves both plans. Per direction it submits receive tasks (TAMPI_Irecv,
+//    out-dependency on the receive-buffer section), pack tasks (in: the
+//    source block face or register / out: send-buffer section), send tasks
+//    (TAMPI_Isend, in-dependency — with aggregated messages a single region
+//    dependency over the chunk's contiguous sections plays the role of the
+//    paper's multidependency), one same-rank task per destination block
+//    (its intra-rank copies, then its boundary reflections, or its
+//    intra-rank refluxes) and apply tasks (in: section / inout: block). No
+//    MPI_Waitany anywhere.
 //  * stencil: one task per block and variable group (inout on the block's
 //    group range — the paper's §IV-D dependency granularity).
 //  * checksum (§IV-C): local-reduction tasks per (block, group), a reduce
@@ -23,10 +27,6 @@
 #include "core/driver_base.hpp"
 #include "tampi/tampi.hpp"
 #include "tasking/runtime.hpp"
-
-namespace dfamr::verify {
-class Verifier;
-}
 
 namespace dfamr::core {
 
@@ -53,18 +53,22 @@ protected:
     int worker_index() override;
 
 private:
-    void submit_direction(int dir, int group);
-    /// Task graph of one direction's flux-register exchange + reflux: pack
-    /// (in: fine register / out: stream section), TAMPI send/recv tasks,
-    /// apply tasks (in: stream section, inout: coarse block + register) and
-    /// one boundary-outflux task per direction whose inout on the scalar
-    /// accumulator serializes the tally in submission order (bitwise
-    /// deterministic, like the synchronous variants' sequential loop).
-    void submit_reflux_direction(int dir, int group);
-    tasking::Dep block_dep_in(const BlockKey& key, int gb, int ge);
-    tasking::Dep block_dep_inout(const BlockKey& key, int gb, int ge);
-    tasking::Dep reg_dep_in(const BlockKey& key, int gb, int ge);
-    tasking::Dep reg_dep_inout(const BlockKey& key, int gb, int ge);
+    /// The ghost exchange and the reflux of one direction and variable
+    /// group, as submit_exchange sees them: the plan's items, the staging
+    /// streams, the face kernels and the regions each kernel reads and
+    /// writes (defined in tampi_oss.cpp).
+    struct GhostFaces;
+    struct FluxFaces;
+    /// Algorithm 3 for one direction of either plan, shaped like
+    /// SyncDriver::exchange: one receive task per incoming message, one pack
+    /// task per outgoing face, one send task per message, one task per
+    /// destination block for the same-rank items (in: each source, inout:
+    /// the destination), then one apply task per incoming face.
+    template <class Faces>
+    void submit_exchange(const Faces& faces);
+    /// Waits for every submitted task, then validates the deferred checksum
+    /// stages still pending, older first.
+    void drain_checksums();
 
     /// DepLint + access checker, populated in DFAMR_VERIFY builds or when
     /// DFAMR_DEPLINT=1 opts a default build in (multi-process race proofs).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "amr/comm_plan.hpp"
 #include "amr/structure.hpp"
@@ -331,48 +332,33 @@ private:
             // Communication buffer regions, reproducing the reference
             // aliasing: without --separate_buffers the three directions
             // share one buffer pair (false inter-direction dependencies).
-            std::uint64_t send_total_max = 0, recv_total_max = 0;
-            std::array<std::vector<std::uint64_t>, 3> send_off, recv_off;
+            std::array<std::uint64_t, 3> send_bytes{}, recv_bytes{};
             for (int d = 0; d < 3; ++d) {
-                std::uint64_t s = 0, v = 0;
+                auto& sb = st.send_base[static_cast<std::size_t>(d)];
+                auto& rb = st.recv_base[static_cast<std::size_t>(d)];
+                sb.clear();
+                rb.clear();
                 for (const amr::NeighborExchange& ex : st.plan.direction(d).neighbors) {
-                    send_off[static_cast<std::size_t>(d)].push_back(s);
-                    recv_off[static_cast<std::size_t>(d)].push_back(v);
-                    s += static_cast<std::uint64_t>(ex.send_values) * gvm * 8;
-                    v += static_cast<std::uint64_t>(ex.recv_values) * gvm * 8;
-                }
-                send_total_max = std::max(send_total_max, s);
-                recv_total_max = std::max(recv_total_max, v);
-                if (cfg_.separate_buffers) {
-                    const std::uint64_t sbase = alloc_region(st, s);
-                    const std::uint64_t rbase = alloc_region(st, v);
-                    auto& sb = st.send_base[static_cast<std::size_t>(d)];
-                    auto& rb = st.recv_base[static_cast<std::size_t>(d)];
-                    sb.clear();
-                    rb.clear();
-                    for (std::uint64_t off : send_off[static_cast<std::size_t>(d)]) {
-                        sb.push_back(sbase + off);
-                    }
-                    for (std::uint64_t off : recv_off[static_cast<std::size_t>(d)]) {
-                        rb.push_back(rbase + off);
-                    }
+                    sb.push_back(send_bytes[static_cast<std::size_t>(d)]);
+                    rb.push_back(recv_bytes[static_cast<std::size_t>(d)]);
+                    send_bytes[static_cast<std::size_t>(d)] +=
+                        static_cast<std::uint64_t>(ex.send_values) * gvm * 8;
+                    recv_bytes[static_cast<std::size_t>(d)] +=
+                        static_cast<std::uint64_t>(ex.recv_values) * gvm * 8;
                 }
             }
+            std::uint64_t sbase = 0, rbase = 0;
             if (!cfg_.separate_buffers) {
-                const std::uint64_t sbase = alloc_region(st, send_total_max);
-                const std::uint64_t rbase = alloc_region(st, recv_total_max);
-                for (int d = 0; d < 3; ++d) {
-                    auto& sb = st.send_base[static_cast<std::size_t>(d)];
-                    auto& rb = st.recv_base[static_cast<std::size_t>(d)];
-                    sb.clear();
-                    rb.clear();
-                    for (std::uint64_t off : send_off[static_cast<std::size_t>(d)]) {
-                        sb.push_back(sbase + off);
-                    }
-                    for (std::uint64_t off : recv_off[static_cast<std::size_t>(d)]) {
-                        rb.push_back(rbase + off);
-                    }
+                sbase = alloc_region(st, *std::max_element(send_bytes.begin(), send_bytes.end()));
+                rbase = alloc_region(st, *std::max_element(recv_bytes.begin(), recv_bytes.end()));
+            }
+            for (int d = 0; d < 3; ++d) {
+                if (cfg_.separate_buffers) {
+                    sbase = alloc_region(st, send_bytes[static_cast<std::size_t>(d)]);
+                    rbase = alloc_region(st, recv_bytes[static_cast<std::size_t>(d)]);
                 }
+                for (std::uint64_t& off : st.send_base[static_cast<std::size_t>(d)]) off += sbase;
+                for (std::uint64_t& off : st.recv_base[static_cast<std::size_t>(d)]) off += rbase;
             }
             // Checksum slots (double-buffered for the delayed optimization).
             const std::uint64_t groups = static_cast<std::uint64_t>(cfg_.num_groups());
@@ -424,7 +410,8 @@ private:
                             link_send(send, r, dir, ex.peer, chunk, sinks, bytes);
                         }
                     }
-                    serial(r, PhaseKind::IntraCopy, intra_copy_cost(dp, gv));
+                    serial(r, PhaseKind::IntraCopy,
+                           sum(same_rank_costs(dp.copies, dp.boundary.size(), dir, gv)));
                     // Waitany loop: unpacks gated by program order + arrival.
                     const SimTaskPtr after_copies = st.tail;
                     std::vector<SimTaskPtr> unpacks;
@@ -457,14 +444,8 @@ private:
                         }
                     }
                     // Workshared intra copies + boundary.
-                    std::vector<std::int64_t> copy_items;
-                    for (const amr::IntraCopy& c : dp.copies) {
-                        copy_items.push_back(copy_ns(face_bytes(dir, c.geom.rel, gv)));
-                    }
-                    for (std::size_t b = 0; b < dp.boundary.size(); ++b) {
-                        copy_items.push_back(copy_ns(face_bytes(dir, FaceRel::Same, gv)));
-                    }
-                    parallel_region(r, PhaseKind::IntraCopy, copy_items);
+                    parallel_region(r, PhaseKind::IntraCopy,
+                                    same_rank_costs(dp.copies, dp.boundary.size(), dir, gv));
                     // Waitany loop: the master waits for each message, then
                     // a workshared unpack of its faces. Plan order stands in
                     // for arrival order.
@@ -498,15 +479,20 @@ private:
         return costs;
     }
 
-    std::int64_t intra_copy_cost(const amr::DirectionPlan& dp, int gv) const {
-        std::int64_t ns = 0;
-        for (const amr::IntraCopy& c : dp.copies) {
-            ns += copy_ns(face_bytes(c.geom.axis, c.geom.rel, gv));
+    /// Copy cost of each same-rank item of one direction: the intra-rank
+    /// copies, then `reflections` boundary reflections (a same-level face
+    /// each).
+    std::vector<std::int64_t> same_rank_costs(std::span<const amr::IntraCopy> copies,
+                                              std::size_t reflections, int dir, int gv) const {
+        std::vector<std::int64_t> costs;
+        for (const amr::IntraCopy& c : copies) {
+            costs.push_back(copy_ns(face_bytes(dir, c.geom.rel, gv)));
         }
-        for (std::size_t b = 0; b < dp.boundary.size(); ++b) {
-            ns += copy_ns(face_bytes(0, FaceRel::Same, gv));
-        }
-        return ns;
+        costs.insert(costs.end(), reflections, copy_ns(face_bytes(dir, FaceRel::Same, gv)));
+        return costs;
+    }
+    static std::int64_t sum(const std::vector<std::int64_t>& costs) {
+        return std::accumulate(costs.begin(), costs.end(), std::int64_t{0});
     }
 
     void link_send(const SimTaskPtr& send, int from, int dir, int peer,
@@ -531,9 +517,17 @@ private:
                          bytes);
     }
 
+    /// Dependency on `count` values from `offset` of a staging stream at
+    /// `base`, sized for a whole variable group like the driver's buffers.
+    Dep stream_dep(DepKind kind, std::uint64_t base, std::int64_t offset,
+                   std::int64_t count) const {
+        const auto stride = static_cast<std::uint64_t>(cfg_.vars_per_group()) * 8;
+        return dep(kind, base + static_cast<std::uint64_t>(offset) * stride,
+                   static_cast<std::uint64_t>(count) * stride);
+    }
+
     void tampi_communicate(int group) {
         const int gv = gvars(group);
-        const std::uint64_t gvm = static_cast<std::uint64_t>(cfg_.vars_per_group());
         for (int dir = 0; dir < 3; ++dir) {
             // Pass 1: receive tasks everywhere (out-dep on buffer section).
             std::vector<std::vector<std::vector<SimTaskPtr>>> recv_tasks(
@@ -545,85 +539,67 @@ private:
                 for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
                     const std::uint64_t rbase = st.recv_base[static_cast<std::size_t>(dir)][ni];
                     for (const amr::MessageChunk& chunk : dp.neighbors[ni].recv_chunks) {
-                        auto t = dataflow(
-                            r, PhaseKind::Recv, mpi_call() + overhead(),
-                            {dep(DepKind::Out,
-                                 rbase + static_cast<std::uint64_t>(chunk.value_offset) * gvm * 8,
-                                 static_cast<std::uint64_t>(chunk.value_count) * gvm * 8)});
-                        recv_tasks[static_cast<std::size_t>(r)][ni].push_back(std::move(t));
+                        recv_tasks[static_cast<std::size_t>(r)][ni].push_back(
+                            dataflow(r, PhaseKind::Recv, mpi_call() + overhead(),
+                                     {stream_dep(DepKind::Out, rbase, chunk.value_offset,
+                                                 chunk.value_count)}));
                     }
                 }
             }
-            // Pass 2: pack/send/unpack/copies per rank.
+            // Pass 2, per rank in TampiOssDriver::submit_exchange's order:
+            // packs and a send per message, one same-rank task per
+            // destination block, then the unpacks.
             for (int r = 0; r < R_; ++r) {
                 RankState& st = state_[static_cast<std::size_t>(r)];
                 const auto& dp = st.plan.direction(dir);
                 for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
                     const amr::NeighborExchange& ex = dp.neighbors[ni];
                     const std::uint64_t sbase = st.send_base[static_cast<std::size_t>(dir)][ni];
-                    const std::uint64_t rbase = st.recv_base[static_cast<std::size_t>(dir)][ni];
                     for (const amr::MessageChunk& chunk : ex.send_chunks) {
                         for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count;
                              ++f) {
                             const amr::FaceTransfer& face = ex.sends[static_cast<std::size_t>(f)];
-                            const std::int64_t fb = face.value_count * gv * 8;
-                            dataflow(r, PhaseKind::Pack, copy_ns(fb) + overhead(),
+                            dataflow(r, PhaseKind::Pack,
+                                     copy_ns(face.value_count * gv * 8) + overhead(),
                                      {block_dep(r, DepKind::In, face.mine, group),
-                                      dep(DepKind::Out,
-                                          sbase + static_cast<std::uint64_t>(face.value_offset) *
-                                                      gvm * 8,
-                                          static_cast<std::uint64_t>(face.value_count) * gvm * 8)});
+                                      stream_dep(DepKind::Out, sbase, face.value_offset,
+                                                 face.value_count)});
                         }
-                        auto send = dataflow(
-                            r, PhaseKind::Send, mpi_call() + overhead(),
-                            {dep(DepKind::In,
-                                 sbase + static_cast<std::uint64_t>(chunk.value_offset) * gvm * 8,
-                                 static_cast<std::uint64_t>(chunk.value_count) * gvm * 8)});
-                        const std::int64_t bytes = chunk.value_count * gv * 8;
-                        // Find the peer's matching recv task by tag.
-                        const int pni = neighbor_index(ex.peer, dir, r);
-                        const auto& peer_ex = state_[static_cast<std::size_t>(ex.peer)]
-                                                  .plan.direction(dir)
-                                                  .neighbors[static_cast<std::size_t>(pni)];
-                        int ci = -1;
-                        for (std::size_t i = 0; i < peer_ex.recv_chunks.size(); ++i) {
-                            if (peer_ex.recv_chunks[i].tag == chunk.tag) {
-                                ci = static_cast<int>(i);
-                                break;
-                            }
-                        }
-                        DFAMR_REQUIRE(ci >= 0, "no matching receive chunk on the peer");
-                        sim_.add_message(send,
-                                         recv_tasks[static_cast<std::size_t>(ex.peer)]
-                                                   [static_cast<std::size_t>(pni)]
-                                                   [static_cast<std::size_t>(ci)],
-                                         bytes);
+                        auto send = dataflow(r, PhaseKind::Send, mpi_call() + overhead(),
+                                             {stream_dep(DepKind::In, sbase, chunk.value_offset,
+                                                         chunk.value_count)});
+                        link_send(send, r, dir, ex.peer, chunk, recv_tasks,
+                                  chunk.value_count * gv * 8);
                     }
+                }
+                amr::for_each_destination(
+                    dp.copies, dp.boundary,
+                    [&](const BlockKey& dst, std::span<const amr::IntraCopy> copies,
+                        std::span<const std::pair<BlockKey, int>> boundary) {
+                        std::vector<Dep> deps;
+                        for (const amr::IntraCopy& c : copies) {
+                            deps.push_back(block_dep(r, DepKind::In, c.src, group));
+                        }
+                        deps.push_back(block_dep(r, DepKind::InOut, dst, group));
+                        dataflow_v(r, PhaseKind::IntraCopy,
+                                   sum(same_rank_costs(copies, boundary.size(), dir, gv)) +
+                                       overhead(),
+                                   deps);
+                    });
+                for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
+                    const amr::NeighborExchange& ex = dp.neighbors[ni];
+                    const std::uint64_t rbase = st.recv_base[static_cast<std::size_t>(dir)][ni];
                     for (const amr::MessageChunk& chunk : ex.recv_chunks) {
                         for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count;
                              ++f) {
                             const amr::FaceTransfer& face = ex.recvs[static_cast<std::size_t>(f)];
-                            const std::int64_t fb = face.value_count * gv * 8;
-                            dataflow(r, PhaseKind::Unpack, copy_ns(fb) + overhead(),
-                                     {dep(DepKind::In,
-                                          rbase + static_cast<std::uint64_t>(face.value_offset) *
-                                                      gvm * 8,
-                                          static_cast<std::uint64_t>(face.value_count) * gvm * 8),
+                            dataflow(r, PhaseKind::Unpack,
+                                     copy_ns(face.value_count * gv * 8) + overhead(),
+                                     {stream_dep(DepKind::In, rbase, face.value_offset,
+                                                 face.value_count),
                                       block_dep(r, DepKind::InOut, face.mine, group)});
                         }
                     }
-                }
-                for (const amr::IntraCopy& c : dp.copies) {
-                    const std::int64_t fb = face_bytes(c.geom.axis, c.geom.rel, gv);
-                    dataflow(r, PhaseKind::IntraCopy, copy_ns(fb) + overhead(),
-                             {block_dep(r, DepKind::In, c.src, group),
-                              block_dep(r, DepKind::InOut, c.dst, group)});
-                }
-                for (const auto& [key, sense] : dp.boundary) {
-                    (void)sense;
-                    const std::int64_t fb = face_bytes(dir, FaceRel::Same, gv);
-                    dataflow(r, PhaseKind::IntraCopy, copy_ns(fb) + overhead(),
-                             {block_dep(r, DepKind::InOut, key, group)});
                 }
             }
         }

@@ -1,9 +1,11 @@
 // Tests for the ghost-exchange communication plan: symmetry between the two
 // endpoints of every exchange, chunking under the paper's options, stream
-// layout, and tag-space partitioning.
+// layout, tag-space partitioning, and the walk of same-rank items by
+// destination block.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "amr/comm_plan.hpp"
 #include "amr/mesh.hpp"
@@ -192,6 +194,65 @@ TEST(CommPlan, MessageCountsScaleWithSendFaces) {
     CommPlan per_face(gs, BlockShape{4, 4, 4, 4}, 0, opts);
     EXPECT_GT(per_face.total_send_messages(), aggregated.total_send_messages());
     EXPECT_EQ(per_face.total_send_values(), aggregated.total_send_values());
+}
+
+/// Walks one direction's same-rank items and checks that each destination
+/// comes once, in key order, and that the runs cover `copies` and
+/// `boundary` item by item. Returns the destinations that have both.
+int expect_destination_walk(std::span<const IntraCopy> copies,
+                            std::span<const std::pair<BlockKey, int>> boundary) {
+    std::size_t c = 0, b = 0;
+    int mixed = 0;
+    std::optional<BlockKey> last;
+    for_each_destination(copies, boundary,
+                         [&](const BlockKey& dst, std::span<const IntraCopy> dst_copies,
+                             std::span<const std::pair<BlockKey, int>> dst_boundary) {
+                             if (last.has_value()) {
+                                 EXPECT_LT(*last, dst);
+                             }
+                             last = dst;
+                             EXPECT_FALSE(dst_copies.empty() && dst_boundary.empty());
+                             for (const IntraCopy& copy : dst_copies) {
+                                 EXPECT_EQ(copy.dst, dst);
+                                 EXPECT_EQ(&copy, &copies[c++]);
+                             }
+                             for (const auto& face : dst_boundary) {
+                                 EXPECT_EQ(face.first, dst);
+                                 EXPECT_EQ(&face, &boundary[b++]);
+                             }
+                             if (!dst_copies.empty() && !dst_boundary.empty()) ++mixed;
+                         });
+    EXPECT_EQ(c, copies.size());
+    EXPECT_EQ(b, boundary.size());
+    return mixed;
+}
+
+TEST(CommPlan, DestinationWalkCoversEverySameRankItemOnce) {
+    const Config cfg = plan_config(2, 1, 1);
+    GlobalStructure gs(cfg);
+    ObjectSpec sphere;
+    sphere.type = ObjectType::SpheroidSurface;
+    sphere.center = {0, 0, 0};
+    sphere.size = {0.4, 0.4, 0.4};
+    for (int i = 0; i < 2; ++i) {
+        const RefineRound round = gs.plan_refine_round({sphere}, false);
+        if (round.empty()) break;
+        gs.apply_refine_round(round);
+    }
+    const BlockShape shape{4, 4, 4, 4};
+    int mixed = 0;
+    std::size_t flux_copies = 0;
+    for (int r = 0; r < gs.num_ranks(); ++r) {
+        const CommPlan plan(gs, shape, r, CommPlanOptions{});
+        const FluxPlan flux = build_flux_plan(plan, shape);
+        for (int d = 0; d < 3; ++d) {
+            mixed += expect_destination_walk(plan.direction(d).copies, plan.direction(d).boundary);
+            expect_destination_walk(flux.direction(d).copies, {});
+            flux_copies += flux.direction(d).copies.size();
+        }
+    }
+    EXPECT_GT(mixed, 0) << "no destination with both copies and reflections";
+    EXPECT_GT(flux_copies, 0u) << "no intra-rank reflux";
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the simulated (DES) mini-app runs: layout helpers, basic sanity
-// of the per-variant DAG builders, determinism, and the qualitative
-// relationships the paper's evaluation rests on.
+// of the per-variant DAG builders, determinism, the qualitative
+// relationships the paper's evaluation rests on, and the structural
+// cross-check of the data-flow builder against TampiOssDriver.
 #include <gtest/gtest.h>
 
+#include "core/variants.hpp"
 #include "sim/run_sim.hpp"
 
 namespace dfamr::sim {
@@ -197,6 +199,87 @@ TEST(SimTrace, TracerReceivesSimulatedTimeline) {
     EXPECT_GT(a.busy_ns, 0);
     EXPECT_GT(a.overlap_ns, 0) << "phases must overlap in the data-flow variant";
     EXPECT_TRUE(a.busy_ns_by_kind.count(amr::PhaseKind::Stencil));
+}
+
+TEST(SimCosts, MpiOnlyAndForkJoinChargeTheSameSameRankCopies) {
+    // At one core per rank fork-join's workshared same-rank region is the
+    // MPI-only loop: both charge each boundary reflection its direction's
+    // face, which differs per axis on non-cubic blocks.
+    ClusterSpec cluster;
+    cluster.nodes = 1;
+    cluster.cores_per_node = 2;
+    cluster.ranks_per_node = 2;
+    Config cfg = small_app(cluster.total_ranks(), {2, 2, 2});
+    cfg.nx = 4;
+    cfg.ny = 6;
+    cfg.nz = 8;
+    cfg.refine_freq = 0;
+    const SimResult mpi = run_simulated(cfg, Variant::MpiOnly, cluster, test_costs());
+    const SimResult fj = run_simulated(cfg, Variant::ForkJoin, cluster, test_costs());
+    const std::int64_t copies = mpi.stats.busy_ns_by_kind.at(amr::PhaseKind::IntraCopy);
+    EXPECT_GT(copies, 0);
+    EXPECT_EQ(copies, fj.stats.busy_ns_by_kind.at(amr::PhaseKind::IntraCopy));
+}
+
+// DESIGN.md §6's structural cross-check: the DES's data-flow builder emits
+// the tasks TampiOssDriver submits and the messages it sends, so a change
+// to one that the other does not follow fails here.
+void expect_des_matches_driver(Config cfg, bool compare_tasks) {
+    cfg.workers = 2;
+    ClusterSpec cluster;
+    cluster.nodes = 1;
+    cluster.ranks_per_node = cfg.num_ranks();
+    cluster.cores_per_node = cfg.num_ranks() * cfg.workers;
+    const SimResult sim = run_simulated(cfg, Variant::TampiOss, cluster, test_costs());
+    const core::RunResult real = core::run_variant(cfg, Variant::TampiOss);
+    ASSERT_TRUE(real.validation_ok);
+    if (compare_tasks) {
+        EXPECT_EQ(sim.stats.tasks, real.sched.tasks_executed);
+    }
+    EXPECT_EQ(sim.stats.messages, real.messages);
+}
+
+TEST(SimMatchesDriver, DataFlowTasksAndMessagesWithoutRefinement) {
+    Config base = small_app(2, {4, 2, 2});
+    base.refine_freq = 0;
+    struct Case {
+        const char* name;
+        void (*edit)(Config&);
+    };
+    const Case cases[] = {
+        {"aggregated", [](Config&) {}},
+        {"send_faces", [](Config& c) { c.send_faces = true; }},
+        {"max_comm_tasks_2",
+         [](Config& c) {
+             c.send_faces = true;
+             c.max_comm_tasks = 2;
+         }},
+        {"separate_buffers_delayed_checksum",
+         [](Config& c) {
+             c.separate_buffers = true;
+             c.delayed_checksum = true;
+         }},
+        {"stencil27", [](Config& c) { c.stencil = 27; }},
+        {"cells_4x6x8",
+         [](Config& c) {
+             c.nx = 4;
+             c.ny = 6;
+             c.nz = 8;
+         }},
+        {"one_rank", [](Config& c) { arrange(c, {4, 2, 2}, 1); }},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        Config cfg = base;
+        c.edit(cfg);
+        expect_des_matches_driver(cfg, true);
+    }
+}
+
+TEST(SimMatchesDriver, DataFlowMessagesWithRefinement) {
+    // Refinement adds main-thread control tasks to the DES that the
+    // driver runs outside the runtime, so only the messages compare.
+    expect_des_matches_driver(small_app(2, {4, 2, 2}), false);
 }
 
 }  // namespace
