@@ -9,6 +9,7 @@
 #include "amr/scratch.hpp"
 #include "common/error.hpp"
 #include "common/timing.hpp"
+#include "tasking/runtime.hpp"
 #include "verify/verifier.hpp"
 
 namespace dfamr::core {
@@ -54,6 +55,21 @@ DriverBase::DriverBase(const Config& cfg, mpi::Communicator& comm, Tracer* trace
     }
     rebuild_comm_plan();
 }
+
+SchedulerCounters DriverBase::scheduler_counters() const {
+    if (runtime_ == nullptr) return {};
+    const tasking::RuntimeStats s = runtime_->stats();
+    SchedulerCounters c;
+    c.tasks_executed = s.tasks_executed;
+    c.steals = s.steals;
+    c.steal_fails = s.steal_fails;
+    c.parks = s.parks;
+    c.wakeups = s.wakeups;
+    c.immediate_successor_hits = s.immediate_successor_hits;
+    return c;
+}
+
+int DriverBase::worker_index() const { return runtime_ != nullptr ? runtime_->trace_lane() : 0; }
 
 void DriverBase::sample_sched_counters() {
     if (tracer_ == nullptr || !tracer_->enabled()) return;
@@ -255,13 +271,15 @@ void DriverBase::write_state(int ts_completed, bool suspending) {
 
 void DriverBase::restore_state() {
     const std::int64_t t0 = now_ns();
+    // The image is read once, from memory or from disk, and both parses
+    // below walk that one span.
     const bool from_memory = control_ != nullptr && control_->restore_image != nullptr;
+    std::vector<std::byte> file;
+    if (!from_memory) file = resilience::read_checkpoint_file(cfg_.restore_path);
     const std::span<const std::byte> image =
         from_memory ? std::span<const std::byte>(*control_->restore_image)
-                    : std::span<const std::byte>{};
-    const resilience::CheckpointState state =
-        from_memory ? resilience::read_checkpoint_state(image)
-                    : resilience::read_checkpoint_state(cfg_.restore_path);
+                    : std::span<const std::byte>(file);
+    const resilience::CheckpointState state = resilience::read_checkpoint_state(image);
     DFAMR_REQUIRE(state.config_fingerprint == resilience::config_fingerprint(cfg_),
                   "checkpoint was written by an incompatible configuration");
     DFAMR_REQUIRE(state.nranks == cfg_.num_ranks(), "checkpoint rank count mismatch");
@@ -292,8 +310,8 @@ void DriverBase::restore_state() {
 
     mesh_.structure().restore_leaves(state.owners);
     mesh_.clear_blocks();
-    auto blocks = from_memory ? resilience::read_rank_blocks(image, rank_)
-                              : resilience::read_rank_blocks(cfg_.restore_path, rank_);
+    auto blocks = resilience::read_rank_blocks(image, rank_);
+    std::vector<std::byte>().swap(file);  // the blocks are parsed; free the image early
     std::vector<BlockKey> keys;
     keys.reserve(blocks.size());
     for (const auto& [key, data] : blocks) keys.push_back(key);

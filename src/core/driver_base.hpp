@@ -98,10 +98,10 @@ protected:
     /// Drains outstanding work at the end of the run (final validation of a
     /// deferred checksum included).
     virtual void final_sync() {}
-    /// Cumulative scheduler telemetry of the variant's tasking runtime.
-    /// Sampled by the base class at phase boundaries to attribute counters
-    /// per phase; the default (no runtime) reports zeros.
-    virtual SchedulerCounters scheduler_counters() const { return {}; }
+    /// Cumulative scheduler telemetry of the variant's tasking runtime
+    /// (zeros without one). Sampled at phase boundaries to attribute
+    /// counters per phase.
+    SchedulerCounters scheduler_counters() const;
     /// Synchronization point before the refinement phase (taskwait/no-op).
     virtual void sync_before_refine() {}
     /// Data operations of one refinement round.
@@ -185,10 +185,9 @@ protected:
     void trace(int worker, std::int64_t t0, std::int64_t t1, PhaseKind kind) {
         if (tracer_ != nullptr) tracer_->record(rank_, worker, t0, t1, kind);
     }
-    /// Lane of the calling thread in per-core timelines: 0 for the rank's
-    /// main thread; variants with a tasking runtime override this so tasks
-    /// record under the worker that EXECUTED them, not the spawner.
-    virtual int worker_index() { return 0; }
+    /// Lane of the calling thread in per-core timelines: the runtime's
+    /// Runtime::trace_lane, or 0 (the rank's main thread) without one.
+    int worker_index() const;
     /// Records scheduler-telemetry counter samples on the tracer's counter
     /// track (no-op when tracing is off or the variant has no runtime).
     void sample_sched_counters();
@@ -197,6 +196,9 @@ protected:
     mpi::Communicator& comm_;
     int rank_;
     Tracer* tracer_ = nullptr;
+    /// The variant's tasking runtime (not owned), set by the variants that
+    /// create one; null for MPI-only.
+    tasking::Runtime* runtime_ = nullptr;
     /// Hardened point-to-point wrapper around comm_: bounded retry on
     /// transient send failures, deadlines on receive completion. Used for
     /// every blocking/driver-level p2p operation; the data-flow variant

@@ -121,7 +121,6 @@ void RunOptions::register_cli(CliParser& cli) {
                    "wire payload size (bytes) at which sends switch from eager to the "
                    "Rts/Cts rendezvous handshake",
                    "65536");
-    cli.add_option("--rndv_threshold", "alias for --rendezvous_threshold", "");
     cli.add_flag("--coalesce",
                  "batch consecutive same-destination eager frames into one coalesced "
                  "wire frame (generalizes --send_faces to the transport layer)");
@@ -150,12 +149,8 @@ RunOptions RunOptions::from_cli(const CliParser& cli) {
     if (cli.has("--rendezvous_threshold")) {
         opts.rendezvous_threshold =
             static_cast<std::size_t>(cli.get_int("--rendezvous_threshold"));
-    } else if (cli.has("--rndv_threshold")) {
-        opts.rendezvous_threshold = static_cast<std::size_t>(cli.get_int("--rndv_threshold"));
     } else if (const char* env = std::getenv("DFAMR_RNDZ_THRESHOLD")) {
         opts.rendezvous_threshold = static_cast<std::size_t>(std::atol(env));
-    } else if (const char* env2 = std::getenv("DFAMR_RNDV_THRESHOLD")) {
-        opts.rendezvous_threshold = static_cast<std::size_t>(std::atol(env2));
     }
     if (cli.has("--coalesce")) {
         opts.coalesce = true;

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/timing.hpp"
-#include "core/sched_telemetry.hpp"
 #include "tasking/parallel_for.hpp"
 #include "verify/verifier.hpp"
 
@@ -46,6 +45,7 @@ SyncDriver::SyncDriver(const Config& cfg, mpi::Communicator& comm, Tracer* trace
                   "SyncDriver runs the MPI-only and fork-join variants only");
     if (variant == amr::Variant::MpiOnly) return;
     rt_ = std::make_unique<tasking::Runtime>(cfg.workers - 1);
+    runtime_ = rt_.get();
     verifier_ = attach_verifier(*rt_);
 }
 
@@ -57,16 +57,6 @@ void SyncDriver::for_each(std::int64_t n, const std::function<void(std::int64_t)
         return;
     }
     for (std::int64_t i = 0; i < n; ++i) fn(i);
-}
-
-SchedulerCounters SyncDriver::scheduler_counters() const {
-    return rt_ != nullptr ? to_scheduler_counters(rt_->stats()) : SchedulerCounters{};
-}
-
-int SyncDriver::worker_index() {
-    // Lane 0 is the master thread; runtime worker w maps to lane w + 1.
-    const int w = rt_ != nullptr ? rt_->worker_index_of_calling_thread() : -1;
-    return w >= 0 ? w + 1 : 0;
 }
 
 template <class Pack, class Apply>

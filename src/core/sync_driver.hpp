@@ -28,10 +28,8 @@ protected:
     void stencil_stage(int group) override;
     void reflux_stage(int group) override;
     void checksum_stage() override;
-    SchedulerCounters scheduler_counters() const override;
     void do_splits(const std::vector<BlockKey>& parents) override;
     void do_merges(const std::vector<BlockKey>& parents) override;
-    int worker_index() override;
 
 private:
     /// Runs fn(i) for i in [0, n) and returns when all have run: in order on

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/timing.hpp"
-#include "core/sched_telemetry.hpp"
 #include "verify/verifier.hpp"
 
 namespace dfamr::core {
@@ -18,6 +17,7 @@ using tasking::out;
 TampiOssDriver::TampiOssDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
                                std::shared_ptr<amr::BlockArena> arena)
     : DriverBase(cfg, comm, tracer, std::move(arena)), rt_(cfg.workers - 1), tampi_(rt_) {
+    runtime_ = &rt_;
     // Task-bound communication uses the same retry/timeout budget as the
     // driver-level hardened operations; a timed-out request surfaces as a
     // CommTimeout at the next taskwait instead of hanging the worker pool.
@@ -365,21 +365,10 @@ void TampiOssDriver::checksum_stage() {
     slot_index_ = 1 - slot_index_;
 }
 
-SchedulerCounters TampiOssDriver::scheduler_counters() const {
-    return to_scheduler_counters(rt_.stats());
-}
-
 void TampiOssDriver::quiesce() {
     // Drain in-flight tasks so the main thread may read field state (live
     // CFL recomputation) without racing the stencil/reflux pipeline.
     rt_.taskwait();
-}
-
-int TampiOssDriver::worker_index() {
-    // Lane 0 is the main thread; runtime worker w maps to lane w + 1, so
-    // tasks record under the worker that executed them, not the spawner.
-    const int w = rt_.worker_index_of_calling_thread();
-    return w >= 0 ? w + 1 : 0;
 }
 
 void TampiOssDriver::drain_checksums() {

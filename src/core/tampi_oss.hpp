@@ -41,7 +41,6 @@ protected:
     void stencil_stage(int group) override;
     void reflux_stage(int group) override;
     void checksum_stage() override;
-    SchedulerCounters scheduler_counters() const override;
     void quiesce() override;
     void final_sync() override;
     void sync_before_refine() override;
@@ -50,7 +49,6 @@ protected:
     void do_merges(const std::vector<BlockKey>& parents) override;
     void transfer_block_data(const std::vector<BlockMove>& sends,
                              const std::vector<BlockMove>& recvs) override;
-    int worker_index() override;
 
 private:
     /// The ghost exchange and the reflux of one direction and variable

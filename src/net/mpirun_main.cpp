@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
             }
             nranks = std::atoi(argv[argi + 1]);
             argi += 2;
-        } else if (a == "--rendezvous_threshold" || a == "--rndv_threshold") {
+        } else if (a == "--rendezvous_threshold") {
             if (argi + 1 >= argc) {
                 usage(argv[0]);
                 return 2;

@@ -64,17 +64,6 @@ amr::BlockKey get_key(Reader& r) {
     return k;
 }
 
-std::vector<std::byte> read_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    DFAMR_REQUIRE(in.good(), "checkpoint: cannot open '" + path + "'");
-    const std::streamsize size = in.tellg();
-    in.seekg(0);
-    std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-    if (size > 0) in.read(reinterpret_cast<char*>(bytes.data()), size);
-    DFAMR_REQUIRE(in.good(), "checkpoint: cannot read '" + path + "'");
-    return bytes;
-}
-
 /// Parses the header; returns the state and leaves `r` positioned at the
 /// per-rank section table.
 CheckpointState parse_header(Reader& r) {
@@ -269,14 +258,20 @@ void write_checkpoint(HardenedComm& comm, const std::string& path, const Checkpo
     if (comm.rank() == 0) write_checkpoint_file(path, image);
 }
 
+std::vector<std::byte> read_checkpoint_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    DFAMR_REQUIRE(in.good(), "checkpoint: cannot open '" + path + "'");
+    const std::streamsize size = in.tellg();
+    in.seekg(0);
+    std::vector<std::byte> bytes(static_cast<std::size_t>(size));
+    if (size > 0) in.read(reinterpret_cast<char*>(bytes.data()), size);
+    DFAMR_REQUIRE(in.good(), "checkpoint: cannot read '" + path + "'");
+    return bytes;
+}
+
 CheckpointState read_checkpoint_state(std::span<const std::byte> image) {
     Reader r{image.data(), image.size()};
     return parse_header(r);
-}
-
-CheckpointState read_checkpoint_state(const std::string& path) {
-    const std::vector<std::byte> bytes = read_file(path);
-    return read_checkpoint_state(std::span<const std::byte>(bytes));
 }
 
 std::vector<std::pair<amr::BlockKey, std::vector<double>>> read_rank_blocks(
@@ -306,12 +301,6 @@ std::vector<std::pair<amr::BlockKey, std::vector<double>>> read_rank_blocks(
         out.emplace_back(key, std::move(data));
     }
     return out;
-}
-
-std::vector<std::pair<amr::BlockKey, std::vector<double>>> read_rank_blocks(
-    const std::string& path, int rank) {
-    const std::vector<std::byte> bytes = read_file(path);
-    return read_rank_blocks(std::span<const std::byte>(bytes), rank);
 }
 
 }  // namespace dfamr::resilience

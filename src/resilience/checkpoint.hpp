@@ -94,11 +94,13 @@ void write_checkpoint_file(const std::string& path, std::span<const std::byte> i
 void write_checkpoint(HardenedComm& comm, const std::string& path, const CheckpointState& state,
                       const std::vector<std::byte>& rank_blob);
 
+/// Reads a whole image file into memory, for the two parsers below.
+/// Throws dfamr::Error when the file cannot be opened or read.
+std::vector<std::byte> read_checkpoint_file(const std::string& path);
+
 /// Validates the header + global state of an in-memory image. Throws
 /// dfamr::Error on a bad magic, unsupported version, or truncated input.
 CheckpointState read_checkpoint_state(std::span<const std::byte> image);
-/// Same, reading the image from a file.
-CheckpointState read_checkpoint_state(const std::string& path);
 
 /// Reads one rank's block section of an in-memory image: (key, cell data)
 /// pairs. Throws dfamr::Error where the section or a count in it does not
@@ -106,8 +108,5 @@ CheckpointState read_checkpoint_state(const std::string& path);
 /// caller's.
 std::vector<std::pair<amr::BlockKey, std::vector<double>>> read_rank_blocks(
     std::span<const std::byte> image, int rank);
-/// Same, reading the image from a file.
-std::vector<std::pair<amr::BlockKey, std::vector<double>>> read_rank_blocks(
-    const std::string& path, int rank);
 
 }  // namespace dfamr::resilience

@@ -17,13 +17,6 @@ std::int64_t steady_now_ns() {
 }
 }  // namespace
 
-int Tampi::trace_lane() const {
-    // Same lane convention as the drivers: main thread -> 0, runtime worker
-    // w -> w + 1, so retries attribute to the worker executing the task.
-    const int w = runtime_.worker_index_of_calling_thread();
-    return w >= 0 ? w + 1 : 0;
-}
-
 Tampi::Tampi(tasking::Runtime& runtime) : runtime_(runtime) {
     service_name_ = "tampi-progress@" + std::to_string(reinterpret_cast<std::uintptr_t>(this));
     runtime_.register_polling_service(service_name_, [this] { return poll(); });
@@ -89,7 +82,7 @@ void Tampi::isend(mpi::Communicator& comm, const void* buf, std::size_t bytes, i
     DFAMR_CHECK_READ(buf, bytes);
     mpi::Request req = hardened_
                            ? resilience::isend_with_retry(comm, buf, bytes, dest, tag, policy_,
-                                                          tracer_, trace_lane())
+                                                          tracer_, runtime_.trace_lane())
                            : comm.isend(buf, bytes, dest, tag);
     bind_current_task(std::move(req), comm.rank(), dest, tag, "isend");
 }
@@ -105,7 +98,7 @@ void Tampi::send(mpi::Communicator& comm, const void* buf, std::size_t bytes, in
     DFAMR_CHECK_READ(buf, bytes);
     mpi::Request req = hardened_
                            ? resilience::isend_with_retry(comm, buf, bytes, dest, tag, policy_,
-                                                          tracer_, trace_lane())
+                                                          tracer_, runtime_.trace_lane())
                            : comm.isend(buf, bytes, dest, tag);
     help_with_deadline(req, "send", comm.rank(), dest, tag);
 }

@@ -79,8 +79,6 @@ public:
 
 private:
     bool poll();
-    /// Trace lane of the calling thread (main -> 0, runtime worker w -> w+1).
-    int trace_lane() const;
 
     struct Bound {
         mpi::Request request;

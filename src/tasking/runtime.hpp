@@ -170,6 +170,13 @@ public:
     int worker_index_of_calling_thread() const {
         return tls_worker_ != nullptr && tls_worker_->owner == this ? tls_worker_->index : -1;
     }
+    /// Lane of the calling thread in per-core timelines: worker w records
+    /// on lane w + 1, any other thread (the owning main thread) on lane 0,
+    /// so tasks record under the worker that EXECUTED them, not the spawner.
+    int trace_lane() const {
+        const int w = worker_index_of_calling_thread();
+        return w >= 0 ? w + 1 : 0;
+    }
 
     RuntimeStats stats() const;
 

@@ -1,10 +1,10 @@
 #include "verify/mc/protocol.hpp"
 
-#include <deque>
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "verify/mc/state_space.hpp"
 
 namespace dfamr::verify::mc {
 
@@ -46,208 +46,264 @@ std::vector<FaultKind> all_fault_kinds() {
 
 namespace {
 
-/// A frame in flight. Only the protocol-relevant fields: kind and seq.
-struct MFrame {
-    std::uint8_t kind = 0;  // net::FrameKind value
-    std::uint8_t seq = 0;   // rendezvous seq (1-based), 0 for eager
+/// A frame in flight. Eager-like frames carry the send-order ids of their
+/// sub-messages (one id for a plain Eager, several for a Coalesced frame);
+/// rendezvous control frames carry their seq.
+struct Frame {
+    net::FrameKind kind = net::FrameKind::Eager;
+    std::uint8_t seq = 0;  // rendezvous seq (1-based), 0 for eager-like
+    std::vector<std::uint8_t> ids;
+
+    bool eager_like() const {
+        return kind == net::FrameKind::Eager || kind == net::FrameKind::Coalesced;
+    }
 };
 
 /// One direction of travel d: peer d is the sender, peer 1-d the receiver.
 /// Cts frames for direction d's transfers travel on channel 1-d but are
 /// bookkept here, with the transfer they grant.
-struct MDir {
+struct Dir {
     std::uint8_t eager_left = 0;
+    std::uint8_t next_id = 1;
     std::uint8_t rndz_left = 0;
-    std::uint8_t drops_left = 0;
     std::uint8_t next_seq = 1;
-    std::uint8_t delivered = 0;
+    std::uint8_t drops_left = 0;
+    std::uint8_t rndz_delivered = 0;
     std::uint8_t stalled = 0;
-    std::vector<MFrame> channel;  // FIFO; [0] is oldest
-    std::vector<MFrame> delayed;  // parked by the Delay fault
-    std::vector<std::uint8_t> sender;    // per seq, SenderState
-    std::vector<std::uint8_t> receiver;  // per seq, ReceiverState
+    std::vector<std::uint8_t> delivered_ids;  // eager ids, arrival order
+    std::vector<Frame> channel;               // FIFO; [0] is oldest
+    std::vector<Frame> delayed;               // parked by the Delay fault
+    std::vector<SenderState> sender;          // per seq
+    std::vector<ReceiverState> receiver;      // per seq
 };
 
-struct MState {
-    MDir dir[2];
+struct State {
+    Dir dir[2];
 
     std::string key() const {
         std::string k;
-        for (const MDir& d : dir) {
+        const auto frame = [&k](const Frame& f) {
+            k += static_cast<char>(f.kind);
+            k += static_cast<char>(f.seq);
+            k += static_cast<char>(f.ids.size());
+            for (std::uint8_t id : f.ids) k += static_cast<char>(id);
+        };
+        for (const Dir& d : dir) {
             k += static_cast<char>(d.eager_left);
+            k += static_cast<char>(d.next_id);
             k += static_cast<char>(d.rndz_left);
-            k += static_cast<char>(d.drops_left);
             k += static_cast<char>(d.next_seq);
-            k += static_cast<char>(d.delivered);
+            k += static_cast<char>(d.drops_left);
+            k += static_cast<char>(d.rndz_delivered);
             k += static_cast<char>(d.stalled);
+            k += static_cast<char>(d.delivered_ids.size());
+            for (std::uint8_t id : d.delivered_ids) k += static_cast<char>(id);
             k += static_cast<char>(d.channel.size());
-            for (const MFrame& f : d.channel) {
-                k += static_cast<char>(f.kind);
-                k += static_cast<char>(f.seq);
-            }
+            for (const Frame& f : d.channel) frame(f);
             k += static_cast<char>(d.delayed.size());
-            for (const MFrame& f : d.delayed) {
-                k += static_cast<char>(f.kind);
-                k += static_cast<char>(f.seq);
-            }
-            for (std::uint8_t s : d.sender) k += static_cast<char>(s);
-            for (std::uint8_t s : d.receiver) k += static_cast<char>(s);
+            for (const Frame& f : d.delayed) frame(f);
+            for (SenderState st : d.sender) k += static_cast<char>(st);
+            for (ReceiverState st : d.receiver) k += static_cast<char>(st);
             k += '|';
         }
         return k;
     }
 };
 
-struct Checker {
+struct FrameModel {
     const ModelOptions& opts;
-    ModelResult& res;
 
-    void fail(bool& flag, const std::string& msg) {
-        if (res.violations.size() < 16) res.violations.push_back(msg);
-        flag = false;
+    /// Faults that leave the channel FIFO: delivery order of eager ids must
+    /// then be globally increasing, coalesced or not. (Drop is pre-wire
+    /// with retry, so nothing that reached the channel moved.)
+    bool fifo_faults() const {
+        return opts.fault == FaultKind::None || opts.fault == FaultKind::Drop ||
+               opts.fault == FaultKind::Stall;
     }
 
-    bool step_sender(MState& s, int d, std::uint8_t seq, SenderEvent ev) {
-        std::uint8_t& st = s.dir[d].sender[seq - 1];
-        const std::uint8_t next = kSenderTable[st][static_cast<int>(ev)];
-        if (next == kInvalidState) {
-            std::ostringstream os;
-            os << "protocol safety: sender machine dir" << d << " seq " << int(seq)
-               << " in state " << to_string(static_cast<SenderState>(st))
-               << " rejects event " << static_cast<int>(ev);
-            fail(res.safe, os.str());
-            return false;
-        }
-        st = next;
-        return true;
-    }
-
-    bool step_receiver(MState& s, int d, std::uint8_t seq, ReceiverEvent ev) {
-        std::uint8_t& st = s.dir[d].receiver[seq - 1];
-        const std::uint8_t next = kReceiverTable[st][static_cast<int>(ev)];
-        if (next == kInvalidState) {
-            std::ostringstream os;
-            os << "protocol safety: receiver machine dir" << d << " seq " << int(seq)
-               << " in state " << to_string(static_cast<ReceiverState>(st))
-               << " rejects event " << static_cast<int>(ev);
-            fail(res.safe, os.str());
-            return false;
-        }
-        st = next;
-        return true;
+    /// Steps the seq'th machine of `machines` (direction d); a rejected
+    /// event is a safety violation.
+    template <class Machine, class Event>
+    static bool advance(std::vector<Machine>& machines, const char* role, int d, std::uint8_t seq,
+                        Event ev, ModelResult& res) {
+        Machine& st = machines[seq - 1];
+        if (step(st, ev)) return true;
+        std::ostringstream os;
+        os << "protocol safety: " << role << " machine dir" << d << " seq " << int(seq)
+           << " in state " << to_string(st) << " rejects event " << static_cast<int>(ev);
+        fail(res, res.safe, os.str());
+        return false;
     }
 
     /// Processes one frame arriving at the receiving end of channel `c` —
-    /// the model twin of FramedTransport::handle_frame, including the synchronous
-    /// Cts / Data enqueues. Returns false on a safety violation (the state
-    /// is then not expanded further).
-    bool process(MState& s, int c, const MFrame& f) {
-        switch (static_cast<net::FrameKind>(f.kind)) {
-            case net::FrameKind::Eager:
-                ++s.dir[c].delivered;
-                return true;
-            case net::FrameKind::Rts: {
+    /// the model twin of FramedTransport::handle_frame, including the
+    /// synchronous Cts / Data enqueues. Unpacks eager-like frames, checking
+    /// the two ordering properties. Returns false on a safety violation
+    /// (the state is then not expanded further).
+    bool process(State& s, int c, const Frame& f, ModelResult& res) const {
+        Dir& d = s.dir[c];
+        if (f.eager_like()) {
+            std::uint8_t prev_in_frame = 0;
+            for (std::uint8_t id : f.ids) {
+                if (id <= prev_in_frame) {
+                    std::ostringstream os;
+                    os << "overtaking inside a coalesced frame: dir " << c << " id " << int(id)
+                       << " after id " << int(prev_in_frame);
+                    fail(res, res.safe, os.str());
+                    return false;
+                }
+                prev_in_frame = id;
+                if (fifo_faults() && !d.delivered_ids.empty() && id <= d.delivered_ids.back()) {
+                    std::ostringstream os;
+                    os << "eager FIFO broken under fault " << to_string(opts.fault) << ": dir "
+                       << c << " id " << int(id) << " after id " << int(d.delivered_ids.back());
+                    fail(res, res.safe, os.str());
+                    return false;
+                }
+                d.delivered_ids.push_back(id);
+            }
+            return true;
+        }
+        // A Cts on channel c grants a transfer of direction t = 1-c.
+        const int t = 1 - c;
+        switch (f.kind) {
+            case net::FrameKind::Rts:
                 // handle_frame reserves the slot and enqueues the Cts grant
                 // synchronously, so both receiver-machine steps happen here.
-                if (!step_receiver(s, c, f.seq, ReceiverEvent::RecvRts)) return false;
-                if (!step_receiver(s, c, f.seq, ReceiverEvent::SendCts)) return false;
-                s.dir[1 - c].channel.push_back(
-                    MFrame{static_cast<std::uint8_t>(net::FrameKind::Cts), f.seq});
+                if (!advance(d.receiver, "receiver", c, f.seq, ReceiverEvent::RecvRts, res) ||
+                    !advance(d.receiver, "receiver", c, f.seq, ReceiverEvent::SendCts, res)) {
+                    return false;
+                }
+                s.dir[t].channel.push_back(Frame{net::FrameKind::Cts, f.seq, {}});
                 return true;
-            }
-            case net::FrameKind::Cts: {
-                // A Cts on channel c grants a transfer of direction 1-c; the
-                // transport enqueues the Data frame synchronously.
-                const int t = 1 - c;
-                if (!step_sender(s, t, f.seq, SenderEvent::RecvCts)) return false;
-                if (!step_sender(s, t, f.seq, SenderEvent::SendData)) return false;
-                s.dir[t].channel.push_back(
-                    MFrame{static_cast<std::uint8_t>(net::FrameKind::Data), f.seq});
+            case net::FrameKind::Cts:
+                if (!advance(s.dir[t].sender, "sender", t, f.seq, SenderEvent::RecvCts, res) ||
+                    !advance(s.dir[t].sender, "sender", t, f.seq, SenderEvent::SendData, res)) {
+                    return false;
+                }
+                s.dir[t].channel.push_back(Frame{net::FrameKind::Data, f.seq, {}});
                 return true;
-            }
-            case net::FrameKind::Data: {
-                if (!step_receiver(s, c, f.seq, ReceiverEvent::RecvData)) return false;
-                ++s.dir[c].delivered;
+            case net::FrameKind::Data:
+                if (!advance(d.receiver, "receiver", c, f.seq, ReceiverEvent::RecvData, res)) {
+                    return false;
+                }
+                ++d.rndz_delivered;
                 return true;
-            }
             default: {
                 std::ostringstream os;
-                os << "protocol safety: unexpected frame kind " << int(f.kind)
-                   << " on channel " << c;
-                fail(res.safe, os.str());
+                os << "protocol safety: unexpected frame kind " << int(f.kind) << " on channel "
+                   << c;
+                fail(res, res.safe, os.str());
                 return false;
             }
         }
     }
 
-    bool is_final(const MState& s) const {
-        for (const MDir& d : s.dir) {
+    bool is_final(const State& s) const {
+        for (const Dir& d : s.dir) {
             if (d.eager_left != 0 || d.rndz_left != 0) return false;
             if (!d.channel.empty() || !d.delayed.empty()) return false;
         }
         return true;
     }
 
-    void check_final(const MState& s) {
+    void check_final(const State& s, ModelResult& res) const {
         ++res.final_states;
-        const int expected = opts.eager_per_direction + opts.rndz_per_direction;
         for (int d = 0; d < 2; ++d) {
-            if (s.dir[d].delivered != expected) {
+            // Every eager id exactly once (order already checked en route).
+            std::vector<std::uint8_t> got = s.dir[d].delivered_ids;
+            std::sort(got.begin(), got.end());
+            bool exact = got.size() == static_cast<std::size_t>(opts.eager_per_direction);
+            for (std::size_t i = 0; exact && i < got.size(); ++i) {
+                exact = got[i] == static_cast<std::uint8_t>(i + 1);
+            }
+            if (!exact) {
                 std::ostringstream os;
-                os << "message leak: direction " << d << " delivered "
-                   << int(s.dir[d].delivered) << " of " << expected;
-                fail(res.leak_free, os.str());
+                os << "eager leak: direction " << d << " delivered " << got.size() << " of "
+                   << opts.eager_per_direction << " ids (or a duplicate)";
+                fail(res, res.leak_free, os.str());
+            }
+            if (s.dir[d].rndz_delivered != opts.rndz_per_direction) {
+                std::ostringstream os;
+                os << "rendezvous leak: direction " << d << " delivered "
+                   << int(s.dir[d].rndz_delivered) << " of " << opts.rndz_per_direction;
+                fail(res, res.leak_free, os.str());
             }
             for (std::size_t i = 0; i < s.dir[d].sender.size(); ++i) {
-                if (s.dir[d].sender[i] != static_cast<std::uint8_t>(SenderState::Done) ||
-                    s.dir[d].receiver[i] != static_cast<std::uint8_t>(ReceiverState::Done)) {
+                if (s.dir[d].sender[i] != SenderState::Done ||
+                    s.dir[d].receiver[i] != ReceiverState::Done) {
                     std::ostringstream os;
                     os << "credit violation: dir " << d << " seq " << (i + 1)
-                       << " ended sender=" << to_string(static_cast<SenderState>(s.dir[d].sender[i]))
-                       << " receiver="
-                       << to_string(static_cast<ReceiverState>(s.dir[d].receiver[i]));
-                    fail(res.credits_ok, os.str());
+                       << " ended sender=" << to_string(s.dir[d].sender[i])
+                       << " receiver=" << to_string(s.dir[d].receiver[i]);
+                    fail(res, res.credits_ok, os.str());
                 }
             }
         }
     }
 
-    /// All successor states of `s`. An empty result for a non-final state
-    /// is a deadlock.
-    std::vector<MState> successors(const MState& s) {
-        std::vector<MState> out;
+    std::string describe(const State& s) const {
+        std::ostringstream os;
+        os << "(ch0=" << s.dir[0].channel.size() << " ch1=" << s.dir[1].channel.size()
+           << " eager=" << int(s.dir[0].eager_left) << "/" << int(s.dir[1].eager_left) << ")";
+        return os.str();
+    }
+
+    std::vector<State> successors(const State& s, ModelResult& res) const {
+        std::vector<State> out;
         for (int d = 0; d < 2; ++d) {
-            const MDir& dir = s.dir[d];
-            // App-layer sends.
+            const Dir& dir = s.dir[d];
+            // App-layer sends. Ids are assigned when the send succeeds;
+            // FaultPlan drops a message before it reaches the wire and the
+            // sender retries, so a drop consumes neither a send nor an id.
             if (dir.eager_left > 0) {
-                MState n = s;
-                --n.dir[d].eager_left;
-                n.dir[d].channel.push_back(
-                    MFrame{static_cast<std::uint8_t>(net::FrameKind::Eager), 0});
+                State n = s;
+                Dir& nd = n.dir[d];
+                --nd.eager_left;
+                nd.channel.push_back(Frame{net::FrameKind::Eager, 0, {nd.next_id}});
+                ++nd.next_id;
                 out.push_back(std::move(n));
                 if (opts.fault == FaultKind::Drop && dir.drops_left > 0) {
-                    // FaultPlan drops the message before it reaches the
-                    // wire; the sender retries, so eager_left stays.
-                    MState dn = s;
+                    State dn = s;
                     --dn.dir[d].drops_left;
                     out.push_back(std::move(dn));
                 }
             }
             if (dir.rndz_left > 0) {
-                MState n = s;
-                MDir& nd = n.dir[d];
+                State n = s;
+                Dir& nd = n.dir[d];
                 --nd.rndz_left;
                 const std::uint8_t seq = nd.next_seq++;
-                if (step_sender(n, d, seq, SenderEvent::SendRts)) {
-                    nd.channel.push_back(
-                        MFrame{static_cast<std::uint8_t>(net::FrameKind::Rts), seq});
+                if (advance(nd.sender, "sender", d, seq, SenderEvent::SendRts, res)) {
+                    nd.channel.push_back(Frame{net::FrameKind::Rts, seq, {}});
                     out.push_back(std::move(n));
                 }
                 if (opts.fault == FaultKind::Drop && dir.drops_left > 0) {
-                    MState dn = s;
+                    State dn = s;
                     --dn.dir[d].drops_left;
                     out.push_back(std::move(dn));
                 }
+            }
+            // The writer: merge two ADJACENT eager-like frames into one
+            // Coalesced frame. A control frame in between blocks the merge,
+            // mirroring pop_write_batch stopping at the first non-Eager
+            // frame for the destination. (The real writer merges only at
+            // the queue head; allowing any adjacent pair over-approximates,
+            // checking strictly more interleavings.)
+            for (std::size_t i = 0; i + 1 < dir.channel.size(); ++i) {
+                const Frame& a = dir.channel[i];
+                const Frame& b = dir.channel[i + 1];
+                if (!a.eager_like() || !b.eager_like()) continue;
+                if (a.ids.size() + b.ids.size() > static_cast<std::size_t>(opts.batch_cap)) {
+                    continue;
+                }
+                State n = s;
+                Frame merged{net::FrameKind::Coalesced, 0, a.ids};
+                merged.ids.insert(merged.ids.end(), b.ids.begin(), b.ids.end());
+                auto& ch = n.dir[d].channel;
+                ch[i] = std::move(merged);
+                ch.erase(ch.begin() + static_cast<std::ptrdiff_t>(i + 1));
+                out.push_back(std::move(n));
             }
             // Deliveries. TCP is FIFO per connection: only the channel head
             // is deliverable — except under Reorder, which models the
@@ -256,35 +312,35 @@ struct Checker {
                 const std::size_t limit =
                     opts.fault == FaultKind::Reorder ? dir.channel.size() : 1;
                 for (std::size_t i = 0; i < limit; ++i) {
-                    MState n = s;
-                    const MFrame f = n.dir[d].channel[i];
+                    State n = s;
+                    const Frame f = n.dir[d].channel[i];
                     n.dir[d].channel.erase(n.dir[d].channel.begin() +
                                            static_cast<std::ptrdiff_t>(i));
-                    if (process(n, d, f)) out.push_back(std::move(n));
+                    if (process(n, d, f, res)) out.push_back(std::move(n));
                 }
             }
             // Delay: park the head, let later frames overtake it.
             if (opts.fault == FaultKind::Delay && !dir.channel.empty() &&
                 static_cast<int>(dir.delayed.size()) < opts.max_delay_slots) {
-                MState n = s;
+                State n = s;
                 n.dir[d].delayed.push_back(n.dir[d].channel.front());
                 n.dir[d].channel.erase(n.dir[d].channel.begin());
                 out.push_back(std::move(n));
             }
             if (!dir.delayed.empty() && dir.stalled == 0) {
                 for (std::size_t i = 0; i < dir.delayed.size(); ++i) {
-                    MState n = s;
-                    const MFrame f = n.dir[d].delayed[i];
+                    State n = s;
+                    const Frame f = n.dir[d].delayed[i];
                     n.dir[d].delayed.erase(n.dir[d].delayed.begin() +
                                            static_cast<std::ptrdiff_t>(i));
-                    if (process(n, d, f)) out.push_back(std::move(n));
+                    if (process(n, d, f, res)) out.push_back(std::move(n));
                 }
             }
             // Stall: an explicit delivery gate per direction. (With fully
             // asynchronous delivery a stalled phase is also subsumed by
             // interleaving; the gate makes those phases explicit states.)
             if (opts.fault == FaultKind::Stall) {
-                MState n = s;
+                State n = s;
                 n.dir[d].stalled = dir.stalled == 0 ? 1 : 0;
                 out.push_back(std::move(n));
             }
@@ -296,52 +352,19 @@ struct Checker {
 }  // namespace
 
 ModelResult check_protocol(const ModelOptions& opts) {
-    DFAMR_REQUIRE(opts.rndz_per_direction <= 200, "mc: rndz workload too large for seq encoding");
-    ModelResult res;
-    Checker chk{opts, res};
-
-    MState init;
-    for (int d = 0; d < 2; ++d) {
-        init.dir[d].eager_left = static_cast<std::uint8_t>(opts.eager_per_direction);
-        init.dir[d].rndz_left = static_cast<std::uint8_t>(opts.rndz_per_direction);
-        init.dir[d].drops_left =
+    DFAMR_REQUIRE(opts.eager_per_direction <= 200 && opts.rndz_per_direction <= 200,
+                  "mc: workload too large for id encoding");
+    DFAMR_REQUIRE(opts.batch_cap >= 1, "mc: batch_cap must be at least 1");
+    State init;
+    for (Dir& d : init.dir) {
+        d.eager_left = static_cast<std::uint8_t>(opts.eager_per_direction);
+        d.rndz_left = static_cast<std::uint8_t>(opts.rndz_per_direction);
+        d.drops_left =
             opts.fault == FaultKind::Drop ? static_cast<std::uint8_t>(opts.max_extra_drops) : 0;
-        init.dir[d].sender.assign(static_cast<std::size_t>(opts.rndz_per_direction),
-                                  static_cast<std::uint8_t>(SenderState::Idle));
-        init.dir[d].receiver.assign(static_cast<std::size_t>(opts.rndz_per_direction),
-                                    static_cast<std::uint8_t>(ReceiverState::Idle));
+        d.sender.assign(static_cast<std::size_t>(opts.rndz_per_direction), SenderState::Idle);
+        d.receiver.assign(static_cast<std::size_t>(opts.rndz_per_direction), ReceiverState::Idle);
     }
-
-    std::set<std::string> visited;
-    std::deque<MState> frontier;
-    visited.insert(init.key());
-    frontier.push_back(std::move(init));
-    while (!frontier.empty()) {
-        MState s = std::move(frontier.front());
-        frontier.pop_front();
-        ++res.states_explored;
-        if (chk.is_final(s)) {
-            chk.check_final(s);
-            // Stall-gate toggles can still move; no need to expand further
-            // from a final state.
-            continue;
-        }
-        std::vector<MState> next = chk.successors(s);
-        if (next.empty()) {
-            std::ostringstream os;
-            os << "deadlock: no enabled action (ch0=" << s.dir[0].channel.size()
-               << " ch1=" << s.dir[1].channel.size() << " eager=" << int(s.dir[0].eager_left)
-               << "/" << int(s.dir[1].eager_left) << ")";
-            chk.fail(res.deadlock_free, os.str());
-            continue;
-        }
-        for (MState& n : next) {
-            ++res.transitions;
-            std::string key = n.key();
-            if (visited.insert(std::move(key)).second) frontier.push_back(std::move(n));
-        }
-    }
-    return res;
+    return explore_states(FrameModel{opts}, std::move(init));
 }
 
 std::string ModelResult::to_string() const {
@@ -361,140 +384,74 @@ void WireChecker::violation(std::string msg) {
     if (violations_.size() < 64) violations_.push_back(std::move(msg));
 }
 
-void WireChecker::on_frame_sent(int dest, const net::FrameHeader& h) {
-    std::lock_guard lock(mutex_);
-    ++frames_;
-    Direction& dir = out_dir_[dest];
-    std::ostringstream pre;
-    pre << "rank " << rank_ << " -> " << dest << ": ";
-    if (dir.saw_bye) violation(pre.str() + "frame after Bye");
-    switch (h.kind) {
-        case net::FrameKind::Hello:
-            if (dir.saw_frame) violation(pre.str() + "Hello not first in direction");
-            dir.saw_hello = true;
-            break;
-        case net::FrameKind::Bye:
-            dir.saw_bye = true;
-            break;
-        case net::FrameKind::Eager:
-            break;
-        case net::FrameKind::Coalesced:
-            // A batch of eager sub-messages: protocol-neutral like Eager (the
-            // sub-message table is validated structurally by the transport).
-            break;
-        case net::FrameKind::Rts: {
-            SenderState& st = sending_.try_emplace({dest, h.seq}, SenderState::Idle)
-                                  .first->second;
-            const std::uint8_t next =
-                kSenderTable[static_cast<int>(st)][static_cast<int>(SenderEvent::SendRts)];
-            if (next == kInvalidState) {
-                violation(pre.str() + "Rts seq " + std::to_string(h.seq) + " in state " +
-                          to_string(st));
-            } else {
-                st = static_cast<SenderState>(next);
-            }
-            break;
-        }
-        case net::FrameKind::Data: {
-            auto it = sending_.find({dest, h.seq});
-            if (it == sending_.end()) {
-                violation(pre.str() + "Data seq " + std::to_string(h.seq) + " without Rts");
-                break;
-            }
-            const std::uint8_t next = kSenderTable[static_cast<int>(it->second)]
-                                                  [static_cast<int>(SenderEvent::SendData)];
-            if (next == kInvalidState) {
-                violation(pre.str() + "Data seq " + std::to_string(h.seq) + " in state " +
-                          to_string(it->second));
-            } else {
-                it->second = static_cast<SenderState>(next);
-            }
-            break;
-        }
-        case net::FrameKind::Cts: {
-            auto it = receiving_.find({dest, h.seq});
-            if (it == receiving_.end()) {
-                violation(pre.str() + "Cts seq " + std::to_string(h.seq) + " without Rts");
-                break;
-            }
-            const std::uint8_t next = kReceiverTable[static_cast<int>(it->second)]
-                                                    [static_cast<int>(ReceiverEvent::SendCts)];
-            if (next == kInvalidState) {
-                violation(pre.str() + "Cts seq " + std::to_string(h.seq) + " in state " +
-                          to_string(it->second));
-            } else {
-                it->second = static_cast<ReceiverState>(next);
-            }
-            break;
-        }
-    }
-    dir.saw_frame = true;
-}
+void WireChecker::on_frame_sent(int dest, const net::FrameHeader& h) { on_frame(true, dest, h); }
 
 void WireChecker::on_frame_received(int src, const net::FrameHeader& h) {
+    on_frame(false, src, h);
+}
+
+/// Steps the (peer, seq) machine of `machines`. An Rts (`unknown` null)
+/// opens it; any other frame for a machine never opened is a violation
+/// named by `unknown`.
+template <class Machine, class Event>
+void WireChecker::advance(Machines<Machine>& machines, int peer, std::uint32_t seq, Event ev,
+                          const std::string& what, const char* unknown) {
+    const auto it = unknown == nullptr ? machines.try_emplace({peer, seq}, Machine::Idle).first
+                                       : machines.find({peer, seq});
+    if (it == machines.end()) {
+        violation(what + unknown);
+    } else if (!step(it->second, ev)) {
+        violation(what + " in state " + to_string(it->second));
+    }
+}
+
+void WireChecker::on_frame(bool sent, int peer, const net::FrameHeader& h) {
     std::lock_guard lock(mutex_);
     ++frames_;
-    Direction& dir = in_dir_[src];
-    std::ostringstream pre;
-    pre << "rank " << rank_ << " <- " << src << ": ";
-    if (dir.saw_bye) violation(pre.str() + "frame after Bye");
+    Direction& dir = (sent ? out_dir_ : in_dir_)[peer];
+    const std::string pre =
+        "rank " + std::to_string(rank_) + (sent ? " -> " : " <- ") + std::to_string(peer) + ": ";
+    const std::string seq = " seq " + std::to_string(h.seq);
+    if (dir.saw_bye) violation(pre + "frame after Bye");
     switch (h.kind) {
         case net::FrameKind::Hello:
-            if (dir.saw_frame) violation(pre.str() + "Hello not first in direction");
-            dir.saw_hello = true;
+            if (dir.saw_frame) violation(pre + "Hello not first in direction");
             break;
         case net::FrameKind::Bye:
             dir.saw_bye = true;
             break;
         case net::FrameKind::Eager:
-            break;
         case net::FrameKind::Coalesced:
+            // A Coalesced frame is a batch of eager sub-messages: protocol-
+            // neutral like Eager (the transport validates its sub-message
+            // table structurally).
             break;
-        case net::FrameKind::Rts: {
-            ReceiverState& st = receiving_.try_emplace({src, h.seq}, ReceiverState::Idle)
-                                    .first->second;
-            const std::uint8_t next =
-                kReceiverTable[static_cast<int>(st)][static_cast<int>(ReceiverEvent::RecvRts)];
-            if (next == kInvalidState) {
-                violation(pre.str() + "Rts seq " + std::to_string(h.seq) + " in state " +
-                          to_string(st));
+        case net::FrameKind::Rts:
+            if (sent) {
+                advance(sending_, peer, h.seq, SenderEvent::SendRts, pre + "Rts" + seq, nullptr);
             } else {
-                st = static_cast<ReceiverState>(next);
+                advance(receiving_, peer, h.seq, ReceiverEvent::RecvRts, pre + "Rts" + seq,
+                        nullptr);
             }
             break;
-        }
-        case net::FrameKind::Cts: {
-            auto it = sending_.find({src, h.seq});
-            if (it == sending_.end()) {
-                violation(pre.str() + "Cts seq " + std::to_string(h.seq) + " for unknown Rts");
-                break;
-            }
-            const std::uint8_t next = kSenderTable[static_cast<int>(it->second)]
-                                                  [static_cast<int>(SenderEvent::RecvCts)];
-            if (next == kInvalidState) {
-                violation(pre.str() + "Cts seq " + std::to_string(h.seq) + " in state " +
-                          to_string(it->second));
+        case net::FrameKind::Cts:
+            if (sent) {
+                advance(receiving_, peer, h.seq, ReceiverEvent::SendCts, pre + "Cts" + seq,
+                        " without Rts");
             } else {
-                it->second = static_cast<SenderState>(next);
+                advance(sending_, peer, h.seq, SenderEvent::RecvCts, pre + "Cts" + seq,
+                        " for unknown Rts");
             }
             break;
-        }
-        case net::FrameKind::Data: {
-            auto it = receiving_.find({src, h.seq});
-            if (it == receiving_.end()) {
-                violation(pre.str() + "Data seq " + std::to_string(h.seq) + " without Rts");
-                break;
-            }
-            const std::uint8_t next = kReceiverTable[static_cast<int>(it->second)]
-                                                    [static_cast<int>(ReceiverEvent::RecvData)];
-            if (next == kInvalidState) {
-                violation(pre.str() + "Data seq " + std::to_string(h.seq) + " in state " +
-                          to_string(it->second));
+        case net::FrameKind::Data:
+            if (sent) {
+                advance(sending_, peer, h.seq, SenderEvent::SendData, pre + "Data" + seq,
+                        " without Rts");
             } else {
-                it->second = static_cast<ReceiverState>(next);
+                advance(receiving_, peer, h.seq, ReceiverEvent::RecvData, pre + "Data" + seq,
+                        " without Rts");
             }
             break;
-        }
     }
     dir.saw_frame = true;
 }

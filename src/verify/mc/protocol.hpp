@@ -2,26 +2,36 @@
 // transports of src/net (wire.hpp + framed_transport.cpp).
 //
 // The protocol is encoded ONCE as explicit transition tables
-// (sender_table / receiver_table / channel phase rules) and consumed by two
-// clients:
+// (kSenderTable / kReceiverTable), stepped by one function per table,
+// step(), and consumed by two clients:
 //
-//  * check_protocol(): an explicit-state model checker. Two peers run a
-//    fixed workload of eager and rendezvous transfers over per-direction
-//    FIFO channels; BFS enumerates every reachable interleaving of send,
-//    deliver and fault actions under one FaultKind perturbation
-//    (drop / delay / reorder / stall, mirroring resilience::FaultPlan), and
-//    proves three properties over the full state space:
+//  * check_protocol(): an explicit-state model checker of one frame-level
+//    model. Two peers exchange eager messages (each carrying a send-order
+//    id) and rendezvous transfers over per-direction FIFO channels; a
+//    breadth-first search (state_space.hpp) enumerates every reachable
+//    interleaving of send, deliver and fault actions under one FaultKind
+//    perturbation (drop / delay / reorder / stall, mirroring
+//    resilience::FaultPlan). With batch_cap >= 2 a COALESCE action also
+//    merges two adjacent eager-like frames of a channel into one
+//    Coalesced frame, like the writer thread batching consecutive
+//    same-dest Eager frames (a control frame in between blocks the
+//    merge); batch_cap 1 merges nothing. Proved over the full state space:
 //      - safety: every frame event is legal per the transition tables,
-//      - deadlock-freedom: every non-final state has an enabled action,
-//      - leak-freedom + credit conservation: in every final state all
-//        messages arrived exactly once and every rendezvous machine is
-//        Done (each Rts got exactly one Cts, each Cts exactly one Data).
+//        and the sub-message ids inside any delivered frame increase
+//        (no overtaking inside a coalesced frame);
+//      - FIFO: under faults that keep the channel in order (none / drop /
+//        stall) each direction's eager ids arrive in send order;
+//      - deadlock-freedom: every non-final state has an enabled action;
+//      - leak-freedom + credit conservation: in every final state every
+//        eager id and rendezvous payload arrived exactly once and every
+//        rendezvous machine is Done (each Rts got exactly one Cts, each
+//        Cts exactly one Data).
 //    Stall is modelled with an explicit per-direction gate; with fully
 //    asynchronous delivery a stalled phase is also subsumed by plain
 //    interleaving, so this mostly documents that fact in the state space.
 //
 //  * WireChecker: a net::WireObserver that validates LIVE traffic frame by
-//    frame against the same tables. mpisim attaches one per endpoint under
+//    frame through the same step(). mpisim attaches one per endpoint under
 //    DFAMR_VERIFY; a safety violation aborts the world at shutdown, a
 //    rendezvous leak is reported only when the world shut down cleanly
 //    (a killed peer legitimately strands its in-flight transfers).
@@ -68,6 +78,22 @@ constexpr std::uint8_t kReceiverTable[4][3] = {
     /* Done         */ {kInvalidState, kInvalidState, kInvalidState},
 };
 
+/// Steps one rendezvous machine by `ev` per its table. A rejected event
+/// (kInvalidState) leaves `st` as it was and returns false.
+inline bool step(SenderState& st, SenderEvent ev) {
+    const std::uint8_t next = kSenderTable[static_cast<int>(st)][static_cast<int>(ev)];
+    if (next == kInvalidState) return false;
+    st = static_cast<SenderState>(next);
+    return true;
+}
+
+inline bool step(ReceiverState& st, ReceiverEvent ev) {
+    const std::uint8_t next = kReceiverTable[static_cast<int>(st)][static_cast<int>(ev)];
+    if (next == kInvalidState) return false;
+    st = static_cast<ReceiverState>(next);
+    return true;
+}
+
 const char* to_string(SenderState s);
 const char* to_string(ReceiverState s);
 
@@ -85,6 +111,7 @@ struct ModelOptions {
     FaultKind fault = FaultKind::None;
     int eager_per_direction = 1;
     int rndz_per_direction = 2;  // two seqs exercise credit bookkeeping
+    int batch_cap = 1;           // max sub-messages per frame; 1 = no merges
     int max_extra_drops = 1;     // Drop: bounded pre-wire drops, like FaultPlan
     int max_delay_slots = 1;     // Delay: frames parked in flight at once
 };
@@ -103,7 +130,7 @@ struct ModelResult {
     std::string to_string() const;
 };
 
-/// Exhaustively explores the 2-peer protocol model under `opts`.
+/// Exhaustively explores the 2-peer frame model under `opts`.
 ModelResult check_protocol(const ModelOptions& opts);
 
 // ----- live-traffic checker -------------------------------------------------
@@ -128,10 +155,16 @@ public:
 private:
     struct Direction {
         bool saw_frame = false;
-        bool saw_hello = false;
         bool saw_bye = false;
     };
 
+    template <class Machine>
+    using Machines = std::map<std::pair<int, std::uint32_t>, Machine>;  // (peer, seq)
+
+    void on_frame(bool sent, int peer, const net::FrameHeader& h);
+    template <class Machine, class Event>
+    void advance(Machines<Machine>& machines, int peer, std::uint32_t seq, Event ev,
+                 const std::string& what, const char* unknown);
     void violation(std::string msg);
 
     const int rank_;
@@ -139,8 +172,8 @@ private:
     std::uint64_t frames_ = 0;
     std::map<int, Direction> out_dir_;  // by peer
     std::map<int, Direction> in_dir_;
-    std::map<std::pair<int, std::uint32_t>, SenderState> sending_;    // (peer, seq)
-    std::map<std::pair<int, std::uint32_t>, ReceiverState> receiving_;
+    Machines<SenderState> sending_;
+    Machines<ReceiverState> receiving_;
     std::vector<std::string> violations_;
 };
 

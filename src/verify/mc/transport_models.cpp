@@ -1,376 +1,12 @@
 #include "verify/mc/transport_models.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "verify/mc/state_space.hpp"
 
 namespace dfamr::verify::mc {
-
-// ----- coalesced-frame model ------------------------------------------------
-
-namespace {
-
-/// A frame in flight. Eager-like frames carry the send-order ids of their
-/// sub-messages (one id for a plain Eager, several for a Coalesced frame);
-/// rendezvous control frames carry their seq like in check_protocol.
-struct CFrame {
-    std::uint8_t kind = 0;  // net::FrameKind value
-    std::uint8_t seq = 0;   // rendezvous seq (1-based), 0 for eager-like
-    std::vector<std::uint8_t> ids;
-
-    bool eager_like() const {
-        return kind == static_cast<std::uint8_t>(net::FrameKind::Eager) ||
-               kind == static_cast<std::uint8_t>(net::FrameKind::Coalesced);
-    }
-};
-
-struct CDir {
-    std::uint8_t eager_left = 0;
-    std::uint8_t next_id = 1;
-    std::uint8_t rndz_left = 0;
-    std::uint8_t next_seq = 1;
-    std::uint8_t drops_left = 0;
-    std::uint8_t rndz_delivered = 0;
-    std::uint8_t stalled = 0;
-    std::vector<std::uint8_t> delivered_ids;  // eager ids, arrival order
-    std::vector<CFrame> channel;              // FIFO; [0] is oldest
-    std::vector<CFrame> delayed;              // parked by the Delay fault
-    std::vector<std::uint8_t> sender;         // per seq, SenderState
-    std::vector<std::uint8_t> receiver;       // per seq, ReceiverState
-};
-
-struct CState {
-    CDir dir[2];
-
-    std::string key() const {
-        std::string k;
-        const auto frame = [&k](const CFrame& f) {
-            k += static_cast<char>(f.kind);
-            k += static_cast<char>(f.seq);
-            k += static_cast<char>(f.ids.size());
-            for (std::uint8_t id : f.ids) k += static_cast<char>(id);
-        };
-        for (const CDir& d : dir) {
-            k += static_cast<char>(d.eager_left);
-            k += static_cast<char>(d.next_id);
-            k += static_cast<char>(d.rndz_left);
-            k += static_cast<char>(d.next_seq);
-            k += static_cast<char>(d.drops_left);
-            k += static_cast<char>(d.rndz_delivered);
-            k += static_cast<char>(d.stalled);
-            k += static_cast<char>(d.delivered_ids.size());
-            for (std::uint8_t id : d.delivered_ids) k += static_cast<char>(id);
-            k += static_cast<char>(d.channel.size());
-            for (const CFrame& f : d.channel) frame(f);
-            k += static_cast<char>(d.delayed.size());
-            for (const CFrame& f : d.delayed) frame(f);
-            for (std::uint8_t s : d.sender) k += static_cast<char>(s);
-            for (std::uint8_t s : d.receiver) k += static_cast<char>(s);
-            k += '|';
-        }
-        return k;
-    }
-};
-
-struct CoalescedChecker {
-    const CoalescedModelOptions& opts;
-    ModelResult& res;
-
-    /// Faults that leave the channel FIFO: delivery order of eager ids must
-    /// then be globally increasing, coalesced or not. (Drop is pre-wire
-    /// with retry, so nothing that reached the channel moved.)
-    bool fifo_faults() const {
-        return opts.fault == FaultKind::None || opts.fault == FaultKind::Drop ||
-               opts.fault == FaultKind::Stall;
-    }
-
-    void fail(bool& flag, const std::string& msg) {
-        if (res.violations.size() < 16) res.violations.push_back(msg);
-        flag = false;
-    }
-
-    bool step_sender(CState& s, int d, std::uint8_t seq, SenderEvent ev) {
-        std::uint8_t& st = s.dir[d].sender[seq - 1];
-        const std::uint8_t next = kSenderTable[st][static_cast<int>(ev)];
-        if (next == kInvalidState) {
-            std::ostringstream os;
-            os << "coalesced safety: sender machine dir" << d << " seq " << int(seq)
-               << " in state " << to_string(static_cast<SenderState>(st)) << " rejects event "
-               << static_cast<int>(ev);
-            fail(res.safe, os.str());
-            return false;
-        }
-        st = next;
-        return true;
-    }
-
-    bool step_receiver(CState& s, int d, std::uint8_t seq, ReceiverEvent ev) {
-        std::uint8_t& st = s.dir[d].receiver[seq - 1];
-        const std::uint8_t next = kReceiverTable[st][static_cast<int>(ev)];
-        if (next == kInvalidState) {
-            std::ostringstream os;
-            os << "coalesced safety: receiver machine dir" << d << " seq " << int(seq)
-               << " in state " << to_string(static_cast<ReceiverState>(st)) << " rejects event "
-               << static_cast<int>(ev);
-            fail(res.safe, os.str());
-            return false;
-        }
-        st = next;
-        return true;
-    }
-
-    /// Model twin of handle_frame: unpacks eager-like frames (checking the
-    /// two ordering properties) and runs the rendezvous machines.
-    bool process(CState& s, int c, const CFrame& f) {
-        if (f.eager_like()) {
-            CDir& d = s.dir[c];
-            std::uint8_t prev_in_frame = 0;
-            for (std::uint8_t id : f.ids) {
-                if (id <= prev_in_frame) {
-                    std::ostringstream os;
-                    os << "overtaking inside a coalesced frame: dir " << c << " id " << int(id)
-                       << " after id " << int(prev_in_frame);
-                    fail(res.safe, os.str());
-                    return false;
-                }
-                prev_in_frame = id;
-                if (fifo_faults() && !d.delivered_ids.empty() && id <= d.delivered_ids.back()) {
-                    std::ostringstream os;
-                    os << "coalescing broke FIFO under fault " << to_string(opts.fault)
-                       << ": dir " << c << " id " << int(id) << " after id "
-                       << int(d.delivered_ids.back());
-                    fail(res.safe, os.str());
-                    return false;
-                }
-                d.delivered_ids.push_back(id);
-            }
-            return true;
-        }
-        switch (static_cast<net::FrameKind>(f.kind)) {
-            case net::FrameKind::Rts: {
-                if (!step_receiver(s, c, f.seq, ReceiverEvent::RecvRts)) return false;
-                if (!step_receiver(s, c, f.seq, ReceiverEvent::SendCts)) return false;
-                s.dir[1 - c].channel.push_back(
-                    CFrame{static_cast<std::uint8_t>(net::FrameKind::Cts), f.seq, {}});
-                return true;
-            }
-            case net::FrameKind::Cts: {
-                const int t = 1 - c;
-                if (!step_sender(s, t, f.seq, SenderEvent::RecvCts)) return false;
-                if (!step_sender(s, t, f.seq, SenderEvent::SendData)) return false;
-                s.dir[t].channel.push_back(
-                    CFrame{static_cast<std::uint8_t>(net::FrameKind::Data), f.seq, {}});
-                return true;
-            }
-            case net::FrameKind::Data: {
-                if (!step_receiver(s, c, f.seq, ReceiverEvent::RecvData)) return false;
-                ++s.dir[c].rndz_delivered;
-                return true;
-            }
-            default: {
-                std::ostringstream os;
-                os << "coalesced safety: unexpected frame kind " << int(f.kind) << " on channel "
-                   << c;
-                fail(res.safe, os.str());
-                return false;
-            }
-        }
-    }
-
-    bool is_final(const CState& s) const {
-        for (const CDir& d : s.dir) {
-            if (d.eager_left != 0 || d.rndz_left != 0) return false;
-            if (!d.channel.empty() || !d.delayed.empty()) return false;
-        }
-        return true;
-    }
-
-    void check_final(const CState& s) {
-        ++res.final_states;
-        for (int d = 0; d < 2; ++d) {
-            // Every eager id exactly once (order already checked en route).
-            std::vector<std::uint8_t> got = s.dir[d].delivered_ids;
-            std::sort(got.begin(), got.end());
-            bool exact = got.size() == static_cast<std::size_t>(opts.eager_per_direction);
-            for (std::size_t i = 0; exact && i < got.size(); ++i) {
-                exact = got[i] == static_cast<std::uint8_t>(i + 1);
-            }
-            if (!exact) {
-                std::ostringstream os;
-                os << "eager leak: direction " << d << " delivered " << got.size() << " of "
-                   << opts.eager_per_direction << " ids (or a duplicate)";
-                fail(res.leak_free, os.str());
-            }
-            if (s.dir[d].rndz_delivered != opts.rndz_per_direction) {
-                std::ostringstream os;
-                os << "rendezvous leak: direction " << d << " delivered "
-                   << int(s.dir[d].rndz_delivered) << " of " << opts.rndz_per_direction;
-                fail(res.leak_free, os.str());
-            }
-            for (std::size_t i = 0; i < s.dir[d].sender.size(); ++i) {
-                if (s.dir[d].sender[i] != static_cast<std::uint8_t>(SenderState::Done) ||
-                    s.dir[d].receiver[i] != static_cast<std::uint8_t>(ReceiverState::Done)) {
-                    std::ostringstream os;
-                    os << "credit violation: dir " << d << " seq " << (i + 1) << " ended sender="
-                       << to_string(static_cast<SenderState>(s.dir[d].sender[i])) << " receiver="
-                       << to_string(static_cast<ReceiverState>(s.dir[d].receiver[i]));
-                    fail(res.credits_ok, os.str());
-                }
-            }
-        }
-    }
-
-    std::vector<CState> successors(const CState& s) {
-        std::vector<CState> out;
-        for (int d = 0; d < 2; ++d) {
-            const CDir& dir = s.dir[d];
-            // App-layer sends (ids are assigned when the send succeeds; a
-            // dropped attempt is retried, so no id is consumed).
-            if (dir.eager_left > 0) {
-                CState n = s;
-                CDir& nd = n.dir[d];
-                --nd.eager_left;
-                nd.channel.push_back(CFrame{static_cast<std::uint8_t>(net::FrameKind::Eager), 0,
-                                            {nd.next_id}});
-                ++nd.next_id;
-                out.push_back(std::move(n));
-                if (opts.fault == FaultKind::Drop && dir.drops_left > 0) {
-                    CState dn = s;
-                    --dn.dir[d].drops_left;
-                    out.push_back(std::move(dn));
-                }
-            }
-            if (dir.rndz_left > 0) {
-                CState n = s;
-                CDir& nd = n.dir[d];
-                --nd.rndz_left;
-                const std::uint8_t seq = nd.next_seq++;
-                if (step_sender(n, d, seq, SenderEvent::SendRts)) {
-                    nd.channel.push_back(
-                        CFrame{static_cast<std::uint8_t>(net::FrameKind::Rts), seq, {}});
-                    out.push_back(std::move(n));
-                }
-                if (opts.fault == FaultKind::Drop && dir.drops_left > 0) {
-                    CState dn = s;
-                    --dn.dir[d].drops_left;
-                    out.push_back(std::move(dn));
-                }
-            }
-            // The writer: merge two ADJACENT eager-like frames into one
-            // Coalesced frame. A control frame in between blocks the merge,
-            // mirroring pop_write_batch stopping at the first non-Eager
-            // frame for the destination. (The real writer merges only at
-            // the queue head; allowing any adjacent pair over-approximates,
-            // checking strictly more interleavings.)
-            for (std::size_t i = 0; i + 1 < dir.channel.size(); ++i) {
-                const CFrame& a = dir.channel[i];
-                const CFrame& b = dir.channel[i + 1];
-                if (!a.eager_like() || !b.eager_like()) continue;
-                if (a.ids.size() + b.ids.size() > static_cast<std::size_t>(opts.batch_cap)) {
-                    continue;
-                }
-                CState n = s;
-                CFrame merged{static_cast<std::uint8_t>(net::FrameKind::Coalesced), 0, a.ids};
-                merged.ids.insert(merged.ids.end(), b.ids.begin(), b.ids.end());
-                auto& ch = n.dir[d].channel;
-                ch[i] = std::move(merged);
-                ch.erase(ch.begin() + static_cast<std::ptrdiff_t>(i + 1));
-                out.push_back(std::move(n));
-            }
-            // Deliveries: FIFO head only, except under Reorder.
-            if (!dir.channel.empty() && dir.stalled == 0) {
-                const std::size_t limit =
-                    opts.fault == FaultKind::Reorder ? dir.channel.size() : 1;
-                for (std::size_t i = 0; i < limit; ++i) {
-                    CState n = s;
-                    const CFrame f = n.dir[d].channel[i];
-                    n.dir[d].channel.erase(n.dir[d].channel.begin() +
-                                           static_cast<std::ptrdiff_t>(i));
-                    if (process(n, d, f)) out.push_back(std::move(n));
-                }
-            }
-            // Delay: park the head, let later frames overtake it.
-            if (opts.fault == FaultKind::Delay && !dir.channel.empty() &&
-                static_cast<int>(dir.delayed.size()) < opts.max_delay_slots) {
-                CState n = s;
-                n.dir[d].delayed.push_back(n.dir[d].channel.front());
-                n.dir[d].channel.erase(n.dir[d].channel.begin());
-                out.push_back(std::move(n));
-            }
-            if (!dir.delayed.empty() && dir.stalled == 0) {
-                for (std::size_t i = 0; i < dir.delayed.size(); ++i) {
-                    CState n = s;
-                    const CFrame f = n.dir[d].delayed[i];
-                    n.dir[d].delayed.erase(n.dir[d].delayed.begin() +
-                                           static_cast<std::ptrdiff_t>(i));
-                    if (process(n, d, f)) out.push_back(std::move(n));
-                }
-            }
-            if (opts.fault == FaultKind::Stall) {
-                CState n = s;
-                n.dir[d].stalled = dir.stalled == 0 ? 1 : 0;
-                out.push_back(std::move(n));
-            }
-        }
-        return out;
-    }
-};
-
-}  // namespace
-
-ModelResult check_coalesced_protocol(const CoalescedModelOptions& opts) {
-    DFAMR_REQUIRE(opts.eager_per_direction <= 200 && opts.rndz_per_direction <= 200,
-                  "mc: coalesced workload too large for id encoding");
-    DFAMR_REQUIRE(opts.batch_cap >= 2, "mc: batch_cap below 2 disables coalescing");
-    ModelResult res;
-    CoalescedChecker chk{opts, res};
-
-    CState init;
-    for (int d = 0; d < 2; ++d) {
-        init.dir[d].eager_left = static_cast<std::uint8_t>(opts.eager_per_direction);
-        init.dir[d].rndz_left = static_cast<std::uint8_t>(opts.rndz_per_direction);
-        init.dir[d].drops_left =
-            opts.fault == FaultKind::Drop ? static_cast<std::uint8_t>(opts.max_extra_drops) : 0;
-        init.dir[d].sender.assign(static_cast<std::size_t>(opts.rndz_per_direction),
-                                  static_cast<std::uint8_t>(SenderState::Idle));
-        init.dir[d].receiver.assign(static_cast<std::size_t>(opts.rndz_per_direction),
-                                    static_cast<std::uint8_t>(ReceiverState::Idle));
-    }
-
-    std::set<std::string> visited;
-    std::deque<CState> frontier;
-    visited.insert(init.key());
-    frontier.push_back(std::move(init));
-    while (!frontier.empty()) {
-        CState s = std::move(frontier.front());
-        frontier.pop_front();
-        ++res.states_explored;
-        if (chk.is_final(s)) {
-            chk.check_final(s);
-            continue;
-        }
-        std::vector<CState> next = chk.successors(s);
-        if (next.empty()) {
-            std::ostringstream os;
-            os << "deadlock: no enabled action (ch0=" << s.dir[0].channel.size()
-               << " ch1=" << s.dir[1].channel.size() << " eager=" << int(s.dir[0].eager_left)
-               << "/" << int(s.dir[1].eager_left) << ")";
-            chk.fail(res.deadlock_free, os.str());
-            continue;
-        }
-        for (CState& n : next) {
-            ++res.transitions;
-            std::string key = n.key();
-            if (visited.insert(std::move(key)).second) frontier.push_back(std::move(n));
-        }
-    }
-    return res;
-}
-
-// ----- shm ring model -------------------------------------------------------
 
 namespace {
 
@@ -397,14 +33,8 @@ struct RState {
     }
 };
 
-struct RingChecker {
+struct RingModel {
     const ShmRingOptions& opts;
-    ModelResult& res;
-
-    void fail(bool& flag, const std::string& msg) {
-        if (res.violations.size() < 16) res.violations.push_back(msg);
-        flag = false;
-    }
 
     int prefix(int frames) const {
         int sum = 0;
@@ -417,14 +47,14 @@ struct RingChecker {
     }
 
     /// The bounded-fill safety invariant, checked on every reachable state.
-    bool check_fill(const RState& s) {
+    bool check_fill(const RState& s, ModelResult& res) const {
         const int f = fill(s);
         if (f < 0 || f > opts.capacity) {
             std::ostringstream os;
             os << "ring safety: fill " << f << " outside [0, " << opts.capacity << "] at prod="
                << int(s.prod_frame) << "+" << int(s.prod_bytes) << " cons=" << int(s.cons_frame)
                << "+" << int(s.cons_bytes);
-            fail(res.safe, os.str());
+            fail(res, res.safe, os.str());
             return false;
         }
         return true;
@@ -435,7 +65,7 @@ struct RingChecker {
         return s.prod_frame == n && s.cons_frame == n;
     }
 
-    void check_final(const RState& s) {
+    void check_final(const RState& s, ModelResult& res) const {
         ++res.final_states;
         // cons_frame advances only through complete, in-order frames, so
         // reaching n IS the delivery property; the leak check restates it.
@@ -443,11 +73,19 @@ struct RingChecker {
             std::ostringstream os;
             os << "frame leak: consumer finished at frame " << int(s.cons_frame) << " byte "
                << int(s.cons_bytes) << " of " << opts.frame_sizes.size() << " frames";
-            fail(res.leak_free, os.str());
+            fail(res, res.leak_free, os.str());
         }
     }
 
-    std::vector<RState> successors(const RState& s) {
+    std::string describe(const RState& s) const {
+        std::ostringstream os;
+        os << "at prod=" << int(s.prod_frame) << "+" << int(s.prod_bytes)
+           << " cons=" << int(s.cons_frame) << "+" << int(s.cons_bytes) << " fill=" << fill(s)
+           << "/" << opts.capacity;
+        return os.str();
+    }
+
+    std::vector<RState> successors(const RState& s, ModelResult& res) const {
         std::vector<RState> out;
         const int n = static_cast<int>(opts.frame_sizes.size());
         // Producer: drop the next frame pre-write (retried, so the frame
@@ -474,7 +112,7 @@ struct RingChecker {
                     ++w.prod_frame;
                     w.prod_bytes = 0;
                 }
-                if (check_fill(w)) out.push_back(w);
+                if (check_fill(w, res)) out.push_back(w);
                 if (amount == max_write) break;  // 1 == max_write: one action
             }
         }
@@ -494,7 +132,7 @@ struct RingChecker {
                     ++r.cons_frame;
                     r.cons_bytes = 0;
                 }
-                if (check_fill(r)) out.push_back(r);
+                if (check_fill(r, res)) out.push_back(r);
                 if (amount == avail) break;
             }
         }
@@ -521,42 +159,11 @@ ModelResult check_shm_ring(const ShmRingOptions& opts) {
     }
     DFAMR_REQUIRE(total <= 200 && opts.frame_sizes.size() <= 200,
                   "mc: ring workload too large for byte encoding");
-    ModelResult res;
-    RingChecker chk{opts, res};
-
+    // The initial state is empty, so the fill invariant holds there.
     RState init;
     init.drops_left =
         opts.fault == FaultKind::Drop ? static_cast<std::uint8_t>(opts.max_extra_drops) : 0;
-    chk.check_fill(init);
-
-    std::set<std::string> visited;
-    std::deque<RState> frontier;
-    visited.insert(init.key());
-    frontier.push_back(init);
-    while (!frontier.empty()) {
-        const RState s = frontier.front();
-        frontier.pop_front();
-        ++res.states_explored;
-        if (chk.is_final(s)) {
-            chk.check_final(s);
-            continue;
-        }
-        std::vector<RState> next = chk.successors(s);
-        if (next.empty()) {
-            std::ostringstream os;
-            os << "deadlock: no enabled action at prod=" << int(s.prod_frame) << "+"
-               << int(s.prod_bytes) << " cons=" << int(s.cons_frame) << "+" << int(s.cons_bytes)
-               << " fill=" << chk.fill(s) << "/" << opts.capacity;
-            chk.fail(res.deadlock_free, os.str());
-            continue;
-        }
-        for (const RState& n : next) {
-            ++res.transitions;
-            std::string key = n.key();
-            if (visited.insert(std::move(key)).second) frontier.push_back(n);
-        }
-    }
-    return res;
+    return explore_states(RingModel{opts}, init);
 }
 
 }  // namespace dfamr::verify::mc

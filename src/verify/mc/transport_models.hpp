@@ -1,41 +1,23 @@
-// Model checkers for the two transport fast paths (src/net):
+// Model checker for the shared-memory transport's SPSC byte ring
+// (src/net/shm_ring), run on the breadth-first explorer of
+// state_space.hpp like the frame model of protocol.hpp. Coalescing is not
+// modelled here: it is the frame model's merge action (batch_cap).
 //
-//  * check_coalesced_protocol(): the per-neighbor coalescing layer. Two
-//    peers exchange eager messages (each carrying a send-order id) plus a
-//    rendezvous workload over per-direction FIFO channels. On top of the
-//    send / deliver / fault actions of check_protocol, a COALESCE action
-//    merges two adjacent eager-like frames of a channel into one Coalesced
-//    frame, exactly like the writer thread batching consecutive same-dest
-//    Eager frames (a non-eager frame in between blocks the merge because
-//    the pair must be adjacent). Proved over the full state space, under
-//    every FaultKind:
-//      - non-overtaking within a coalesced frame: sub-message ids inside
-//        any delivered frame are strictly increasing (send order);
-//      - FIFO preservation: under faults that keep the channel in order
-//        (None / Drop / Stall) the whole per-direction eager id sequence
-//        arrives strictly increasing — coalescing never reorders;
-//      - leak-freedom: every final state delivered every eager id exactly
-//        once and every rendezvous payload exactly once;
-//      - credit conservation: rendezvous machines all reach Done, i.e.
-//        coalescing never swallows or duplicates an Rts/Cts/Data;
-//      - deadlock-freedom.
-//
-//  * check_shm_ring(): the shared-memory SPSC byte ring. One producer
-//    streams a fixed frame workload (including a frame LARGER than the
-//    ring) through a byte ring of small capacity; the consumer drains it
-//    frame by frame. Write and read actions move either 1 byte or the
-//    maximal legal amount, so every partial-progress interleaving is
-//    reachable. Proved under every FaultKind:
-//      - bounded fill: 0 <= fill <= capacity in every reachable state
-//        (the producer never overwrites unread bytes);
-//      - complete in-order delivery: every final state delivered all
-//        frames, byte-exact and in send order (a byte stream cannot
-//        reorder — Reorder adds no actions and the run documents that);
-//      - deadlock-freedom: in particular the larger-than-ring frame
-//        streams through instead of wedging producer and consumer.
-//    Drop models FaultPlan's pre-wire message drop with sender retry;
-//    Delay (a paused thread) is subsumed by plain interleaving; Stall
-//    gates the consumer like the TCP model's delivery gate.
+// check_shm_ring(): one producer streams a fixed frame workload (including a frame LARGER than
+// the ring) through a byte ring of small capacity; the consumer drains it
+// frame by frame. Write and read actions move either 1 byte or the
+// maximal legal amount, so every partial-progress interleaving is
+// reachable. Proved under every FaultKind:
+//   - bounded fill: 0 <= fill <= capacity in every reachable state
+//     (the producer never overwrites unread bytes);
+//   - complete in-order delivery: every final state delivered all
+//     frames, byte-exact and in send order (a byte stream cannot
+//     reorder — Reorder adds no actions and the run documents that);
+//   - deadlock-freedom: in particular the larger-than-ring frame
+//     streams through instead of wedging producer and consumer.
+// Drop models FaultPlan's pre-wire message drop with sender retry;
+// Delay (a paused thread) is subsumed by plain interleaving; Stall
+// gates the consumer like the frame model's delivery gate.
 #pragma once
 
 #include <vector>
@@ -43,18 +25,6 @@
 #include "verify/mc/protocol.hpp"
 
 namespace dfamr::verify::mc {
-
-struct CoalescedModelOptions {
-    FaultKind fault = FaultKind::None;
-    int eager_per_direction = 3;  // >= 2 so real merges happen
-    int rndz_per_direction = 1;   // proves merges skip control frames
-    int batch_cap = 4;            // max sub-messages per coalesced frame
-    int max_extra_drops = 1;
-    int max_delay_slots = 1;
-};
-
-/// Exhaustively explores the 2-peer coalescing model under `opts`.
-ModelResult check_coalesced_protocol(const CoalescedModelOptions& opts);
 
 struct ShmRingOptions {
     FaultKind fault = FaultKind::None;

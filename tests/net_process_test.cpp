@@ -37,15 +37,16 @@ int run(const std::string& cmd) {
 const char* kProblem = "--num_tsteps 2 --checksum_freq 2 > /dev/null 2>&1";
 
 // (transport, variant, extra rank flags). Every combination must be
-// bit-identical to the plain in-process run of the same variant.
-using GoldenParam = std::tuple<const char*, const char*, const char*>;
+// bit-identical to the plain in-process run of the same variant. Strings,
+// not const char*: gtest prints a tuple's pointers as addresses, which
+// would put a different test name in every build.
+using GoldenParam = std::tuple<std::string, std::string, std::string>;
 
 class MpirunGolden : public ::testing::TestWithParam<GoldenParam> {};
 
 TEST_P(MpirunGolden, ChecksumsBitIdenticalToInproc) {
     const auto [transport, variant, extra] = GetParam();
-    const std::string tag = std::string(transport) + "_" + variant + "_" +
-                            std::to_string(std::string(extra).size());
+    const std::string tag = transport + "_" + variant + "_" + std::to_string(extra.size());
     const std::string dir = ::testing::TempDir();
     const std::string ref = dir + "/ref_" + tag + ".txt";
     const std::string wire = dir + "/wire_" + tag + ".txt";
@@ -59,7 +60,7 @@ TEST_P(MpirunGolden, ChecksumsBitIdenticalToInproc) {
     const std::string a = read_file(ref), b = read_file(wire);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b) << "checksums diverged between in-process and multi-process " << transport
-                    << " (" << (std::string(extra).empty() ? "plain" : extra) << ")";
+                    << " (" << (extra.empty() ? "plain" : extra) << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -578,7 +578,8 @@ TEST(ScenarioCheckpoint, RestoredRunReproducesHysteresisDecisionsBitForBit) {
     run_variant(partial, Variant::MpiOnly);
 
     // The checkpoint must carry the streak counters (version 2 section).
-    const resilience::CheckpointState st = resilience::read_checkpoint_state(path);
+    const resilience::CheckpointState st =
+        resilience::read_checkpoint_state(resilience::read_checkpoint_file(path));
     EXPECT_EQ(st.ts_completed, 2);
 
     Config restored_cfg = cfg;
@@ -610,7 +611,8 @@ TEST(ScenarioCheckpoint, DerefCountsRoundTripThroughTheImage) {
     cfg.checkpoint_path = path;
     run_variant(cfg, Variant::MpiOnly);
 
-    const resilience::CheckpointState st = resilience::read_checkpoint_state(path);
+    const resilience::CheckpointState st =
+        resilience::read_checkpoint_state(resilience::read_checkpoint_file(path));
     // A streak at or past deref_count can survive when the sibling group or
     // the 2:1 constraint vetoed the merge, so only the lower bound and the
     // leaves-only pruning are invariants.
@@ -637,7 +639,7 @@ TEST(ScenarioCheckpoint, VersionOneImagesAreRejectedWithAClearError) {
                   static_cast<std::streamsize>(w.bytes.size()));
     }
     try {
-        resilience::read_checkpoint_state(path);
+        resilience::read_checkpoint_state(resilience::read_checkpoint_file(path));
         FAIL() << "version-1 image must be rejected";
     } catch (const Error& e) {
         const std::string msg = e.what();
@@ -663,7 +665,7 @@ TEST(ScenarioCheckpoint, VersionTwoImagesAreRejectedWithAClearError) {
                   static_cast<std::streamsize>(w.bytes.size()));
     }
     try {
-        resilience::read_checkpoint_state(path);
+        resilience::read_checkpoint_state(resilience::read_checkpoint_file(path));
         FAIL() << "version-2 image must be rejected";
     } catch (const Error& e) {
         const std::string msg = e.what();

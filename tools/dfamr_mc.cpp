@@ -9,13 +9,16 @@
 //             the explorer to find a counterexample schedule, printed in
 //             minimal form.
 //   protocol  explicit-state model checking of the eager/rendezvous wire
-//             protocol under each FaultPlan perturbation kind.
-//   coalesce  same, for the per-neighbor coalescing layer: merged frames
-//             must preserve sub-message order, FIFO delivery (where the
-//             fault permits), rendezvous credits and leak-freedom.
-//   ring      same, for the shared-memory SPSC byte ring: bounded fill,
-//             complete in-order delivery (including a frame larger than
-//             the ring) and deadlock-freedom.
+//             protocol's frame model (verify/mc/protocol.hpp) under each
+//             FaultPlan perturbation kind, --eager/--rndz messages per
+//             direction and no coalescing.
+//   coalesce  the same model with coalescing on (3 eager + 1 rendezvous
+//             per direction, up to 4 sub-messages per frame): merged
+//             frames must also preserve sub-message order and FIFO
+//             delivery (where the fault permits).
+//   ring      the shared-memory SPSC byte ring: bounded fill, complete
+//             in-order delivery (including a frame larger than the ring)
+//             and deadlock-freedom.
 //
 // Exit code 0 = everything proved; 1 = a violation (or, under --mode
 // explore with --min_schedules, insufficient coverage); 2 = usage error.
@@ -136,40 +139,12 @@ int run_mutate(const std::vector<TaskGraph>& graphs, std::uint64_t max_schedules
     return caught > 0 ? 0 : 1;
 }
 
-int run_protocol(int eager, int rndz) {
+/// The wire modes: one model run per FaultPlan kind, one line each.
+template <class Check>
+int run_wire(Check check) {
     bool ok = true;
     for (FaultKind kind : all_fault_kinds()) {
-        ModelOptions opts;
-        opts.fault = kind;
-        opts.eager_per_direction = eager;
-        opts.rndz_per_direction = rndz;
-        const ModelResult r = check_protocol(opts);
-        std::printf("fault=%-8s %s\n", to_string(kind), r.to_string().c_str());
-        if (!r.clean()) ok = false;
-    }
-    return ok ? 0 : 1;
-}
-
-// Uses the model's own workload defaults (3 eager + 1 rendezvous per
-// direction): fewer than two eager messages would never exercise a merge.
-int run_coalesce() {
-    bool ok = true;
-    for (FaultKind kind : all_fault_kinds()) {
-        CoalescedModelOptions opts;
-        opts.fault = kind;
-        const ModelResult r = check_coalesced_protocol(opts);
-        std::printf("fault=%-8s %s\n", to_string(kind), r.to_string().c_str());
-        if (!r.clean()) ok = false;
-    }
-    return ok ? 0 : 1;
-}
-
-int run_ring() {
-    bool ok = true;
-    for (FaultKind kind : all_fault_kinds()) {
-        ShmRingOptions opts;
-        opts.fault = kind;
-        const ModelResult r = check_shm_ring(opts);
+        const ModelResult r = check(kind);
         std::printf("fault=%-8s %s\n", to_string(kind), r.to_string().c_str());
         if (!r.clean()) ok = false;
     }
@@ -221,12 +196,29 @@ int main(int argc, char** argv) {
             }
             return run_mutate(graphs, max_schedules);
         }
-        if (mode == "protocol") {
-            return run_protocol(static_cast<int>(cli.get_int("--eager")),
-                                static_cast<int>(cli.get_int("--rndz")));
+        if (mode == "protocol" || mode == "coalesce") {
+            ModelOptions opts;
+            if (mode == "protocol") {
+                opts.eager_per_direction = static_cast<int>(cli.get_int("--eager"));
+                opts.rndz_per_direction = static_cast<int>(cli.get_int("--rndz"));
+            } else {
+                // Fewer than two eager messages would never exercise a merge.
+                opts.eager_per_direction = 3;
+                opts.rndz_per_direction = 1;
+                opts.batch_cap = 4;
+            }
+            return run_wire([&opts](FaultKind kind) {
+                opts.fault = kind;
+                return check_protocol(opts);
+            });
         }
-        if (mode == "coalesce") return run_coalesce();
-        if (mode == "ring") return run_ring();
+        if (mode == "ring") {
+            return run_wire([](FaultKind kind) {
+                ShmRingOptions opts;
+                opts.fault = kind;
+                return check_shm_ring(opts);
+            });
+        }
         std::fprintf(stderr, "unknown --mode %s\n", mode.c_str());
         return 2;
     } catch (const std::exception& e) {
