@@ -82,6 +82,8 @@ inline int direction_tag(int direction, int id) {
 }
 /// Tag sub-space used by the refinement/load-balance block exchange.
 inline constexpr int kExchangeTagBase = 3 * kTagSpacePerDirection;
+/// A block's data message is tagged kBlockDataTagBase + its move's id.
+inline constexpr int kBlockDataTagBase = kExchangeTagBase + 16;
 /// Tag sub-spaces (one per direction) used by the coarse-fine flux-register
 /// exchange — disjoint from both the ghost directions (0..2) and the
 /// exchange-control space so reflux traffic can overlap either.

@@ -4,6 +4,7 @@
 // new in §IV-A).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -112,6 +113,9 @@ struct Config {
         const int g = vars_per_group();
         return (num_vars + g - 1) / g;
     }
+    /// Variables [group_begin(g), group_end(g)); the last group may be narrower.
+    int group_begin(int group) const { return group * vars_per_group(); }
+    int group_end(int group) const { return std::min(num_vars, (group + 1) * vars_per_group()); }
     int max_block_change() const { return block_change > 0 ? block_change : num_refine; }
     /// Cells including the one-deep ghost shell.
     std::int64_t cells_with_ghosts() const {

@@ -1,6 +1,7 @@
 #include "amr/mesh.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -101,50 +102,42 @@ std::int64_t Mesh::flops_per_var_sweep() const {
     return static_cast<std::int64_t>(blocks_.size()) * 7 * cfg_.cells_interior();
 }
 
-CommBuffers::CommBuffers(const CommPlan& plan, int group_vars, bool separate_buffers)
-    : separate_(separate_buffers) {
-    std::size_t max_send = 0, max_recv = 0;
-    for (int d = 0; d < 3; ++d) {
-        DirStorage& dir = dirs_[static_cast<std::size_t>(d)];
+StreamLayout::StreamLayout(std::array<std::span<const NeighborExchange>, 3> neighbors,
+                           int group_vars, bool separate_buffers)
+    : group_vars_(group_vars) {
+    for (std::size_t d = 0; d < 3; ++d) {
+        // Shared storage is sized for the largest direction.
+        const int storage = separate_buffers ? static_cast<int>(d) : 0;
         std::size_t send_total = 0, recv_total = 0;
-        for (const NeighborExchange& ex : plan.direction(d).neighbors) {
-            dir.send_offsets.push_back(send_total);
-            dir.recv_offsets.push_back(recv_total);
-            dir.send_sizes.push_back(static_cast<std::size_t>(ex.send_values) *
-                                     static_cast<std::size_t>(group_vars));
-            dir.recv_sizes.push_back(static_cast<std::size_t>(ex.recv_values) *
-                                     static_cast<std::size_t>(group_vars));
-            send_total += dir.send_sizes.back();
-            recv_total += dir.recv_sizes.back();
+        for (const NeighborExchange& ex : neighbors[d]) {
+            const auto send = static_cast<std::size_t>(ex.send_values * group_vars);
+            const auto recv = static_cast<std::size_t>(ex.recv_values * group_vars);
+            send_[d].push_back({storage, send_total, send});
+            recv_[d].push_back({storage, recv_total, recv});
+            send_total += send;
+            recv_total += recv;
         }
-        if (separate_) {
-            dir.send.resize(send_total);
-            dir.recv.resize(recv_total);
-        }
-        max_send = std::max(max_send, send_total);
-        max_recv = std::max(max_recv, recv_total);
+        const auto s = static_cast<std::size_t>(storage);
+        send_size_[s] = std::max(send_size_[s], send_total);
+        recv_size_[s] = std::max(recv_size_[s], recv_total);
     }
-    if (!separate_) {
-        // One buffer pair shared by all directions — the reference layout
-        // whose aliasing creates the false inter-direction dependencies the
-        // paper's --separate_buffers removes.
-        dirs_[0].send.resize(max_send);
-        dirs_[0].recv.resize(max_recv);
+}
+
+CommBuffers::CommBuffers(StreamLayout layout) : layout_(std::move(layout)) {
+    for (std::size_t s = 0; s < 3; ++s) {
+        send_[s].resize(layout_.send_size_[s]);
+        recv_[s].resize(layout_.recv_size_[s]);
     }
 }
 
 std::span<double> CommBuffers::send_stream(int direction, int neighbor_index) {
-    DirStorage& layout = dirs_[static_cast<std::size_t>(direction)];
-    DirStorage& storage = dirs_[static_cast<std::size_t>(storage_index(direction))];
-    const auto i = static_cast<std::size_t>(neighbor_index);
-    return {storage.send.data() + layout.send_offsets[i], layout.send_sizes[i]};
+    const auto& s = layout_.send(direction, static_cast<std::size_t>(neighbor_index));
+    return send_storage(s.storage).subspan(s.offset, s.size);
 }
 
 std::span<double> CommBuffers::recv_stream(int direction, int neighbor_index) {
-    DirStorage& layout = dirs_[static_cast<std::size_t>(direction)];
-    DirStorage& storage = dirs_[static_cast<std::size_t>(storage_index(direction))];
-    const auto i = static_cast<std::size_t>(neighbor_index);
-    return {storage.recv.data() + layout.recv_offsets[i], layout.recv_sizes[i]};
+    const auto& s = layout_.recv(direction, static_cast<std::size_t>(neighbor_index));
+    return recv_storage(s.storage).subspan(s.offset, s.size);
 }
 
 }  // namespace dfamr::amr

@@ -72,36 +72,89 @@ private:
     std::map<BlockKey, std::unique_ptr<Block>> blocks_;
 };
 
-/// Ghost-exchange communication buffers for one rank.
-///
-/// The reference miniAMR shares one send/recv buffer pair across the three
-/// directions, which creates false dependencies between directions when the
-/// communication is taskified; the paper's --separate_buffers option
-/// allocates one pair per direction (§IV-A). Buffers are laid out per
-/// neighbor using the CommPlan stream offsets, scaled by the variable-group
-/// size.
+/// Where one rank's staging streams of a plan (ghost or flux) lie, without
+/// storage: per (direction, neighbour), the storage holding the stream, its
+/// offset and its size, in doubles, from the plan's value counts scaled by
+/// the widest variable group. The three directions share one storage pair
+/// (the reference layout, whose aliasing creates false inter-direction
+/// dependencies) or, with --separate_buffers, get one each (§IV-A).
+/// Variable groups reuse the streams and tags, so same-tag messages must be
+/// posted in group order: chunk k of every group starts at the same offset
+/// and a narrower group packs inside it, so in the data-flow variant the
+/// overlap orders them (DESIGN.md §5).
+class StreamLayout {
+public:
+    struct Stream {
+        int storage = 0;
+        std::size_t offset = 0;
+        std::size_t size = 0;
+    };
+    /// Values [first, first + count) of one stream.
+    struct Range {
+        std::size_t first = 0;
+        std::size_t count = 0;
+        std::span<double> of(std::span<double> s) const { return s.subspan(first, count); }
+    };
+
+    StreamLayout() = default;
+    /// `plan` is a CommPlan or a FluxPlan; `group_vars` is the widest
+    /// variable group.
+    template <class Plan>
+    StreamLayout(const Plan& plan, int group_vars, bool separate_buffers)
+        : StreamLayout({plan.direction(0).neighbors, plan.direction(1).neighbors,
+                        plan.direction(2).neighbors},
+                       group_vars, separate_buffers) {}
+    StreamLayout(std::array<std::span<const NeighborExchange>, 3> neighbors, int group_vars,
+                 bool separate_buffers);
+
+    const Stream& send(int direction, std::size_t neighbor) const {
+        return send_[static_cast<std::size_t>(direction)][neighbor];
+    }
+    const Stream& recv(int direction, std::size_t neighbor) const {
+        return recv_[static_cast<std::size_t>(direction)][neighbor];
+    }
+    /// The section of a stream that carries message `chunk` of a group of
+    /// `vars` variables.
+    Range message(const MessageChunk& chunk, int vars) const {
+        return {static_cast<std::size_t>(chunk.value_offset * group_vars_),
+                static_cast<std::size_t>(chunk.value_count * vars)};
+    }
+    /// The section that carries `face`, one of `chunk`'s faces.
+    Range face(const MessageChunk& chunk, const FaceTransfer& face, int vars) const {
+        return {message(chunk, vars).first +
+                    static_cast<std::size_t>((face.value_offset - chunk.value_offset) * vars),
+                static_cast<std::size_t>(face.value_count * vars)};
+    }
+
+private:
+    friend class CommBuffers;
+    int group_vars_ = 0;
+    std::array<std::vector<Stream>, 3> send_, recv_;        // [direction][neighbour]
+    std::array<std::size_t, 3> send_size_{}, recv_size_{};  // doubles per storage
+};
+
+/// The storage of one StreamLayout: the staging streams themselves.
 class CommBuffers {
 public:
     CommBuffers() = default;
-    /// `group_vars` = maximum variables per communication group.
-    CommBuffers(const CommPlan& plan, int group_vars, bool separate_buffers);
+    /// Storage for StreamLayout(plan, group_vars, separate_buffers).
+    template <class Plan>
+    CommBuffers(const Plan& plan, int group_vars, bool separate_buffers)
+        : CommBuffers(StreamLayout(plan, group_vars, separate_buffers)) {}
 
-    /// Send/recv stream for (direction, neighbor index within direction).
+    const StreamLayout& layout() const { return layout_; }
+    /// Send/recv stream for (direction, neighbour index within direction).
     std::span<double> send_stream(int direction, int neighbor_index);
     std::span<double> recv_stream(int direction, int neighbor_index);
+    /// Storage `s` of the send/recv streams.
+    std::span<double> send_storage(int s) { return send_[static_cast<std::size_t>(s)]; }
+    std::span<double> recv_storage(int s) { return recv_[static_cast<std::size_t>(s)]; }
 
 private:
-    struct DirStorage {
-        std::vector<std::size_t> send_offsets;  // per neighbor index
-        std::vector<std::size_t> recv_offsets;
-        std::vector<std::size_t> send_sizes;
-        std::vector<std::size_t> recv_sizes;
-        std::vector<double> send;
-        std::vector<double> recv;
-    };
-    bool separate_ = false;
-    std::array<DirStorage, 3> dirs_;
-    int storage_index(int direction) const { return separate_ ? direction : 0; }
+    explicit CommBuffers(StreamLayout layout);
+
+    StreamLayout layout_;
+    std::array<std::vector<double>, 3> send_, recv_;  // per storage
 };
 
 }  // namespace dfamr::amr

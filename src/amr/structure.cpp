@@ -256,6 +256,20 @@ void GlobalStructure::apply_refine_round(const RefineRound& round) {
     }
 }
 
+std::vector<BlockMove> GlobalStructure::coarsen_moves(const RefineRound& round) const {
+    std::vector<BlockMove> moves;
+    int id = 0;
+    for (const BlockKey& parent : round.coarsen_parents) {
+        const int merger = owner(parent.child(0, max_level_));
+        for (int octant = 1; octant < 8; ++octant, ++id) {
+            const BlockKey child = parent.child(octant, max_level_);
+            const int from = owner(child);
+            if (from != merger) moves.push_back(BlockMove{child, from, merger, id});
+        }
+    }
+    return moves;
+}
+
 double GlobalStructure::imbalance() const {
     const auto counts = blocks_per_rank();
     std::int64_t total = 0, max_count = 0;
@@ -329,6 +343,17 @@ void GlobalStructure::set_owners(const std::map<BlockKey, int>& new_owners) {
         DFAMR_REQUIRE(it->second >= 0 && it->second < num_ranks_, "owner rank out of range");
         owner_rank = it->second;
     }
+}
+
+std::vector<BlockMove> GlobalStructure::moves_to(const std::map<BlockKey, int>& new_owners) const {
+    std::vector<BlockMove> moves;
+    int id = 0;
+    for (const auto& [key, owner_rank] : owners_) {
+        const int target = new_owners.at(key);
+        if (target != owner_rank) moves.push_back(BlockMove{key, owner_rank, target, id});
+        ++id;
+    }
+    return moves;
 }
 
 void GlobalStructure::restore_leaves(const std::map<BlockKey, int>& leaves) {

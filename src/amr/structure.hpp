@@ -39,6 +39,14 @@ struct RefineRound {
     bool empty() const { return refine.empty() && coarsen_parents.empty(); }
 };
 
+/// One whole-block transfer between ranks during refinement/load balancing.
+struct BlockMove {
+    BlockKey key;
+    int from = -1;
+    int to = -1;
+    int id = 0;  // global index; tags the data message (paper §IV-B)
+};
+
 class GlobalStructure {
 public:
     explicit GlobalStructure(const Config& cfg);
@@ -81,6 +89,10 @@ public:
     /// Applies a planned round to the owner map. Children inherit the parent
     /// owner; a merged parent goes to the octant-0 child's owner.
     void apply_refine_round(const RefineRound& round);
+    /// The transfers `round`'s coarsening needs: every child that the owner
+    /// of child 0, who merges the parent, does not own. Ids count every
+    /// candidate child, so all ranks derive the same ones.
+    std::vector<BlockMove> coarsen_moves(const RefineRound& round) const;
 
     // --- load balancing ----------------------------------------------------
     /// (max - avg) / avg over blocks per rank; 0 when perfectly balanced.
@@ -90,6 +102,8 @@ public:
     std::map<BlockKey, int> rcb_partition() const;
     /// Installs a new ownership map (must cover exactly the current leaves).
     void set_owners(const std::map<BlockKey, int>& new_owners);
+    /// The transfers that take every leaf to its owner in `new_owners`.
+    std::vector<BlockMove> moves_to(const std::map<BlockKey, int>& new_owners) const;
 
     // --- checkpoint/restart -------------------------------------------------
     /// Replaces the leaf set wholesale with a checkpointed one. Validates

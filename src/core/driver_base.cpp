@@ -66,6 +66,7 @@ SchedulerCounters DriverBase::scheduler_counters() const {
     c.parks = s.parks;
     c.wakeups = s.wakeups;
     c.immediate_successor_hits = s.immediate_successor_hits;
+    c.edges_added = s.edges_added;
     return c;
 }
 
@@ -86,29 +87,18 @@ void DriverBase::rebuild_comm_plan() {
     options.send_faces = cfg_.send_faces;
     options.max_comm_tasks = cfg_.max_comm_tasks;
     plan_ = CommPlan(mesh_.structure(), mesh_.shape(), rank_, options);
-    buffers_ = std::make_unique<CommBuffers>(plan_, cfg_.vars_per_group(), cfg_.separate_buffers);
+    buffers_ = CommBuffers(plan_, cfg_.vars_per_group(), cfg_.separate_buffers);
     if (generator_ != nullptr) {
         // Flux registers and their exchange plan follow the ghost plan's
         // lifetime: registers are per-stage transient, so nothing needs to
-        // survive a rebuild.
+        // survive a rebuild. The flux streams never share storage across
+        // directions.
         flux_plan_ = amr::build_flux_plan(plan_, mesh_.shape());
         flux_regs_.clear();
         for (const BlockKey& key : mesh_.owned_keys()) {
             flux_regs_.emplace(key, FluxRegister(mesh_.shape()));
         }
-        const int gvars = cfg_.vars_per_group();
-        for (int d = 0; d < 3; ++d) {
-            const auto& fd = flux_plan_.direction(d);
-            auto& sends = flux_send_[static_cast<std::size_t>(d)];
-            auto& recvs = flux_recv_[static_cast<std::size_t>(d)];
-            sends.assign(fd.neighbors.size(), {});
-            recvs.assign(fd.neighbors.size(), {});
-            for (std::size_t i = 0; i < fd.neighbors.size(); ++i) {
-                const amr::NeighborExchange& ex = fd.neighbors[i];
-                sends[i].assign(static_cast<std::size_t>(ex.send_values * gvars), 0.0);
-                recvs[i].assign(static_cast<std::size_t>(ex.recv_values * gvars), 0.0);
-            }
-        }
+        flux_buffers_ = CommBuffers(flux_plan_, cfg_.vars_per_group(), /*separate_buffers=*/true);
     }
 }
 
@@ -376,22 +366,12 @@ void DriverBase::refinement_phase(int timesteps_elapsed) {
         }
 
         // Coarsening: ship children to the future parent owner, then merge.
-        std::vector<BlockMove> moves;
         std::vector<BlockKey> my_merges;
-        int next_id = 0;
         for (const BlockKey& parent : round.coarsen_parents) {
             const int new_owner = structure.owner(parent.child(0, structure.max_level()));
             if (new_owner == rank_) my_merges.push_back(parent);
-            for (int octant = 1; octant < 8; ++octant) {
-                const BlockKey child = parent.child(octant, structure.max_level());
-                const int child_owner = structure.owner(child);
-                if (child_owner != new_owner) {
-                    moves.push_back(BlockMove{child, child_owner, new_owner, next_id});
-                }
-                ++next_id;  // id advances for every candidate: identical on all ranks
-            }
         }
-        exchange_blocks(moves, /*with_ack_protocol=*/false);
+        exchange_blocks(structure.coarsen_moves(round), /*with_ack_protocol=*/false);
         do_merges(my_merges);
         result_.counters.blocks_merged += static_cast<std::int64_t>(my_merges.size());
         sync_refine_step();
@@ -404,14 +384,7 @@ void DriverBase::refinement_phase(int timesteps_elapsed) {
     // Load balancing (inside the refinement phase, like miniAMR).
     if (cfg_.lb_opt && structure.imbalance() > cfg_.inbalance) {
         const auto new_owners = structure.rcb_partition();
-        std::vector<BlockMove> moves;
-        int next_id = 0;
-        for (const auto& [key, owner] : structure.leaves()) {
-            const int target = new_owners.at(key);
-            if (target != owner) moves.push_back(BlockMove{key, owner, target, next_id});
-            ++next_id;
-        }
-        exchange_blocks(moves, /*with_ack_protocol=*/true);
+        exchange_blocks(structure.moves_to(new_owners), /*with_ack_protocol=*/true);
         sync_refine_step();
         ++result_.counters.load_balances;
         structure.set_owners(new_owners);

@@ -35,29 +35,22 @@ namespace dfamr::core {
 
 using amr::Block;
 using amr::BlockKey;
+using amr::BlockMove;
 using amr::CommBuffers;
 using amr::CommPlan;
 using amr::Config;
 using amr::FaceGeom;
 using amr::FluxPlan;
 using amr::FluxRegister;
+using amr::kBlockDataTagBase;
 using amr::Mesh;
 using amr::PhaseKind;
 using amr::RefineRound;
 using amr::Tracer;
 
-/// One whole-block transfer between ranks during refinement/load balancing.
-struct BlockMove {
-    BlockKey key;
-    int from = -1;
-    int to = -1;
-    int id = 0;  // global index; tags the data message (paper §IV-B)
-};
-
 /// Control-message tags used by the exchange protocol (distinct sub-space).
 inline constexpr int kAckTag = amr::kExchangeTagBase;
 inline constexpr int kBlockIdTag = amr::kExchangeTagBase + 1;
-inline constexpr int kBlockDataTagBase = amr::kExchangeTagBase + 16;
 
 class DriverBase {
 public:
@@ -177,11 +170,6 @@ protected:
     /// (collective: allreduced max, so every rank picks the same dt).
     void maybe_recompute_dt();
 
-    int group_begin(int group) const { return group * cfg_.vars_per_group(); }
-    int group_end(int group) const {
-        return std::min(cfg_.num_vars, (group + 1) * cfg_.vars_per_group());
-    }
-
     void trace(int worker, std::int64_t t0, std::int64_t t1, PhaseKind kind) {
         if (tracer_ != nullptr) tracer_->record(rank_, worker, t0, t1, kind);
     }
@@ -207,14 +195,14 @@ protected:
 
     Mesh mesh_;
     CommPlan plan_;
-    std::unique_ptr<CommBuffers> buffers_;
+    CommBuffers buffers_;
     /// Coarse-fine subset of plan_ driving the flux-register exchange, plus
-    /// its staging streams ([direction][neighbor], sized for one variable
-    /// group). Scenario runs only; rebuilt with the plan. std::map keeps
-    /// register addresses stable for task dependency declarations.
+    /// its staging streams, one storage per direction. Scenario runs only;
+    /// rebuilt with the plan. std::map keeps register addresses stable for
+    /// task dependency declarations.
     FluxPlan flux_plan_;
     std::map<BlockKey, FluxRegister> flux_regs_;
-    std::array<std::vector<std::vector<double>>, 3> flux_send_, flux_recv_;
+    CommBuffers flux_buffers_;
 
     RankResult result_;
     std::vector<double> checksum_reference_;  // per group; empty = no reference

@@ -72,6 +72,8 @@ struct SchedulerCounters {
     std::uint64_t parks = 0;
     std::uint64_t wakeups = 0;
     std::uint64_t immediate_successor_hits = 0;
+    /// Dependency edges wired; exact at one core per rank (RuntimeStats).
+    std::uint64_t edges_added = 0;
 
     SchedulerCounters& operator+=(const SchedulerCounters& o) {
         tasks_executed += o.tasks_executed;
@@ -80,6 +82,7 @@ struct SchedulerCounters {
         parks += o.parks;
         wakeups += o.wakeups;
         immediate_successor_hits += o.immediate_successor_hits;
+        edges_added += o.edges_added;
         return *this;
     }
     SchedulerCounters operator-(const SchedulerCounters& o) const {
@@ -90,6 +93,7 @@ struct SchedulerCounters {
         d.parks = parks - o.parks;
         d.wakeups = wakeups - o.wakeups;
         d.immediate_successor_hits = immediate_successor_hits - o.immediate_successor_hits;
+        d.edges_added = edges_added - o.edges_added;
         return d;
     }
 };

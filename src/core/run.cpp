@@ -69,24 +69,25 @@ RunResult reduce_distributed(mpi::Communicator& comm, const RankResult& r,
     g.has_error_norm = maxes[4] != 0;
     g.counters.reflux_corrections = maxes[5];
 
-    std::uint64_t usums_in[23] = {
+    std::uint64_t usums_in[25] = {
         r.sched.tasks_executed, r.sched.steals, r.sched.steal_fails, r.sched.parks,
-        r.sched.wakeups, r.sched.immediate_successor_hits,
+        r.sched.wakeups, r.sched.immediate_successor_hits, r.sched.edges_added,
         r.sched_refine.tasks_executed, r.sched_refine.steals, r.sched_refine.steal_fails,
         r.sched_refine.parks, r.sched_refine.wakeups, r.sched_refine.immediate_successor_hits,
+        r.sched_refine.edges_added,
         local_messages, local_bytes,
         local_net.bytes_sent, local_net.bytes_received, local_net.frames_sent,
         local_net.frames_received, local_net.rendezvous, local_net.reconnects,
         local_net.coalesced_frames_sent, local_net.coalesced_messages,
         local_net.copies_elided};
-    std::uint64_t usums[23];
-    comm.allreduce(usums_in, usums, 23, mpi::Op::Sum);
-    g.sched = {usums[0], usums[1], usums[2], usums[3], usums[4], usums[5]};
-    g.sched_refine = {usums[6], usums[7], usums[8], usums[9], usums[10], usums[11]};
-    g.messages = usums[12];
-    g.bytes = usums[13];
-    g.net = {usums[14], usums[15], usums[16], usums[17], usums[18], usums[19],
-             usums[20], usums[21], usums[22]};
+    std::uint64_t usums[25];
+    comm.allreduce(usums_in, usums, 25, mpi::Op::Sum);
+    g.sched = {usums[0], usums[1], usums[2], usums[3], usums[4], usums[5], usums[6]};
+    g.sched_refine = {usums[7], usums[8], usums[9], usums[10], usums[11], usums[12], usums[13]};
+    g.messages = usums[14];
+    g.bytes = usums[15];
+    g.net = {usums[16], usums[17], usums[18], usums[19], usums[20], usums[21],
+             usums[22], usums[23], usums[24]};
 
     // Per-peer wire traffic, flattened to nranks x 4 for one summed
     // allreduce (entry p = what every rank exchanged with rank p).

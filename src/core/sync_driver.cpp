@@ -28,14 +28,6 @@ auto frame_doubles(std::span<Byte> payload) {
                              payload.size() / sizeof(double));
 }
 
-/// The section of message `chunk` (values `msg`) that carries `face`.
-template <class T>
-std::span<T> face_section(std::span<T> msg, const amr::MessageChunk& chunk,
-                          const amr::FaceTransfer& face, int gvars) {
-    return msg.subspan(static_cast<std::size_t>((face.value_offset - chunk.value_offset) * gvars),
-                       static_cast<std::size_t>(face.value_count * gvars));
-}
-
 }  // namespace
 
 SyncDriver::SyncDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
@@ -60,16 +52,19 @@ void SyncDriver::for_each(std::int64_t n, const std::function<void(std::int64_t)
 }
 
 template <class Pack, class Apply>
-void SyncDriver::exchange(int gvars, const std::vector<amr::NeighborExchange>& neighbors,
-                          const Stream& send_stream, const Stream& recv_stream, const Pack& pack,
+void SyncDriver::exchange(CommBuffers& streams, int dir, int gvars,
+                          const std::vector<amr::NeighborExchange>& neighbors, const Pack& pack,
                           const Apply& apply, std::int64_t local_items,
                           const std::function<void(std::int64_t)>& local) {
-    const auto chunk_span = [gvars](std::span<double> stream, const amr::MessageChunk& chunk) {
-        return stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                              static_cast<std::size_t>(chunk.value_count * gvars));
+    const amr::StreamLayout& layout = streams.layout();
+    const auto chunk_bytes = [&](const amr::MessageChunk& chunk) {
+        return layout.message(chunk, gvars).count * sizeof(double);
     };
-    const auto chunk_bytes = [gvars](const amr::MessageChunk& chunk) {
-        return static_cast<std::size_t>(chunk.value_count * gvars) * sizeof(double);
+    // The section of message `chunk` (values `msg`) that carries `face`.
+    const auto face_section = [&](auto msg, const amr::MessageChunk& chunk,
+                                  const amr::FaceTransfer& face) {
+        const amr::StreamLayout::Range f = layout.face(chunk, face, gvars);
+        return msg.subspan(f.first - layout.message(chunk, gvars).first, f.count);
     };
 
     // 1) Post every receive (Algorithm 2, line 2).
@@ -93,7 +88,8 @@ void SyncDriver::exchange(int gvars, const std::vector<amr::NeighborExchange>& n
                 recv_reqs.push_back(
                     hcomm_.irecv_view(&views.back(), chunk_bytes(chunk), ex.peer, chunk.tag));
             } else {
-                staged = chunk_span(recv_stream(ni), chunk);
+                staged = layout.message(chunk, gvars)
+                             .of(streams.recv_stream(dir, static_cast<int>(ni)));
                 recv_reqs.push_back(
                     hcomm_.irecv(staged.data(), staged.size_bytes(), ex.peer, chunk.tag));
             }
@@ -112,12 +108,13 @@ void SyncDriver::exchange(int gvars, const std::vector<amr::NeighborExchange>& n
                 tx = mpi::make_tx_buffer(chunk_bytes(chunk));
                 msg = frame_doubles(tx.payload);
             } else {
-                msg = chunk_span(send_stream(ni), chunk);
+                msg = layout.message(chunk, gvars)
+                          .of(streams.send_stream(dir, static_cast<int>(ni)));
             }
             for_each(chunk.face_count, [&](std::int64_t i) {
                 const amr::FaceTransfer& face =
                     ex.sends[static_cast<std::size_t>(chunk.first_face + i)];
-                const std::span<double> section = face_section(msg, chunk, face, gvars);
+                const std::span<double> section = face_section(msg, chunk, face);
                 const std::int64_t t0 = now_ns();
                 DFAMR_CHECK_WRITE(section.data(), section.size_bytes());
                 pack(face, section);
@@ -148,7 +145,7 @@ void SyncDriver::exchange(int gvars, const std::vector<amr::NeighborExchange>& n
         for_each(in.chunk->face_count, [&](std::int64_t i) {
             const amr::FaceTransfer& face =
                 in.ex->recvs[static_cast<std::size_t>(in.chunk->first_face + i)];
-            const std::span<const double> section = face_section(msg, *in.chunk, face, gvars);
+            const std::span<const double> section = face_section(msg, *in.chunk, face);
             const std::int64_t t1 = now_ns();
             DFAMR_CHECK_READ(section.data(), section.size_bytes());
             apply(face, section);
@@ -165,7 +162,7 @@ void SyncDriver::exchange(int gvars, const std::vector<amr::NeighborExchange>& n
 void SyncDriver::communicate_stage(int group) {
     Stopwatch sw;
     sw.start();
-    const int gb = group_begin(group), ge = group_end(group);
+    const int gb = cfg_.group_begin(group), ge = cfg_.group_end(group);
     // Directions run strictly one after another: they share the same
     // communication buffers (Algorithm 2).
     for (int dir = 0; dir < 3; ++dir) {
@@ -176,9 +173,7 @@ void SyncDriver::communicate_stage(int group) {
         // and both read interior cells only.
         const auto copies = static_cast<std::int64_t>(dp.copies.size());
         exchange(
-            ge - gb, dp.neighbors,
-            [&](std::size_t ni) { return buffers_->send_stream(dir, static_cast<int>(ni)); },
-            [&](std::size_t ni) { return buffers_->recv_stream(dir, static_cast<int>(ni)); },
+            buffers_, dir, ge - gb, dp.neighbors,
             [&](const amr::FaceTransfer& face, std::span<double> out) {
                 mesh_.block(face.mine).pack_face(face.geom, gb, ge, out);
             },
@@ -210,14 +205,11 @@ void SyncDriver::reflux_stage(int group) {
     // each direction.
     Stopwatch sw;
     sw.start();
-    const int gb = group_begin(group), ge = group_end(group);
+    const int gb = cfg_.group_begin(group), ge = cfg_.group_end(group);
     for (int dir = 0; dir < 3; ++dir) {
         const amr::FluxPlan::Direction& fd = flux_plan_.direction(dir);
-        auto& sends = flux_send_[static_cast<std::size_t>(dir)];
-        auto& recvs = flux_recv_[static_cast<std::size_t>(dir)];
         exchange(
-            ge - gb, fd.neighbors, [&](std::size_t ni) { return std::span<double>(sends[ni]); },
-            [&](std::size_t ni) { return std::span<double>(recvs[ni]); },
+            flux_buffers_, dir, ge - gb, fd.neighbors,
             [&](const amr::FaceTransfer& face, std::span<double> out) {
                 flux_register(face.mine)
                     .pack_restricted(face.geom.axis, face.geom.sense, gb, ge, out);
@@ -242,7 +234,7 @@ void SyncDriver::reflux_stage(int group) {
 void SyncDriver::stencil_stage(int group) {
     Stopwatch sw;
     sw.start();
-    const int gb = group_begin(group), ge = group_end(group);
+    const int gb = cfg_.group_begin(group), ge = cfg_.group_end(group);
     const std::vector<BlockKey> keys = mesh_.owned_keys();
     std::atomic<std::int64_t> flops{0};
     for_each(static_cast<std::int64_t>(keys.size()), [&](std::int64_t i) {
@@ -263,7 +255,7 @@ void SyncDriver::checksum_stage() {
     std::vector<double> sums(static_cast<std::size_t>(cfg_.num_groups()), 0.0);
     std::vector<double> partials(keys.size(), 0.0);
     for (int g = 0; g < cfg_.num_groups(); ++g) {
-        const int gb = group_begin(g), ge = group_end(g);
+        const int gb = cfg_.group_begin(g), ge = cfg_.group_end(g);
         for_each(static_cast<std::int64_t>(keys.size()), [&](std::int64_t i) {
             const std::int64_t t0 = now_ns();
             const BlockKey& key = keys[static_cast<std::size_t>(i)];

@@ -37,17 +37,16 @@ private:
     /// for fork-join.
     void for_each(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 
-    /// A plan's per-neighbour staging streams for one direction.
-    using Stream = std::function<std::span<double>(std::size_t neighbor_index)>;
-    /// Algorithm 2 for one direction of a plan, ghost or flux: post every
-    /// receive, pack and send each chunk, run the `local_items` same-rank
-    /// items, apply each message as it arrives (Waitany), then wait for the
-    /// sends. Messages live in the staging streams, or under --zero_copy in
-    /// transport frames. `pack(face, out)` fills a face's section of an
-    /// outgoing message; `apply(face, in)` consumes one of an incoming one.
+    /// Algorithm 2 for direction `dir` of a plan, ghost or flux, for a
+    /// group of `gvars` variables: post every receive, pack and send each
+    /// chunk, run the `local_items` same-rank items, apply each message as it
+    /// arrives (Waitany), then wait for the sends. Messages live in the
+    /// plan's staging `streams`, or under --zero_copy in transport frames.
+    /// `pack(face, out)` fills a face's section of an outgoing message;
+    /// `apply(face, in)` consumes one of an incoming one.
     template <class Pack, class Apply>
-    void exchange(int gvars, const std::vector<amr::NeighborExchange>& neighbors,
-                  const Stream& send_stream, const Stream& recv_stream, const Pack& pack,
+    void exchange(CommBuffers& streams, int dir, int gvars,
+                  const std::vector<amr::NeighborExchange>& neighbors, const Pack& pack,
                   const Apply& apply, std::int64_t local_items,
                   const std::function<void(std::int64_t)>& local);
 

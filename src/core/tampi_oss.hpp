@@ -1,29 +1,20 @@
 // The paper's contribution (§IV): the complete data-flow taskification of
-// miniAMR on OmpSs-2-style tasks + TAMPI.
-//
-//  * communicate (Algorithm 3) and reflux: one submitter, submit_exchange,
-//    serves both plans. Per direction it submits receive tasks (TAMPI_Irecv,
-//    out-dependency on the receive-buffer section), pack tasks (in: the
-//    source block face or register / out: send-buffer section), send tasks
-//    (TAMPI_Isend, in-dependency — with aggregated messages a single region
-//    dependency over the chunk's contiguous sections plays the role of the
-//    paper's multidependency), one same-rank task per destination block
-//    (its intra-rank copies, then its boundary reflections, or its
-//    intra-rank refluxes) and apply tasks (in: section / inout: block). No
-//    MPI_Waitany anywhere.
-//  * stencil: one task per block and variable group (inout on the block's
-//    group range — the paper's §IV-D dependency granularity).
-//  * checksum (§IV-C): local-reduction tasks per (block, group), a reduce
-//    task per group, one taskwait per checksum stage — or, with
-//    --delayed_checksum, a taskwait-with-dependencies that validates the
-//    *previous* checksum stage so the pipeline keeps flowing.
-//  * refinement (§IV-B): split/merge copy tasks; the block exchange keeps
-//    its control messages sequential on the main thread while pack/send/
-//    recv/unpack of block payloads are tasks bound through TAMPI.
+// miniAMR on OmpSs-2-style tasks + TAMPI. The tasks of every phase (the
+// ghost exchange and the reflux of Algorithm 3, stencil, checksum with the
+// §IV-C delayed validation, and refinement) come from amr/task_graph.hpp,
+// which the DES consumes too. This driver is the runtime's sink: it resolves
+// each access to the span of a block, register, staging stream or checksum
+// slot, binds the kernel and submits the task. MPI calls run inside tasks
+// bound through TAMPI; no MPI_Waitany anywhere. Refinement keeps its
+// control messages sequential on the main thread (§IV-B).
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <functional>
+#include <span>
 
+#include "amr/task_graph.hpp"
 #include "core/driver_base.hpp"
 #include "tampi/tampi.hpp"
 #include "tasking/runtime.hpp"
@@ -35,6 +26,14 @@ public:
     TampiOssDriver(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
                    std::shared_ptr<amr::BlockArena> arena);
     ~TampiOssDriver() override;
+
+    // ---- the sink of amr/task_graph.hpp's emit functions ------------------
+    /// Takes the blocks `task` fills from the arena, resolves its accesses
+    /// to spans and submits its kernel.
+    void submit(const amr::graph::Task& task);
+    /// Waits on `access` or on every task, then validates checksum `slot`.
+    void wait(const amr::graph::Access& access, int slot);
+    void drain(int slot);
 
 protected:
     void communicate_stage(int group) override;
@@ -51,19 +50,14 @@ protected:
                              const std::vector<BlockMove>& recvs) override;
 
 private:
-    /// The ghost exchange and the reflux of one direction and variable
-    /// group, as submit_exchange sees them: the plan's items, the staging
-    /// streams, the face kernels and the regions each kernel reads and
-    /// writes (defined in tampi_oss.cpp).
-    struct GhostFaces;
-    struct FluxFaces;
-    /// Algorithm 3 for one direction of either plan, shaped like
-    /// SyncDriver::exchange: one receive task per incoming message, one pack
-    /// task per outgoing face, one send task per message, one task per
-    /// destination block for the same-rank items (in: each source, inout:
-    /// the destination), then one apply task per incoming face.
-    template <class Faces>
-    void submit_exchange(const Faces& faces);
+    /// The span an access target names.
+    std::span<double> resolve(const amr::graph::Target& target);
+    static tasking::Dep dep(const amr::graph::Access& access, std::span<double> span);
+    /// The kernel of `task`, bound to the spans of its first accesses.
+    std::function<void()> body(const amr::graph::Task& task,
+                               const std::array<std::span<double>, 3>& spans);
+    /// Reduces and validates checksum slot `slot`, and frees it.
+    void validate(int slot);
     /// Waits for every submitted task, then validates the deferred checksum
     /// stages still pending, older first.
     void drain_checksums();
@@ -84,6 +78,8 @@ private:
     };
     ChecksumSlot slots_[2];
     int slot_index_ = 0;
+    /// The parent whose 8 split tasks are being submitted.
+    std::shared_ptr<const Block> split_parent_;
 };
 
 }  // namespace dfamr::core

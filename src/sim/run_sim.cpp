@@ -1,11 +1,16 @@
 #include "sim/run_sim.hpp"
 
 #include <algorithm>
+#include <array>
+#include <deque>
 #include <map>
 #include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "amr/comm_plan.hpp"
 #include "amr/structure.hpp"
+#include "amr/task_graph.hpp"
 #include "common/error.hpp"
 
 namespace dfamr::sim {
@@ -81,11 +86,14 @@ void arrange(amr::Config& cfg, Vec3i block_grid, int total_ranks) {
 }
 
 // ---------------------------------------------------------------------------
-// SimRun: mirrors core::DriverBase's orchestration, building DAGs instead of
-// executing kernels.
+// SimRun: core::DriverBase's orchestration over every rank, building DAGs
+// instead of executing kernels. The data-flow variant consumes the driver's
+// own graph (amr/task_graph.hpp); the bulk-synchronous ones are built here.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+namespace graph = amr::graph;
 
 class SimRun {
 public:
@@ -93,7 +101,6 @@ public:
            const CostModel& costs, amr::Tracer* tracer)
         : cfg_(app),
           variant_(variant),
-          cluster_(cluster),
           costs_(costs),
           sim_(cluster, costs),
           structure_(app),
@@ -106,7 +113,6 @@ public:
         mem_factor_ = cluster.rank_spans_sockets() ? costs.numa_penalty : 1.0;
         sim_.set_tracer(tracer);
         state_.resize(static_cast<std::size_t>(R_));
-        regs_.resize(static_cast<std::size_t>(R_));
         rebuild_rank_state();
     }
 
@@ -137,47 +143,57 @@ public:
         result.total_flops = flops_;
         result.final_blocks = static_cast<std::int64_t>(structure_.num_blocks());
         result.stats = sim_.stats();
+        result.stats.dataflow_tasks = dataflow_tasks_;
+        result.stats.edges = edges_;
         return result;
     }
 
 private:
-    struct Move {
-        BlockKey key;
-        int from = -1, to = -1;
-        int id = 0;
-    };
-
     struct RankState {
         std::vector<BlockKey> blocks;
         CommPlan plan;
         SimTaskPtr tail;  // program-order / main-thread chain
-        // Virtual dependency regions (TAMPI variant only).
-        std::uint64_t arena = 0;
-        std::map<BlockKey, std::uint64_t> block_region;  // base; +group = region
-        std::array<std::vector<std::uint64_t>, 3> send_base, recv_base;  // per neighbor
-        std::uint64_t cks_partials[2] = {0, 0};
-        std::uint64_t cks_sums[2] = {0, 0};
+    };
+
+    /// One rank's sink for amr/task_graph.hpp: each access becomes a
+    /// synthetic region with the offset and size TampiOssDriver's span has
+    /// in its object; each task gets the cost model's price and each send
+    /// its receive.
+    struct Sink {
+        Sink(SimRun& run_, int rank_)
+            : run(run_),
+              rank(rank_),
+              streams(run.state_[static_cast<std::size_t>(rank)].plan, run.cfg_.vars_per_group(),
+                      run.cfg_.separate_buffers) {}
+        void submit(const graph::Task& task);
+        /// A main-core member of the collective validating the previous sums.
+        void wait(const graph::Access& access, int slot);
+        /// The caller drains every rank at once.
+        void drain(int) {}
+        /// Each object gets its own 4 GiB of addresses when first named.
+        std::uint64_t base(graph::Object object, const BlockKey& key, int index) {
+            auto [it, added] = objects.try_emplace({object, key, index});
+            if (added) it->second = ++count << 32;
+            return it->second;
+        }
+        Dep dep(const graph::Access& access);
+        void register_accesses(const SimTaskPtr& task, std::span<const graph::Access> accesses);
+
+        SimRun& run;
+        int rank;
+        tasking::DependencyRegistry registry;
+        amr::StreamLayout streams;
+        std::map<std::tuple<graph::Object, BlockKey, int>, std::uint64_t> objects;
+        std::uint64_t count = 0;
     };
 
     // --- small helpers -----------------------------------------------------
-    int group_begin(int g) const { return g * cfg_.vars_per_group(); }
-    int group_end(int g) const { return std::min(cfg_.num_vars, (g + 1) * cfg_.vars_per_group()); }
-    int gvars(int g) const { return group_end(g) - group_begin(g); }
+    int gvars(int g) const { return cfg_.group_end(g) - cfg_.group_begin(g); }
     bool tasking() const { return variant_ == amr::Variant::TampiOss; }
-    /// Variant used for the refinement data operations (the
-    /// --serial_refinement ablation keeps them sequential).
-    amr::Variant refine_variant() const {
-        if (tasking() && !cfg_.taskify_refinement) return amr::Variant::MpiOnly;
-        return variant_;
-    }
+    /// Taskified refinement data operations (the --serial_refinement
+    /// ablation keeps them sequential, like MPI-only).
     bool refine_tasking() const { return tasking() && cfg_.taskify_refinement; }
 
-    std::int64_t overhead() const {
-        // Per-task runtime cost on a worker's critical path (see
-        // CostModel::tasking_overhead_ns); perfbench's tasking.ns_per_task.*
-        // probes measure the runtime's whole per-task cost.
-        return tasking() ? static_cast<std::int64_t>(costs_.tasking_overhead_ns) : 0;
-    }
     std::int64_t stencil_ns(std::int64_t blocks, int vars) const {
         double ns = costs_.stencil_ns_per_cell_var * static_cast<double>(blocks) *
                     static_cast<double>(cfg_.cells_interior()) * vars * mem_factor_;
@@ -203,21 +219,6 @@ private:
                8;
     }
 
-    std::uint64_t alloc_region(RankState& st, std::uint64_t bytes) {
-        const std::uint64_t base = st.arena;
-        st.arena += bytes;
-        return base;
-    }
-    static Dep dep(DepKind kind, std::uint64_t base, std::uint64_t size) {
-        return Dep{kind, Region::synthetic(base, static_cast<std::size_t>(size))};
-    }
-    Dep block_dep(int rank, DepKind kind, const BlockKey& key, int group) {
-        RankState& st = state_[static_cast<std::size_t>(rank)];
-        auto it = st.block_region.find(key);
-        DFAMR_REQUIRE(it != st.block_region.end(), "block region missing for dependency");
-        return dep(kind, it->second + static_cast<std::uint64_t>(group), 1);
-    }
-
     void chain(int rank, const SimTaskPtr& t) {
         SimTaskPtr& tail = state_[static_cast<std::size_t>(rank)].tail;
         edge(tail, t);
@@ -233,22 +234,6 @@ private:
     SimTaskPtr serial(int rank, PhaseKind kind, std::int64_t cost) {
         auto t = sim_.new_task(rank, kind, cost, W_ > 1 ? 0 : -1);
         chain(rank, t);
-        sim_.submit(t);
-        return t;
-    }
-    /// Data-flow task with region dependencies (TAMPI variant).
-    SimTaskPtr dataflow(int rank, PhaseKind kind, std::int64_t cost,
-                        std::initializer_list<Dep> deps) {
-        auto t = sim_.new_task(rank, kind, cost);
-        regs_[static_cast<std::size_t>(rank)].register_accesses(
-            t, std::span<const Dep>(deps.begin(), deps.size()));
-        sim_.submit(t);
-        return t;
-    }
-    SimTaskPtr dataflow_v(int rank, PhaseKind kind, std::int64_t cost,
-                          const std::vector<Dep>& deps) {
-        auto t = sim_.new_task(rank, kind, cost);
-        regs_[static_cast<std::size_t>(rank)].register_accesses(t, std::span<const Dep>(deps));
         sim_.submit(t);
         return t;
     }
@@ -277,6 +262,16 @@ private:
         sim_.submit(join);
     }
 
+    /// `n` refinement copies of `cost` each without tasks: workshared for
+    /// fork-join, sequential on the main core otherwise.
+    void block_copies(int rank, PhaseKind kind, std::size_t n, std::int64_t cost) {
+        if (variant_ == amr::Variant::ForkJoin) {
+            parallel_region(rank, kind, std::vector<std::int64_t>(n, cost));
+        } else {
+            serial(rank, kind, static_cast<std::int64_t>(n) * cost);
+        }
+    }
+
     /// Drains all outstanding work, then applies a blocking collective
     /// across every rank (used at the global sync points).
     void analytic_collective(std::int64_t bytes) {
@@ -284,17 +279,24 @@ private:
         std::int64_t tmax = 0;
         for (int r = 0; r < R_; ++r) tmax = std::max(tmax, sim_.rank_time(r));
         sim_.advance_all_ranks_to(tmax + costs_.collective_ns(R_, bytes));
-        // Everything is released; prune dependency bookkeeping.
-        for (auto& reg : regs_) reg.garbage_collect();
+        for (Sink& sink : sinks_) sink.registry.garbage_collect();
     }
 
-    /// Index of rank `from` in `plans_[of_rank]`'s direction-d neighbor list.
-    int neighbor_index(int of_rank, int dir, int from) const {
-        const auto& neighbors = state_[static_cast<std::size_t>(of_rank)].plan.direction(dir).neighbors;
-        for (std::size_t i = 0; i < neighbors.size(); ++i) {
-            if (neighbors[i].peer == from) return static_cast<int>(i);
+    /// Declares a message when the later of its two ends is built: ends
+    /// meet by (source, destination, tag) in posting order, as MPI matches
+    /// them. Nothing runs before the next drain, so either may come first.
+    void match(int from, int to, int tag, const SimTaskPtr& task, bool is_send,
+               std::int64_t bytes) {
+        const auto it = unmatched_.try_emplace({from, to, tag}).first;
+        auto& waiting = it->second;
+        if (waiting.empty() || waiting.front().second == is_send) {
+            waiting.emplace_back(task, is_send);
+            return;
         }
-        throw Error("asymmetric communication plan: peer not found");
+        const SimTaskPtr& other = waiting.front().first;
+        sim_.add_message(is_send ? task : other, is_send ? other : task, bytes);
+        waiting.pop_front();
+        if (waiting.empty()) unmatched_.erase(it);
     }
 
     // --- state rebuild -------------------------------------------------------
@@ -317,69 +319,28 @@ private:
             st.tail = nullptr;
         }
         if (!tasking()) return;
-
-        // Fresh registries (the sharded registry is move-only, so no assign).
-        regs_ = std::vector<tasking::DependencyRegistry>(static_cast<std::size_t>(R_));
-        const std::uint64_t gvm = static_cast<std::uint64_t>(cfg_.vars_per_group());
-        for (int r = 0; r < R_; ++r) {
-            RankState& st = state_[static_cast<std::size_t>(r)];
-            st.arena = (static_cast<std::uint64_t>(r) + 1) << 44;
-            st.block_region.clear();
-            for (const BlockKey& key : st.blocks) {
-                st.block_region[key] =
-                    alloc_region(st, static_cast<std::uint64_t>(cfg_.num_groups()));
-            }
-            // Communication buffer regions, reproducing the reference
-            // aliasing: without --separate_buffers the three directions
-            // share one buffer pair (false inter-direction dependencies).
-            std::array<std::uint64_t, 3> send_bytes{}, recv_bytes{};
-            for (int d = 0; d < 3; ++d) {
-                auto& sb = st.send_base[static_cast<std::size_t>(d)];
-                auto& rb = st.recv_base[static_cast<std::size_t>(d)];
-                sb.clear();
-                rb.clear();
-                for (const amr::NeighborExchange& ex : st.plan.direction(d).neighbors) {
-                    sb.push_back(send_bytes[static_cast<std::size_t>(d)]);
-                    rb.push_back(recv_bytes[static_cast<std::size_t>(d)]);
-                    send_bytes[static_cast<std::size_t>(d)] +=
-                        static_cast<std::uint64_t>(ex.send_values) * gvm * 8;
-                    recv_bytes[static_cast<std::size_t>(d)] +=
-                        static_cast<std::uint64_t>(ex.recv_values) * gvm * 8;
-                }
-            }
-            std::uint64_t sbase = 0, rbase = 0;
-            if (!cfg_.separate_buffers) {
-                sbase = alloc_region(st, *std::max_element(send_bytes.begin(), send_bytes.end()));
-                rbase = alloc_region(st, *std::max_element(recv_bytes.begin(), recv_bytes.end()));
-            }
-            for (int d = 0; d < 3; ++d) {
-                if (cfg_.separate_buffers) {
-                    sbase = alloc_region(st, send_bytes[static_cast<std::size_t>(d)]);
-                    rbase = alloc_region(st, recv_bytes[static_cast<std::size_t>(d)]);
-                }
-                for (std::uint64_t& off : st.send_base[static_cast<std::size_t>(d)]) off += sbase;
-                for (std::uint64_t& off : st.recv_base[static_cast<std::size_t>(d)]) off += rbase;
-            }
-            // Checksum slots (double-buffered for the delayed optimization).
-            const std::uint64_t groups = static_cast<std::uint64_t>(cfg_.num_groups());
-            const std::uint64_t nblocks = st.blocks.size();
-            for (int slot = 0; slot < 2; ++slot) {
-                st.cks_partials[slot] = alloc_region(st, groups * std::max<std::uint64_t>(nblocks, 1) * 8);
-                st.cks_sums[slot] = alloc_region(st, groups * 8);
-            }
-        }
+        // Every task has drained: fresh sinks with fresh registries.
+        sinks_.clear();
+        sinks_.reserve(static_cast<std::size_t>(R_));
+        for (int r = 0; r < R_; ++r) sinks_.emplace_back(*this, r);
         cks_pending_[0] = cks_pending_[1] = false;
         cks_slot_ = 0;
     }
 
     // --- stages ---------------------------------------------------------------
     void communicate_stage(int group) {
-        if (tasking()) {
-            tampi_communicate(group);
-            return;
-        }
         const int gv = gvars(group);
         for (int dir = 0; dir < 3; ++dir) {
+            if (tasking()) {
+                for (int r = 0; r < R_; ++r) {
+                    const amr::DirectionPlan& dp =
+                        state_[static_cast<std::size_t>(r)].plan.direction(dir);
+                    Sink& sink = sinks_[static_cast<std::size_t>(r)];
+                    graph::emit_exchange(sink, dp, false, dir, dp.boundary, sink.streams,
+                                         cfg_.group_begin(group), cfg_.group_end(group));
+                }
+                continue;
+            }
             // Pass 1: receive posts + completion sinks, every rank.
             std::vector<std::vector<std::vector<SimTaskPtr>>> sinks(
                 static_cast<std::size_t>(R_));
@@ -387,10 +348,12 @@ private:
                 const auto& dp = state_[static_cast<std::size_t>(r)].plan.direction(dir);
                 sinks[static_cast<std::size_t>(r)].resize(dp.neighbors.size());
                 for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-                    for (std::size_t ci = 0; ci < dp.neighbors[ni].recv_chunks.size(); ++ci) {
+                    const amr::NeighborExchange& ex = dp.neighbors[ni];
+                    for (const amr::MessageChunk& chunk : ex.recv_chunks) {
                         serial(r, PhaseKind::Recv, mpi_call());  // the Irecv post
                         auto sink = sim_.new_task(r, PhaseKind::Recv, 0);
                         sim_.submit(sink);
+                        match(ex.peer, r, chunk.tag, sink, false, chunk.value_count * gv * 8);
                         sinks[static_cast<std::size_t>(r)][ni].push_back(std::move(sink));
                     }
                 }
@@ -407,7 +370,7 @@ private:
                             const std::int64_t bytes = chunk.value_count * gv * 8;
                             serial(r, PhaseKind::Pack, copy_ns(bytes));
                             auto send = serial(r, PhaseKind::Send, mpi_call());
-                            link_send(send, r, dir, ex.peer, chunk, sinks, bytes);
+                            match(r, ex.peer, chunk.tag, send, true, bytes);
                         }
                     }
                     serial(r, PhaseKind::IntraCopy,
@@ -438,9 +401,8 @@ private:
                         for (const amr::MessageChunk& chunk : ex.send_chunks) {
                             parallel_region(r, PhaseKind::Pack,
                                             chunk_face_costs(ex.sends, chunk, dir, gv));
-                            const std::int64_t bytes = chunk.value_count * gv * 8;
                             auto send = serial(r, PhaseKind::Send, mpi_call());
-                            link_send(send, r, dir, ex.peer, chunk, sinks, bytes);
+                            match(r, ex.peer, chunk.tag, send, true, chunk.value_count * gv * 8);
                         }
                     }
                     // Workshared intra copies + boundary.
@@ -495,116 +457,6 @@ private:
         return std::accumulate(costs.begin(), costs.end(), std::int64_t{0});
     }
 
-    void link_send(const SimTaskPtr& send, int from, int dir, int peer,
-                   const amr::MessageChunk& chunk,
-                   std::vector<std::vector<std::vector<SimTaskPtr>>>& sinks,
-                   std::int64_t bytes) {
-        const int pni = neighbor_index(peer, dir, from);
-        // The peer's recv chunk index equals this chunk's index in the
-        // symmetric plan: find it by matching tags (identical layout).
-        const auto& peer_ex =
-            state_[static_cast<std::size_t>(peer)].plan.direction(dir).neighbors[static_cast<std::size_t>(pni)];
-        int ci = -1;
-        for (std::size_t i = 0; i < peer_ex.recv_chunks.size(); ++i) {
-            if (peer_ex.recv_chunks[i].tag == chunk.tag) {
-                ci = static_cast<int>(i);
-                break;
-            }
-        }
-        DFAMR_REQUIRE(ci >= 0, "no matching receive chunk on the peer");
-        sim_.add_message(send, sinks[static_cast<std::size_t>(peer)][static_cast<std::size_t>(pni)]
-                                   [static_cast<std::size_t>(ci)],
-                         bytes);
-    }
-
-    /// Dependency on `count` values from `offset` of a staging stream at
-    /// `base`, sized for a whole variable group like the driver's buffers.
-    Dep stream_dep(DepKind kind, std::uint64_t base, std::int64_t offset,
-                   std::int64_t count) const {
-        const auto stride = static_cast<std::uint64_t>(cfg_.vars_per_group()) * 8;
-        return dep(kind, base + static_cast<std::uint64_t>(offset) * stride,
-                   static_cast<std::uint64_t>(count) * stride);
-    }
-
-    void tampi_communicate(int group) {
-        const int gv = gvars(group);
-        for (int dir = 0; dir < 3; ++dir) {
-            // Pass 1: receive tasks everywhere (out-dep on buffer section).
-            std::vector<std::vector<std::vector<SimTaskPtr>>> recv_tasks(
-                static_cast<std::size_t>(R_));
-            for (int r = 0; r < R_; ++r) {
-                RankState& st = state_[static_cast<std::size_t>(r)];
-                const auto& dp = st.plan.direction(dir);
-                recv_tasks[static_cast<std::size_t>(r)].resize(dp.neighbors.size());
-                for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-                    const std::uint64_t rbase = st.recv_base[static_cast<std::size_t>(dir)][ni];
-                    for (const amr::MessageChunk& chunk : dp.neighbors[ni].recv_chunks) {
-                        recv_tasks[static_cast<std::size_t>(r)][ni].push_back(
-                            dataflow(r, PhaseKind::Recv, mpi_call() + overhead(),
-                                     {stream_dep(DepKind::Out, rbase, chunk.value_offset,
-                                                 chunk.value_count)}));
-                    }
-                }
-            }
-            // Pass 2, per rank in TampiOssDriver::submit_exchange's order:
-            // packs and a send per message, one same-rank task per
-            // destination block, then the unpacks.
-            for (int r = 0; r < R_; ++r) {
-                RankState& st = state_[static_cast<std::size_t>(r)];
-                const auto& dp = st.plan.direction(dir);
-                for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-                    const amr::NeighborExchange& ex = dp.neighbors[ni];
-                    const std::uint64_t sbase = st.send_base[static_cast<std::size_t>(dir)][ni];
-                    for (const amr::MessageChunk& chunk : ex.send_chunks) {
-                        for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count;
-                             ++f) {
-                            const amr::FaceTransfer& face = ex.sends[static_cast<std::size_t>(f)];
-                            dataflow(r, PhaseKind::Pack,
-                                     copy_ns(face.value_count * gv * 8) + overhead(),
-                                     {block_dep(r, DepKind::In, face.mine, group),
-                                      stream_dep(DepKind::Out, sbase, face.value_offset,
-                                                 face.value_count)});
-                        }
-                        auto send = dataflow(r, PhaseKind::Send, mpi_call() + overhead(),
-                                             {stream_dep(DepKind::In, sbase, chunk.value_offset,
-                                                         chunk.value_count)});
-                        link_send(send, r, dir, ex.peer, chunk, recv_tasks,
-                                  chunk.value_count * gv * 8);
-                    }
-                }
-                amr::for_each_destination(
-                    dp.copies, dp.boundary,
-                    [&](const BlockKey& dst, std::span<const amr::IntraCopy> copies,
-                        std::span<const std::pair<BlockKey, int>> boundary) {
-                        std::vector<Dep> deps;
-                        for (const amr::IntraCopy& c : copies) {
-                            deps.push_back(block_dep(r, DepKind::In, c.src, group));
-                        }
-                        deps.push_back(block_dep(r, DepKind::InOut, dst, group));
-                        dataflow_v(r, PhaseKind::IntraCopy,
-                                   sum(same_rank_costs(copies, boundary.size(), dir, gv)) +
-                                       overhead(),
-                                   deps);
-                    });
-                for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-                    const amr::NeighborExchange& ex = dp.neighbors[ni];
-                    const std::uint64_t rbase = st.recv_base[static_cast<std::size_t>(dir)][ni];
-                    for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-                        for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count;
-                             ++f) {
-                            const amr::FaceTransfer& face = ex.recvs[static_cast<std::size_t>(f)];
-                            dataflow(r, PhaseKind::Unpack,
-                                     copy_ns(face.value_count * gv * 8) + overhead(),
-                                     {stream_dep(DepKind::In, rbase, face.value_offset,
-                                                 face.value_count),
-                                      block_dep(r, DepKind::InOut, face.mine, group)});
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     void stencil_stage(int group) {
         const int gv = gvars(group);
         flops_ += static_cast<std::int64_t>(structure_.num_blocks()) * cfg_.stencil *
@@ -612,22 +464,15 @@ private:
         for (int r = 0; r < R_; ++r) {
             RankState& st = state_[static_cast<std::size_t>(r)];
             const auto nblocks = static_cast<std::int64_t>(st.blocks.size());
-            switch (variant_) {
-                case amr::Variant::MpiOnly:
-                    serial(r, PhaseKind::Stencil, stencil_ns(nblocks, gv));
-                    break;
-                case amr::Variant::ForkJoin: {
-                    std::vector<std::int64_t> items(static_cast<std::size_t>(nblocks),
-                                                    stencil_ns(1, gv));
-                    parallel_region(r, PhaseKind::Stencil, items);
-                    break;
-                }
-                case amr::Variant::TampiOss:
-                    for (const BlockKey& key : st.blocks) {
-                        dataflow(r, PhaseKind::Stencil, stencil_ns(1, gv) + overhead(),
-                                 {block_dep(r, DepKind::InOut, key, group)});
-                    }
-                    break;
+            if (tasking()) {
+                graph::emit_stencil(sinks_[static_cast<std::size_t>(r)], st.blocks,
+                                    cfg_.group_begin(group), cfg_.group_end(group), false);
+            } else if (variant_ == amr::Variant::ForkJoin) {
+                parallel_region(r, PhaseKind::Stencil,
+                                std::vector<std::int64_t>(static_cast<std::size_t>(nblocks),
+                                                          stencil_ns(1, gv)));
+            } else {
+                serial(r, PhaseKind::Stencil, stencil_ns(nblocks, gv));
             }
         }
     }
@@ -650,52 +495,25 @@ private:
             return;
         }
 
-        // TAMPI+OSS: local tasks per (block, group) + a reduce task per group.
         const int slot = cks_slot_;
         for (int r = 0; r < R_; ++r) {
-            RankState& st = state_[static_cast<std::size_t>(r)];
-            const std::uint64_t n = std::max<std::uint64_t>(st.blocks.size(), 1);
-            for (int g = 0; g < groups; ++g) {
-                const std::uint64_t row = st.cks_partials[slot] +
-                                          static_cast<std::uint64_t>(g) * n * 8;
-                for (std::size_t i = 0; i < st.blocks.size(); ++i) {
-                    dataflow(r, PhaseKind::ChecksumLocal, checksum_ns(1, gvars(g)) + overhead(),
-                             {block_dep(r, DepKind::In, st.blocks[i], g),
-                              dep(DepKind::Out, row + static_cast<std::uint64_t>(i) * 8, 8)});
-                }
-                dataflow(r, PhaseKind::ChecksumReduce,
-                         static_cast<std::int64_t>(st.blocks.size()) * 20 + overhead(),
-                         {dep(DepKind::In, row, n * 8),
-                          dep(DepKind::Out, st.cks_sums[slot] + static_cast<std::uint64_t>(g) * 8,
-                              8)});
-            }
+            graph::emit_checksum(sinks_[static_cast<std::size_t>(r)], cfg_,
+                                 state_[static_cast<std::size_t>(r)].blocks, slot,
+                                 cks_pending_[1 - slot]);
         }
-
+        if (wait_collective_ >= 0) {
+            // §IV-C: the previous stage's sums are validated by a collective
+            // on the main cores while the pipeline keeps flowing.
+            sim_.close_collective(wait_collective_);
+            wait_collective_ = -1;
+            cks_pending_[1 - slot] = false;
+        }
         if (cfg_.delayed_checksum) {
-            // §IV-C: validate the PREVIOUS checksum stage under a
-            // taskwait-with-dependencies; the collective runs on the main
-            // core while the pipeline keeps flowing.
-            const int prev = 1 - slot;
-            if (cks_pending_[prev]) {
-                const int coll = sim_.new_collective(groups * 8);
-                for (int r = 0; r < R_; ++r) {
-                    RankState& st = state_[static_cast<std::size_t>(r)];
-                    auto member = sim_.new_task(r, PhaseKind::ChecksumReduce, mpi_call(), 0);
-                    regs_[static_cast<std::size_t>(r)].register_accesses(
-                        member, std::array<Dep, 1>{dep(DepKind::In, st.cks_sums[prev],
-                                                       static_cast<std::uint64_t>(groups) * 8)});
-                    chain(r, member);
-                    sim_.set_collective(member, coll);
-                    sim_.submit(member);
-                }
-                sim_.close_collective(coll);
-                cks_pending_[prev] = false;
-            }
             cks_pending_[slot] = true;
         } else {
             analytic_collective(groups * 8);
         }
-        cks_slot_ = 1 - cks_slot_;
+        cks_slot_ = 1 - slot;
     }
 
     void finish_pending_checksums() {
@@ -718,6 +536,8 @@ private:
             for (amr::ObjectSpec& obj : cfg_.objects) obj.step();
         }
 
+        const int max_level = structure_.max_level();
+        const std::int64_t block_copy = copy_ns(block_bytes());
         const int rounds = cfg_.max_block_change();
         for (int round_idx = 0; round_idx < rounds; ++round_idx) {
             const amr::RefineRound round =
@@ -736,82 +556,36 @@ private:
             }
 
             // Splits.
-            std::vector<std::vector<const BlockKey*>> owned_splits(
-                static_cast<std::size_t>(R_));
+            std::vector<std::vector<BlockKey>> splits(static_cast<std::size_t>(R_));
             for (const BlockKey& key : round.refine) {
-                owned_splits[static_cast<std::size_t>(structure_.owner(key))].push_back(&key);
+                splits[static_cast<std::size_t>(structure_.owner(key))].push_back(key);
             }
             for (int r = 0; r < R_; ++r) {
-                const auto& splits = owned_splits[static_cast<std::size_t>(r)];
-                if (splits.empty()) continue;
-                const std::int64_t per_child = copy_ns(block_bytes());
-                switch (refine_variant()) {
-                    case amr::Variant::MpiOnly:
-                        serial(r, PhaseKind::RefineSplit,
-                               static_cast<std::int64_t>(splits.size()) * 8 * per_child);
-                        break;
-                    case amr::Variant::ForkJoin: {
-                        std::vector<std::int64_t> items(splits.size() * 8, per_child);
-                        parallel_region(r, PhaseKind::RefineSplit, items);
-                        break;
-                    }
-                    case amr::Variant::TampiOss:
-                        for (std::size_t i = 0; i < splits.size() * 8; ++i) {
-                            dataflow(r, PhaseKind::RefineSplit, per_child + overhead(), {});
-                        }
-                        break;
+                const std::vector<BlockKey>& mine = splits[static_cast<std::size_t>(r)];
+                if (mine.empty()) continue;
+                if (refine_tasking()) {
+                    graph::emit_splits(sinks_[static_cast<std::size_t>(r)], mine, max_level,
+                                       cfg_.num_vars);
+                } else {
+                    block_copies(r, PhaseKind::RefineSplit, mine.size() * 8, block_copy);
                 }
             }
 
             // Coarsening: move children to the parent owner, then merge.
-            std::vector<Move> moves;
-            std::vector<std::vector<std::pair<const BlockKey*, int>>> merges(
-                static_cast<std::size_t>(R_));  // (parent, #remote children)
-            int next_id = 0;
+            std::vector<std::vector<BlockKey>> merges(static_cast<std::size_t>(R_));
             for (const BlockKey& parent : round.coarsen_parents) {
-                const int new_owner = structure_.owner(parent.child(0, structure_.max_level()));
-                int remote = 0;
-                for (int octant = 1; octant < 8; ++octant) {
-                    const BlockKey child = parent.child(octant, structure_.max_level());
-                    const int child_owner = structure_.owner(child);
-                    if (child_owner != new_owner) {
-                        moves.push_back(Move{child, child_owner, new_owner, next_id});
-                        ++remote;
-                    }
-                    ++next_id;
-                }
-                merges[static_cast<std::size_t>(new_owner)].emplace_back(&parent, remote);
+                merges[static_cast<std::size_t>(structure_.owner(parent.child(0, max_level)))]
+                    .push_back(parent);
             }
-            transfer_blocks(moves, /*with_ack=*/false);
+            transfer_blocks(structure_.coarsen_moves(round), /*with_ack=*/false);
             for (int r = 0; r < R_; ++r) {
-                const auto& my_merges = merges[static_cast<std::size_t>(r)];
-                if (my_merges.empty()) continue;
-                const std::int64_t per_merge = 8 * copy_ns(block_bytes());
-                switch (refine_variant()) {
-                    case amr::Variant::MpiOnly:
-                        serial(r, PhaseKind::RefineMerge,
-                               static_cast<std::int64_t>(my_merges.size()) * per_merge);
-                        break;
-                    case amr::Variant::ForkJoin: {
-                        std::vector<std::int64_t> items(my_merges.size(), per_merge);
-                        parallel_region(r, PhaseKind::RefineMerge, items);
-                        break;
-                    }
-                    case amr::Variant::TampiOss:
-                        for (const auto& [parent, remote] : my_merges) {
-                            std::vector<Dep> deps;
-                            for (int octant = 1; octant < 8; ++octant) {
-                                const BlockKey child =
-                                    parent->child(octant, structure_.max_level());
-                                auto it = move_region_.find(child);
-                                if (it != move_region_.end()) {
-                                    deps.push_back(dep(DepKind::In, it->second,
-                                                       static_cast<std::uint64_t>(block_bytes())));
-                                }
-                            }
-                            dataflow_v(r, PhaseKind::RefineMerge, per_merge + overhead(), deps);
-                        }
-                        break;
+                const std::vector<BlockKey>& mine = merges[static_cast<std::size_t>(r)];
+                if (mine.empty()) continue;
+                if (refine_tasking()) {
+                    graph::emit_merges(sinks_[static_cast<std::size_t>(r)], mine, max_level,
+                                       cfg_.num_vars);
+                } else {
+                    block_copies(r, PhaseKind::RefineMerge, mine.size(), 8 * block_copy);
                 }
             }
             analytic_collective(8);  // 2:1 agreement round (miniAMR collective)
@@ -829,14 +603,7 @@ private:
                                                  static_cast<double>(nblocks)));
             }
             const auto new_owners = structure_.rcb_partition();
-            std::vector<Move> moves;
-            int next_id = 0;
-            for (const auto& [key, owner] : structure_.leaves()) {
-                const int target = new_owners.at(key);
-                if (target != owner) moves.push_back(Move{key, owner, target, next_id});
-                ++next_id;
-            }
-            transfer_blocks(moves, /*with_ack=*/true);
+            transfer_blocks(structure_.moves_to(new_owners), /*with_ack=*/true);
             structure_.set_owners(new_owners);
         }
 
@@ -845,20 +612,19 @@ private:
         refine_ns_ += sim_.global_time() - t0;
     }
 
-    void transfer_blocks(const std::vector<Move>& moves, bool with_ack) {
-        move_region_.clear();
+    void transfer_blocks(const std::vector<amr::BlockMove>& moves, bool with_ack) {
         if (moves.empty()) return;
         if (with_ack) {
             // §IV-B control protocol: ACK from receiver, block id from
             // sender; sequential blocking messages on the main thread.
             std::vector<SimTaskPtr> acks, ids;
             acks.reserve(moves.size());
-            for (const Move& mv : moves) {
+            for (const amr::BlockMove& mv : moves) {
                 acks.push_back(serial(mv.to, PhaseKind::Control, mpi_call()));
             }
             ids.reserve(moves.size());
             for (std::size_t i = 0; i < moves.size(); ++i) {
-                const Move& mv = moves[i];
+                const amr::BlockMove& mv = moves[i];
                 // Blocking ACK receive: chained AND message-gated.
                 auto ack_recv = sim_.new_task(mv.from, PhaseKind::Control, mpi_call(),
                                               W_ > 1 ? 0 : -1);
@@ -868,7 +634,7 @@ private:
                 ids.push_back(serial(mv.from, PhaseKind::Control, mpi_call()));
             }
             for (std::size_t i = 0; i < moves.size(); ++i) {
-                const Move& mv = moves[i];
+                const amr::BlockMove& mv = moves[i];
                 auto id_recv = sim_.new_task(mv.to, PhaseKind::Control, mpi_call(),
                                              W_ > 1 ? 0 : -1);
                 chain(mv.to, id_recv);
@@ -877,30 +643,32 @@ private:
             }
         }
         // Payload transfers.
-        const std::int64_t bytes = block_bytes();
-        for (const Move& mv : moves) {
-            SimTaskPtr send, recv;
-            if (refine_tasking()) {
-                send = dataflow(mv.from, PhaseKind::RefineExchange, mpi_call() + overhead(), {});
-                const std::uint64_t region = alloc_region(
-                    state_[static_cast<std::size_t>(mv.to)], static_cast<std::uint64_t>(bytes));
-                move_region_[mv.key] = region;
-                recv = dataflow(mv.to, PhaseKind::RefineExchange, mpi_call() + overhead(),
-                                {dep(DepKind::Out, region, static_cast<std::uint64_t>(bytes))});
-            } else {
-                send = serial(mv.from, PhaseKind::RefineExchange, mpi_call());
-                recv = sim_.new_task(mv.to, PhaseKind::RefineExchange, mpi_call(),
-                                     W_ > 1 ? 0 : -1);
-                chain(mv.to, recv);  // blocking receive in program order
-                sim_.submit(recv);
+        if (refine_tasking()) {
+            std::vector<std::vector<amr::BlockMove>> sends(static_cast<std::size_t>(R_)),
+                recvs(static_cast<std::size_t>(R_));
+            for (const amr::BlockMove& mv : moves) {
+                sends[static_cast<std::size_t>(mv.from)].push_back(mv);
+                recvs[static_cast<std::size_t>(mv.to)].push_back(mv);
             }
-            sim_.add_message(send, recv, bytes);
+            for (int r = 0; r < R_; ++r) {
+                graph::emit_block_transfers(sinks_[static_cast<std::size_t>(r)],
+                                            sends[static_cast<std::size_t>(r)],
+                                            recvs[static_cast<std::size_t>(r)], cfg_.num_vars);
+            }
+            return;
+        }
+        for (const amr::BlockMove& mv : moves) {
+            auto send = serial(mv.from, PhaseKind::RefineExchange, mpi_call());
+            auto recv =
+                sim_.new_task(mv.to, PhaseKind::RefineExchange, mpi_call(), W_ > 1 ? 0 : -1);
+            chain(mv.to, recv);  // blocking receive in program order
+            sim_.submit(recv);
+            sim_.add_message(send, recv, block_bytes());
         }
     }
 
     amr::Config cfg_;
     amr::Variant variant_;
-    ClusterSpec cluster_;
     CostModel costs_;
     Simulator sim_;
     amr::GlobalStructure structure_;
@@ -909,13 +677,91 @@ private:
     double mem_factor_ = 1.0;
 
     std::vector<RankState> state_;
-    std::vector<tasking::DependencyRegistry> regs_;
-    std::map<BlockKey, std::uint64_t> move_region_;
+    std::vector<Sink> sinks_;  // TAMPI+OSS only
+    std::map<std::array<int, 3>, std::deque<std::pair<SimTaskPtr, bool>>> unmatched_;  // is_send
+    int wait_collective_ = -1;  // the delayed checksum's collective being built
     bool cks_pending_[2] = {false, false};
     int cks_slot_ = 0;
     std::int64_t refine_ns_ = 0;
     std::int64_t flops_ = 0;
+    std::uint64_t dataflow_tasks_ = 0;
+    std::uint64_t edges_ = 0;
 };
+
+Dep SimRun::Sink::dep(const graph::Access& access) {
+    const graph::Target& t = access.target;
+    // Bytes per variable of a block, or per value of a stream or slot.
+    const auto unit = t.object == graph::Object::Vars ? run.shape_.stride_var() * 8 : 8;
+    const auto first = static_cast<std::uint64_t>(t.first * unit);
+    return Dep{static_cast<DepKind>(access.mode),
+               Region::synthetic(base(t.object, t.key, t.index) + first,
+                                 static_cast<std::size_t>(t.count * unit))};
+}
+
+void SimRun::Sink::register_accesses(const SimTaskPtr& task,
+                                     std::span<const graph::Access> accesses) {
+    std::vector<Dep> deps;
+    for (const graph::Access& a : accesses) deps.push_back(dep(a));
+    run.edges_ += static_cast<std::uint64_t>(registry.register_accesses(task, deps));
+    ++run.dataflow_tasks_;
+}
+
+void SimRun::Sink::submit(const graph::Task& task) {
+    const graph::Payload& p = task.payload;
+    const graph::Op op = task.kind.op;
+    // A block a task fills is a new object, as the driver takes it from
+    // the arena.
+    if (op == graph::Op::Split || op == graph::Op::Merge || op == graph::Op::BlockRecv) {
+        const BlockKey key =
+            op == graph::Op::Split ? p.key.child(p.octant, run.structure_.max_level()) : p.key;
+        objects[{graph::Object::Vars, key, 0}] = ++count << 32;
+    }
+    const int vars = p.var_end - p.var_begin;
+    std::int64_t cost = 0;
+    switch (op) {
+        case graph::Op::Recv:
+        case graph::Op::Send:
+        case graph::Op::BlockSend:
+        case graph::Op::BlockRecv: cost = run.mpi_call(); break;
+        case graph::Op::Pack:
+        case graph::Op::Unpack: cost = run.copy_ns(p.face->value_count * vars * 8); break;
+        case graph::Op::Copy:
+            cost = sum(run.same_rank_costs(p.copies, p.boundary.size(), p.dir, vars));
+            break;
+        case graph::Op::Stencil: cost = run.stencil_ns(1, vars); break;
+        case graph::Op::ChecksumLocal: cost = run.checksum_ns(1, vars); break;
+        case graph::Op::ChecksumReduce: cost = task.accesses[0].target.count * 20; break;
+        case graph::Op::Split: cost = run.copy_ns(run.block_bytes()); break;
+        case graph::Op::Merge: cost = 8 * run.copy_ns(run.block_bytes()); break;
+        case graph::Op::FluxPack:
+        case graph::Op::Reflux:
+        case graph::Op::RefluxIntra:
+        case graph::Op::Outflux: throw Error("the DES does not model the reflux");
+    }
+    // Plus the runtime's cost per task on a worker's critical path (see
+    // CostModel::tasking_overhead_ns).
+    cost += static_cast<std::int64_t>(run.costs_.tasking_overhead_ns);
+    auto t = run.sim_.new_task(rank, task.kind.phase, cost);
+    register_accesses(t, task.accesses);
+    run.sim_.submit(t);
+    const bool send = op == graph::Op::Send || op == graph::Op::BlockSend;
+    if (send || op == graph::Op::Recv || op == graph::Op::BlockRecv) {
+        const auto bytes = static_cast<std::int64_t>(dep(task.accesses[0]).region.size);
+        run.match(send ? rank : p.peer, send ? p.peer : rank, p.tag, t, send, bytes);
+    }
+}
+
+void SimRun::Sink::wait(const graph::Access& access, int) {
+    Simulator& sim = run.sim_;
+    if (run.wait_collective_ < 0) {
+        run.wait_collective_ = sim.new_collective(run.cfg_.num_groups() * 8);
+    }
+    auto member = sim.new_task(rank, PhaseKind::ChecksumReduce, run.mpi_call(), 0);
+    register_accesses(member, std::span(&access, 1));
+    run.chain(rank, member);
+    sim.set_collective(member, run.wait_collective_);
+    sim.submit(member);
+}
 
 }  // namespace
 

@@ -39,7 +39,6 @@ void Simulator::add_message(const SimTaskPtr& send, const SimTaskPtr& recv, std:
     DFAMR_REQUIRE(!send->body_done, "sender already executed");
     send->out_messages.emplace_back(recv.get(), bytes);
     ++recv->pending_messages;
-    keep_alive(recv.get());  // the arrival event must find it alive
 }
 
 int Simulator::new_collective(std::int64_t bytes_per_rank) {
@@ -74,12 +73,6 @@ void Simulator::maybe_complete_collective(int collective_id) {
         const std::int64_t done = coll.max_arrival + costs_.collective_ns(coll.expected, coll.bytes);
         events_.push(Event{done, next_seq_++, Event::CollectiveDone, nullptr, collective_id});
     }
-}
-
-void Simulator::keep_alive(SimTask* task) {
-    // Retention happens at submit(); kept as an explicit marker call so the
-    // message API documents the lifetime requirement.
-    (void)task;
 }
 
 void Simulator::submit(const SimTaskPtr& task) {

@@ -93,6 +93,9 @@ struct SimStats {
     std::uint64_t collectives = 0;
     std::map<PhaseKind, std::int64_t> busy_ns_by_kind;
     std::int64_t busy_ns = 0;
+    /// TAMPI+OSS: the data-flow tasks and the edges their regions wire.
+    std::uint64_t dataflow_tasks = 0;
+    std::uint64_t edges = 0;
 };
 
 class Simulator {
@@ -105,8 +108,8 @@ public:
     // --- DAG construction --------------------------------------------------
     SimTaskPtr new_task(int rank, PhaseKind kind, std::int64_t cost_ns, int pinned_core = -1);
     /// Declares that `send`'s completion delivers `bytes` to `recv` (which
-    /// gains a pending message). Both must not be submitted yet... recv may
-    /// already be submitted; send must not have run.
+    /// gains a pending message). Either may already be submitted, but `send`
+    /// must not have run; submit() keeps both alive until they release.
     void add_message(const SimTaskPtr& send, const SimTaskPtr& recv, std::int64_t bytes);
     /// Creates a collective group; member tasks join via set_collective.
     /// After every member is declared, arm it with close_collective —
@@ -130,8 +133,6 @@ public:
     void advance_all_ranks_to(std::int64_t t);
 
     const SimStats& stats() const { return stats_; }
-    /// Live (submitted, unreleased) tasks — must be 0 after a drain.
-    std::size_t live_tasks() const { return live_tasks_; }
 
     /// Optional tracer: records (rank, core-in-rank, start, end, kind).
     void set_tracer(amr::Tracer* tracer) { tracer_ = tracer; }
@@ -170,7 +171,6 @@ private:
     void start_task(SimTask* task, int core_global, std::int64_t now);
     void finish_body(SimTask* task, std::int64_t now);
     void release_task(SimTask* task, std::int64_t now);
-    void keep_alive(SimTask* task);
 
     ClusterSpec cluster_;
     CostModel costs_;

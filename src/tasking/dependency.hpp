@@ -7,8 +7,8 @@
 //
 // The DependencyRegistry computes predecessor/successor edges between
 // generic DepNodes, so the same semantics drive both the real tasking
-// runtime (tasking::Runtime) and the discrete-event simulator's DAG builder
-// (sim::DagBuilder). This guarantees the simulated task graphs have the
+// runtime (tasking::Runtime) and the discrete-event simulator's run
+// (sim::SimRun). This guarantees the simulated task graphs have the
 // dependency structure the real runtime would enforce.
 //
 // Concurrency model (new with the work-stealing scheduler): the registry is
@@ -90,7 +90,7 @@ inline Dep in_id(std::uint64_t id) { return {DepKind::In, Region::synthetic(id)}
 inline Dep out_id(std::uint64_t id) { return {DepKind::Out, Region::synthetic(id)}; }
 inline Dep inout_id(std::uint64_t id) { return {DepKind::InOut, Region::synthetic(id)}; }
 
-/// Node in a dependency graph. tasking::Task and sim::DagTask derive from it.
+/// Node in a dependency graph. tasking::Task and sim::SimTask derive from it.
 ///
 /// Thread-safety: `pred_count` and `dep_released` are atomics so releases
 /// racing with registrations stay well-defined; `successors` and

@@ -1,5 +1,5 @@
 // Tests for the per-rank Mesh (block storage + refinement data operations),
-// the BlockArena contract its blocks rely on, and the CommBuffers layout
+// the BlockArena contract its blocks rely on, and the staging-stream layout
 // (including the reference aliasing that motivates --separate_buffers).
 #include <gtest/gtest.h>
 #include <sys/mman.h>
@@ -321,6 +321,36 @@ TEST(CommBuffersLayout, SharedBuffersAliasAcrossDirections) {
     // neighbor) must return the same storage each call.
     auto y_again = bufs.recv_stream(1, 0);
     EXPECT_EQ(y_stream.data(), y_again.data());
+}
+
+TEST(CommBuffersLayout, EveryGroupStartsChunkAtTheSameOffset) {
+    // Groups of 3, 3 and 2 variables, one message per face: chunk k of the
+    // narrower last group starts where chunk k of a full group does, and its
+    // faces lie inside it at the group's own width. The overlap is what
+    // orders same-tag messages of consecutive groups in the data-flow
+    // variant.
+    const Config cfg = mesh_config();
+    Mesh mesh(cfg, 0);
+    CommPlanOptions options;
+    options.send_faces = true;
+    const CommPlan plan(mesh.structure(), mesh.shape(), 0, options);
+    const StreamLayout layout(plan, /*group_vars=*/3, /*separate_buffers=*/false);
+    const NeighborExchange& ex = plan.direction(0).neighbors.at(0);
+    ASSERT_GT(ex.send_chunks.size(), 1u);
+    for (const MessageChunk& chunk : ex.send_chunks) {
+        const StreamLayout::Range full = layout.message(chunk, 3);
+        const StreamLayout::Range narrow = layout.message(chunk, 2);
+        EXPECT_EQ(full.first, static_cast<std::size_t>(chunk.value_offset * 3));
+        EXPECT_EQ(narrow.first, full.first);
+        EXPECT_EQ(narrow.count, static_cast<std::size_t>(chunk.value_count * 2));
+        EXPECT_LE(full.first + full.count, layout.send(0, 0).size);
+        for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
+            const StreamLayout::Range face =
+                layout.face(chunk, ex.sends[static_cast<std::size_t>(f)], 2);
+            EXPECT_GE(face.first, narrow.first);
+            EXPECT_LE(face.first + face.count, narrow.first + narrow.count);
+        }
+    }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the simulated (DES) mini-app runs: layout helpers, basic sanity
 // of the per-variant DAG builders, determinism, the qualitative
 // relationships the paper's evaluation rests on, and the structural
-// cross-check of the data-flow builder against TampiOssDriver.
+// cross-check of the DES's data-flow graph against TampiOssDriver's.
 #include <gtest/gtest.h>
 
 #include "core/variants.hpp"
@@ -221,27 +221,31 @@ TEST(SimCosts, MpiOnlyAndForkJoinChargeTheSameSameRankCopies) {
     EXPECT_EQ(copies, fj.stats.busy_ns_by_kind.at(amr::PhaseKind::IntraCopy));
 }
 
-// DESIGN.md §6's structural cross-check: the DES's data-flow builder emits
-// the tasks TampiOssDriver submits and the messages it sends, so a change
-// to one that the other does not follow fails here.
-void expect_des_matches_driver(Config cfg, bool compare_tasks) {
-    cfg.workers = 2;
+// DESIGN.md §6's structural cross-check: TampiOssDriver and the DES build
+// their data-flow tasks from one description (amr/task_graph.hpp). At one
+// core per rank no task completes while the main thread submits, so both
+// must submit the same tasks, wire the same dependency edges and send the
+// same messages. With refinement the DES also models the main thread's
+// control work as tasks, which the driver runs outside its runtime, so the
+// DES's data-flow tasks are the ones compared.
+void expect_des_matches_driver(Config cfg) {
+    cfg.workers = 1;
     ClusterSpec cluster;
     cluster.nodes = 1;
     cluster.ranks_per_node = cfg.num_ranks();
-    cluster.cores_per_node = cfg.num_ranks() * cfg.workers;
+    cluster.cores_per_node = cfg.num_ranks();
     const SimResult sim = run_simulated(cfg, Variant::TampiOss, cluster, test_costs());
     const core::RunResult real = core::run_variant(cfg, Variant::TampiOss);
     ASSERT_TRUE(real.validation_ok);
-    if (compare_tasks) {
-        EXPECT_EQ(sim.stats.tasks, real.sched.tasks_executed);
-    }
+    EXPECT_GT(sim.stats.edges, 0u);
+    EXPECT_EQ(sim.stats.dataflow_tasks, real.sched.tasks_executed);
+    EXPECT_EQ(sim.stats.edges, real.sched.edges_added);
     EXPECT_EQ(sim.stats.messages, real.messages);
 }
 
-TEST(SimMatchesDriver, DataFlowTasksAndMessagesWithoutRefinement) {
+void expect_des_matches_driver_on_every_config(bool refine) {
     Config base = small_app(2, {4, 2, 2});
-    base.refine_freq = 0;
+    if (!refine) base.refine_freq = 0;
     struct Case {
         const char* name;
         void (*edit)(Config&);
@@ -267,19 +271,29 @@ TEST(SimMatchesDriver, DataFlowTasksAndMessagesWithoutRefinement) {
              c.nz = 8;
          }},
         {"one_rank", [](Config& c) { arrange(c, {4, 2, 2}, 1); }},
+        // Groups of 3, 3 and 2 variables: the narrower last group's stream
+        // sections follow the same layout rule in both.
+        {"comm_vars_3", [](Config& c) { c.comm_vars = 3; }},
+        {"comm_vars_3_send_faces",
+         [](Config& c) {
+             c.comm_vars = 3;
+             c.send_faces = true;
+         }},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.name);
         Config cfg = base;
         c.edit(cfg);
-        expect_des_matches_driver(cfg, true);
+        expect_des_matches_driver(cfg);
     }
 }
 
-TEST(SimMatchesDriver, DataFlowMessagesWithRefinement) {
-    // Refinement adds main-thread control tasks to the DES that the
-    // driver runs outside the runtime, so only the messages compare.
-    expect_des_matches_driver(small_app(2, {4, 2, 2}), false);
+TEST(SimMatchesDriver, DataFlowGraphWithoutRefinement) {
+    expect_des_matches_driver_on_every_config(false);
+}
+
+TEST(SimMatchesDriver, DataFlowGraphWithRefinement) {
+    expect_des_matches_driver_on_every_config(true);
 }
 
 }  // namespace

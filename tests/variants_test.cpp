@@ -210,6 +210,39 @@ TEST(Variants, SyncVariantsMatchWithSeveralMessagesPerDirection) {
     }
 }
 
+TEST(Variants, NarrowLastGroupWithSendFacesMatches) {
+    // Groups of 3, 3 and 2 variables, each face its own message, on a
+    // 2-rank mesh of 16 blocks of 8^3 cells. Every group reuses the plan's
+    // tags and staging streams, so messages with the same peer and tag must
+    // be posted in group order; in the data-flow variant only the overlap
+    // of the groups' chunk sections (amr::StreamLayout) orders them.
+    Config cfg = tiny_config();
+    cfg.init_x = cfg.init_y = cfg.init_z = 2;
+    cfg.nx = cfg.ny = cfg.nz = 8;
+    cfg.num_vars = 8;
+    cfg.comm_vars = 3;
+    cfg.send_faces = true;
+    cfg.checksum_freq = 4;
+    cfg.block_change = 1;
+    cfg.objects[0].center = {0.2, 0.2, 0.2};
+    cfg.objects[0].size = {0.2, 0.2, 0.2};
+    cfg.objects[0].move = {0.1, 0.05, 0.05};
+    const RunResult ref = run_variant(cfg, Variant::MpiOnly);
+    ASSERT_TRUE(ref.validation_ok);
+    for (int workers : {1, 2}) {
+        for (bool separate : {false, true}) {
+            cfg.workers = workers;
+            cfg.separate_buffers = separate;
+            const std::string what = "workers " + std::to_string(workers) +
+                                     (separate ? " --separate_buffers" : "");
+            const RunResult r = run_variant(cfg, Variant::TampiOss);
+            EXPECT_TRUE(r.validation_ok) << what;
+            EXPECT_EQ(ref.checksums, r.checksums) << what;
+            EXPECT_EQ(ref.final_blocks, r.final_blocks) << what;
+        }
+    }
+}
+
 TEST(Variants, LoadBalancingKeepsResults) {
     Config cfg = tiny_config();
     cfg.inbalance = 0.01;  // aggressive rebalancing
