@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <new>
@@ -74,6 +75,7 @@ double* BlockArena::acquire() {
     double* p = nullptr;
     {
         std::lock_guard lock(mutex_);
+        high_water_ = std::max(high_water_, ++live_);
         if (free_.empty()) {
             if (fresh_ == fresh_end_) map_slab();
             p = reinterpret_cast<double*>(fresh_);
@@ -92,6 +94,7 @@ void BlockArena::release(double* buffer) noexcept {
     DFAMR_POISON(buffer, doubles_ * sizeof(double));
     std::lock_guard lock(mutex_);
     free_.push_back(buffer);
+    --live_;
 }
 
 std::size_t BlockArena::slabs() const {
@@ -102,6 +105,16 @@ std::size_t BlockArena::slabs() const {
 std::size_t BlockArena::free_buffers() const {
     std::lock_guard lock(mutex_);
     return free_.size();
+}
+
+std::size_t BlockArena::live_buffers() const {
+    std::lock_guard lock(mutex_);
+    return live_;
+}
+
+std::size_t BlockArena::high_water() const {
+    std::lock_guard lock(mutex_);
+    return high_water_;
 }
 
 }  // namespace dfamr::amr

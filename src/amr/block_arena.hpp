@@ -45,6 +45,10 @@ public:
     std::size_t slabs() const;
     /// Buffers on the free list.
     std::size_t free_buffers() const;
+    /// Buffers acquired and not yet released, and the most there ever were
+    /// at once: the run's block footprint, in buffers.
+    std::size_t live_buffers() const;
+    std::size_t high_water() const;
 
 private:
     void map_slab();  // caller holds mutex_
@@ -59,6 +63,8 @@ private:
     /// LIFO free list; its capacity covers every carved buffer, so release
     /// never reallocates.
     std::vector<double*> free_;
+    std::size_t live_ = 0;
+    std::size_t high_water_ = 0;
 };
 
 }  // namespace dfamr::amr

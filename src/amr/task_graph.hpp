@@ -5,7 +5,8 @@
 // to synthetic regions of the same offsets and sizes and charges costs. The
 // sink is a template parameter, so submitting costs no virtual call. A sink
 // has submit(const Task&), wait(const Access&, int slot) (taskwait on the
-// access, then validate checksum slot `slot`) and drain(int slot).
+// access, then validate checksum slot `slot`), drain(int slot) and
+// join(Join) (the main thread waits for the rank's tasks, see Join).
 #pragma once
 
 #include <cstdint>
@@ -105,6 +106,20 @@ struct Task {
     std::span<const Access> accesses;
     Payload payload;
 };
+
+/// Where refinement's main thread stops submitting until the rank's tasks
+/// complete, so the blocks they free return to the arena before the next
+/// tasks' blocks are taken from it (DESIGN.md §5). A join adds no task and
+/// no edge.
+enum class Join : std::uint8_t {
+    SplitWave,  // between two waves of split parents
+    Transfers,  // between an exchange's block sends and its receives; then
+                // a barrier, so every rank's sends are done
+};
+
+/// Split parents per core of the rank in one wave: enough children to keep
+/// every core busy, few enough that a wave holds a bounded set of blocks.
+inline constexpr int kSplitWaveParentsPerCore = 2;
 
 /// Algorithm 3 for direction `dir` of a DirectionPlan or (`flux`) a
 /// FluxPlan::Direction, for variables [vb, ve): a receive task per message,
@@ -228,10 +243,17 @@ void emit_checksum(Sink& sink, const Config& cfg, std::span<const BlockKey> keys
 
 /// Refinement (§IV-B): a task per split child (the parent's last writer ran
 /// before the phase, so no task names it) and a task per merged parent. The
-/// sink takes every block a task fills from the arena.
+/// sink takes every block a task fills from the arena. The splits come in
+/// waves of kSplitWaveParentsPerCore parents per core, joined in between:
+/// nothing else is in flight, so a wave's parents are freed before the next
+/// wave takes its children.
 template <class Sink>
-void emit_splits(Sink& sink, std::span<const BlockKey> parents, int max_level, int num_vars) {
-    for (const BlockKey& parent : parents) {
+void emit_splits(Sink& sink, std::span<const BlockKey> parents, int max_level, int num_vars,
+                 int cores) {
+    const std::size_t wave = static_cast<std::size_t>(kSplitWaveParentsPerCore * cores);
+    for (std::size_t i = 0; i < parents.size(); ++i) {
+        if (i > 0 && i % wave == 0) sink.join(Join::SplitWave);
+        const BlockKey& parent = parents[i];
         for (int octant = 0; octant < 8; ++octant) {
             const Access a[] = {
                 {Mode::Out, vars(Object::Vars, parent.child(octant, max_level), 0, num_vars)}};
@@ -254,17 +276,25 @@ void emit_merges(Sink& sink, std::span<const BlockKey> parents, int max_level, i
     }
 }
 
-/// The block payloads of one exchange: a send task per outgoing block, then
-/// a receive task per incoming one, tagged with the id both sides agreed on.
+/// The block payloads of one exchange (`moves`, the same list on every
+/// rank), as rank `rank` sees them: a send task per outgoing block, a
+/// transfer join, then a receive task per incoming one, tagged with the id
+/// both sides agreed on. The join frees the sent blocks before any received
+/// one is taken; every rank skips it together when nothing moves. No join
+/// follows the receives: the merges read received children through their
+/// edges.
 template <class Sink>
-void emit_block_transfers(Sink& sink, std::span<const BlockMove> sends,
-                          std::span<const BlockMove> recvs, int num_vars) {
-    for (const BlockMove& mv : sends) {
+void emit_block_transfers(Sink& sink, std::span<const BlockMove> moves, int rank, int num_vars) {
+    if (moves.empty()) return;
+    for (const BlockMove& mv : moves) {
+        if (mv.from != rank) continue;
         const Access a[] = {{Mode::In, vars(Object::Vars, mv.key, 0, num_vars)}};
         sink.submit(Task{{Op::BlockSend, "block_send", PhaseKind::RefineExchange}, a,
                          {.peer = mv.to, .tag = kBlockDataTagBase + mv.id, .key = mv.key}});
     }
-    for (const BlockMove& mv : recvs) {
+    sink.join(Join::Transfers);
+    for (const BlockMove& mv : moves) {
+        if (mv.to != rank) continue;
         const Access a[] = {{Mode::Out, vars(Object::Vars, mv.key, 0, num_vars)}};
         sink.submit(Task{{Op::BlockRecv, "block_recv", PhaseKind::RefineExchange}, a,
                          {.peer = mv.from, .tag = kBlockDataTagBase + mv.id, .key = mv.key}});

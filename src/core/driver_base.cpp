@@ -627,26 +627,28 @@ void DriverBase::exchange_blocks(const std::vector<BlockMove>& moves, bool with_
         }
         trace(0, t0, now_ns(), PhaseKind::Control);
     }
-    transfer_block_data(sends, recvs);
+    transfer_block_data(moves);
 }
 
-void DriverBase::transfer_block_data(const std::vector<BlockMove>& sends,
-                                     const std::vector<BlockMove>& recvs) {
+void DriverBase::transfer_block_data(const std::vector<BlockMove>& moves) {
     const std::int64_t t0 = now_ns();
-    for (const BlockMove& mv : sends) {
+    bool moved = false;
+    for (const BlockMove& mv : moves) {
+        if (mv.from != rank_) continue;
         Block& b = mesh_.block(mv.key);
         hcomm_.send(b.data(), b.data_size() * sizeof(double), mv.to, kBlockDataTagBase + mv.id);
         mesh_.release(mv.key);
+        moved = true;
     }
-    for (const BlockMove& mv : recvs) {
+    for (const BlockMove& mv : moves) {
+        if (mv.to != rank_) continue;
         auto b = mesh_.make_block(mv.key);
         hcomm_.recv(b->data(), b->data_size() * sizeof(double), mv.from,
                     kBlockDataTagBase + mv.id);
         mesh_.adopt(std::move(b));
+        moved = true;
     }
-    if (!sends.empty() || !recvs.empty()) {
-        trace(0, t0, now_ns(), PhaseKind::RefineExchange);
-    }
+    if (moved) trace(0, t0, now_ns(), PhaseKind::RefineExchange);
 }
 
 std::unique_ptr<verify::Verifier> DriverBase::attach_verifier(tasking::Runtime& rt) {

@@ -100,13 +100,13 @@ protected:
     /// Data operations of one refinement round.
     virtual void do_splits(const std::vector<BlockKey>& parents) = 0;
     virtual void do_merges(const std::vector<BlockKey>& parents) = 0;
-    /// Whole-block data transfers. `sends`/`recvs` are this rank's sides of
-    /// the global move list, in deterministic order. Data messages use tag
+    /// Whole-block data transfers of the global move list `moves` (the same
+    /// on every rank, in deterministic order); this rank sends the moves
+    /// from it and receives the moves to it. Data messages use tag
     /// kBlockDataTagBase + move.id. Must leave transferred blocks adopted.
     /// The default is blocking point-to-point on the main thread: every send
     /// completes eagerly, then the receives run in order.
-    virtual void transfer_block_data(const std::vector<BlockMove>& sends,
-                                     const std::vector<BlockMove>& recvs);
+    virtual void transfer_block_data(const std::vector<BlockMove>& moves);
     /// Barrier-equivalent inside refinement after transfers (taskwait).
     virtual void sync_refine_step() {}
 

@@ -36,6 +36,7 @@ MetricsSnapshot make_metrics_snapshot(const amr::Tracer& tracer, const RunResult
     m.total_s = result.times.total;
     m.refine_s = result.times.refine;
     m.final_blocks = result.final_blocks;
+    m.arena_high_water = result.arena_high_water;
     m.validation_ok = result.validation_ok;
     m.blocks_refined_by_estimator = result.counters.blocks_refined_by_estimator;
     m.refine_coarsen_thrash = result.counters.refine_coarsen_thrash;
@@ -135,6 +136,7 @@ std::string metrics_to_json(const MetricsSnapshot& m) {
                   "    \"messages\": %" PRIu64 ",\n"
                   "    \"bytes\": %" PRIu64 ",\n"
                   "    \"final_blocks\": %" PRId64 ",\n"
+                  "    \"arena_high_water\": %" PRIu64 ",\n"
                   "    \"validation_ok\": %s,\n"
                   "    \"blocks_refined_by_estimator\": %" PRId64 ",\n"
                   "    \"refine_coarsen_thrash\": %" PRId64 ",\n"
@@ -146,8 +148,9 @@ std::string metrics_to_json(const MetricsSnapshot& m) {
                   "    \"final_mass\": %.17g,\n"
                   "    \"reflux_corrections\": %" PRId64 "\n",
                   m.total_s, m.refine_s, m.messages, m.bytes, m.final_blocks,
-                  m.validation_ok ? "true" : "false", m.blocks_refined_by_estimator,
-                  m.refine_coarsen_thrash, m.error_norm, m.has_error_norm ? "true" : "false",
+                  u64(m.arena_high_water), m.validation_ok ? "true" : "false",
+                  m.blocks_refined_by_estimator, m.refine_coarsen_thrash, m.error_norm,
+                  m.has_error_norm ? "true" : "false",
                   m.mass_drift, m.boundary_outflux, m.initial_mass, m.final_mass,
                   m.reflux_corrections);
     out += buf;

@@ -27,6 +27,7 @@ struct MetricsSnapshot {
     double total_s = 0;
     double refine_s = 0;
     std::int64_t final_blocks = 0;
+    std::uint64_t arena_high_water = 0;  // block buffers held at the peak
     bool validation_ok = true;
     /// Scenario subsystem: estimator-driven splits, refine->coarsen flaps
     /// within the hysteresis window, and the analytic error norm (valid only

@@ -150,6 +150,10 @@ struct RunResult {
     std::vector<net::PeerStats> net_peers;
     /// Effective eager/rendezvous switchover (bytes) the run used.
     std::uint64_t rndv_threshold = 0;
+    /// Most block buffers the run held at once: the high water of the one
+    /// arena an in-process run's ranks share, summed over the processes of
+    /// a distributed run (one arena each).
+    std::uint64_t arena_high_water = 0;
     RunCounters counters;
     SchedulerCounters sched;         // summed over ranks
     SchedulerCounters sched_refine;  // summed over ranks

@@ -20,7 +20,8 @@ namespace {
 RunResult reduce_distributed(mpi::Communicator& comm, const RankResult& r,
                              std::uint64_t local_messages, std::uint64_t local_bytes,
                              const net::NetCounters& local_net,
-                             const std::vector<net::PeerStats>& local_peers) {
+                             const std::vector<net::PeerStats>& local_peers,
+                             std::uint64_t local_arena_high_water) {
     RunResult g;
     g.checksums = r.checksums;
 
@@ -69,7 +70,7 @@ RunResult reduce_distributed(mpi::Communicator& comm, const RankResult& r,
     g.has_error_norm = maxes[4] != 0;
     g.counters.reflux_corrections = maxes[5];
 
-    std::uint64_t usums_in[25] = {
+    std::uint64_t usums_in[26] = {
         r.sched.tasks_executed, r.sched.steals, r.sched.steal_fails, r.sched.parks,
         r.sched.wakeups, r.sched.immediate_successor_hits, r.sched.edges_added,
         r.sched_refine.tasks_executed, r.sched_refine.steals, r.sched_refine.steal_fails,
@@ -79,15 +80,16 @@ RunResult reduce_distributed(mpi::Communicator& comm, const RankResult& r,
         local_net.bytes_sent, local_net.bytes_received, local_net.frames_sent,
         local_net.frames_received, local_net.rendezvous, local_net.reconnects,
         local_net.coalesced_frames_sent, local_net.coalesced_messages,
-        local_net.copies_elided};
-    std::uint64_t usums[25];
-    comm.allreduce(usums_in, usums, 25, mpi::Op::Sum);
+        local_net.copies_elided, local_arena_high_water};
+    std::uint64_t usums[26];
+    comm.allreduce(usums_in, usums, 26, mpi::Op::Sum);
     g.sched = {usums[0], usums[1], usums[2], usums[3], usums[4], usums[5], usums[6]};
     g.sched_refine = {usums[7], usums[8], usums[9], usums[10], usums[11], usums[12], usums[13]};
     g.messages = usums[14];
     g.bytes = usums[15];
     g.net = {usums[16], usums[17], usums[18], usums[19], usums[20], usums[21],
              usums[22], usums[23], usums[24]};
+    g.arena_high_water = usums[25];
 
     // Per-peer wire traffic, flattened to nranks x 4 for one summed
     // allreduce (entry p = what every rank exchanged with rank p).
@@ -220,7 +222,7 @@ RunResult run_variant(const amr::Config& cfg, amr::Variant variant, amr::Tracer*
             // snapshotted first: the reduction itself adds traffic.
             RunResult g = reduce_distributed(comm, r, world.messages_delivered(),
                                              world.bytes_delivered(), world.net_counters(),
-                                             world.peer_net_counters());
+                                             world.peer_net_counters(), arena->high_water());
             g.rndv_threshold = opts.rendezvous_threshold;
             std::lock_guard lock(results_mutex);
             distributed_total = std::move(g);
@@ -269,6 +271,7 @@ RunResult run_variant(const amr::Config& cfg, amr::Variant variant, amr::Tracer*
         total.net_peers = world.peer_net_counters();
     }
     total.rndv_threshold = opts.rendezvous_threshold;
+    total.arena_high_water = arena->high_water();
     return total;
 }
 

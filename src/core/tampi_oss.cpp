@@ -105,7 +105,8 @@ std::function<void()> TampiOssDriver::body(const graph::Task& task,
             });
         case graph::Op::Send:
         case graph::Op::BlockSend: {
-            // A sent block leaves the mesh; its task frees it.
+            // A sent block leaves the mesh; the task frees it when it
+            // completes, which TAMPI holds off until the send is done.
             std::shared_ptr<const Block> sent;
             if (op == graph::Op::BlockSend) sent = mesh_.release(p.key);
             return traced([this, sent, msg = s[0], peer = p.peer, tag = p.tag] {
@@ -193,7 +194,8 @@ std::function<void()> TampiOssDriver::body(const graph::Task& task,
             };
         case graph::Op::Split: {
             // A parent's 8 children come in a row: the first takes it out of
-            // the mesh, the last lets go of it; its last task frees it.
+            // the mesh and the last hands over the driver's reference, so the
+            // parent is freed when the last of its 8 tasks completes.
             if (p.octant == 0) split_parent_ = mesh_.release(p.key);
             std::shared_ptr<const Block> parent =
                 p.octant == 7 ? std::move(split_parent_) : split_parent_;
@@ -269,6 +271,16 @@ void TampiOssDriver::drain(int slot) {
     validate(slot);
 }
 
+void TampiOssDriver::join(graph::Join kind) {
+    // A plain taskwait: no sentinel task, so the task count stays the
+    // graph's. It completes this rank's sends (a TAMPI-bound send completes
+    // on delivery, or once a rendezvous is granted, which the wire
+    // transports do on the request's arrival, not on a posted receive), so
+    // the barrier cannot deadlock.
+    rt_.taskwait();
+    if (kind == graph::Join::Transfers) comm_.barrier();
+}
+
 void TampiOssDriver::validate(int slot) {
     reduce_and_validate(slots_[slot].group_sums);
     slots_[slot].pending = false;
@@ -312,7 +324,8 @@ void TampiOssDriver::do_splits(const std::vector<BlockKey>& parents) {
         }
         return;
     }
-    graph::emit_splits(*this, parents, mesh_.structure().max_level(), cfg_.num_vars);
+    graph::emit_splits(*this, parents, mesh_.structure().max_level(), cfg_.num_vars,
+                       cfg_.workers);
 }
 
 void TampiOssDriver::do_merges(const std::vector<BlockKey>& parents) {
@@ -327,13 +340,12 @@ void TampiOssDriver::do_merges(const std::vector<BlockKey>& parents) {
     graph::emit_merges(*this, parents, mesh_.structure().max_level(), cfg_.num_vars);
 }
 
-void TampiOssDriver::transfer_block_data(const std::vector<BlockMove>& sends,
-                                         const std::vector<BlockMove>& recvs) {
+void TampiOssDriver::transfer_block_data(const std::vector<BlockMove>& moves) {
     if (!cfg_.taskify_refinement) {
-        DriverBase::transfer_block_data(sends, recvs);
+        DriverBase::transfer_block_data(moves);
         return;
     }
-    graph::emit_block_transfers(*this, sends, recvs, cfg_.num_vars);
+    graph::emit_block_transfers(*this, moves, rank_, cfg_.num_vars);
 }
 
 }  // namespace dfamr::core

@@ -34,6 +34,8 @@ public:
     /// Waits on `access` or on every task, then validates checksum `slot`.
     void wait(const amr::graph::Access& access, int slot);
     void drain(int slot);
+    /// Waits for every task; a transfer join then waits at a barrier.
+    void join(amr::graph::Join kind);
 
 protected:
     void communicate_stage(int group) override;
@@ -46,8 +48,7 @@ protected:
     void sync_refine_step() override;
     void do_splits(const std::vector<BlockKey>& parents) override;
     void do_merges(const std::vector<BlockKey>& parents) override;
-    void transfer_block_data(const std::vector<BlockMove>& sends,
-                             const std::vector<BlockMove>& recvs) override;
+    void transfer_block_data(const std::vector<BlockMove>& moves) override;
 
 private:
     /// The span an access target names.

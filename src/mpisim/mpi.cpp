@@ -39,6 +39,8 @@ struct RequestState {
     lockdep::Mutex m{"mpisim.request"};
     std::condition_variable_any cv;
     bool done = false;
+    /// A receive whose message did not fit: wait() and test() raise it.
+    bool truncated = false;
     Status status;
     WorldState* world = nullptr;
     /// Receive requests remember their mailbox so cancel() can unpost them.
@@ -209,10 +211,17 @@ std::span<void* const> ctx_outputs(const CollectiveCtx& ctx) {
 
 namespace {
 
-void complete_request(const std::shared_ptr<RequestState>& req, const Status& st) {
+/// What a receive into a buffer smaller than its message raises.
+[[noreturn]] void throw_truncation() {
+    throw Error("message truncation: recv buffer too small");
+}
+
+void complete_request(const std::shared_ptr<RequestState>& req, const Status& st,
+                      bool truncated = false) {
     {
         std::lock_guard lock(req->m);
         req->done = true;
+        req->truncated = truncated;
         req->status = st;
     }
     req->cv.notify_all();
@@ -250,6 +259,7 @@ void deliver_msg(WorldState* world, int dest, PendingMsg&& msg) {
     Mailbox& mbox = *world->mailboxes[static_cast<std::size_t>(dest)];
     std::shared_ptr<RequestState> matched_recv;
     Status matched_status;
+    bool truncated = false;
     {
         std::lock_guard lock(mbox.m);
         auto it = std::find_if(mbox.posted.begin(), mbox.posted.end(), [&](const PostedRecv& r) {
@@ -260,9 +270,13 @@ void deliver_msg(WorldState* world, int dest, PendingMsg&& msg) {
             mbox.unexpected.push_back(std::move(msg));
             return;
         }
-        DFAMR_REQUIRE(msg.payload.size() <= it->capacity,
-                      "message truncation: recv buffer too small");
-        if (it->view != nullptr) {
+        if (msg.payload.size() > it->capacity) {
+            // The receive fails, and its owner's wait or test raises the
+            // error: raising here would throw on whichever thread delivers,
+            // which for a wire arrival is the transport's receive thread.
+            truncated = true;
+            if (it->view == nullptr && it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
+        } else if (it->view != nullptr) {
             // Zero-copy receive: hand over the message's own storage — no
             // landing-zone write at all, so no wire-region check. A message
             // that was already buffered skips the copy out of that buffer.
@@ -289,7 +303,11 @@ void deliver_msg(WorldState* world, int dest, PendingMsg&& msg) {
         matched_status = Status{msg.source, msg.tag, msg.payload.size()};
         mbox.posted.erase(it);
     }
-    complete_delivery(world, matched_recv, matched_status);
+    if (truncated) {
+        complete_request(matched_recv, matched_status, /*truncated=*/true);
+    } else {
+        complete_delivery(world, matched_recv, matched_status);
+    }
 }
 
 /// Sends a message eagerly where it belongs: the local mailbox for the
@@ -392,6 +410,7 @@ private:
 bool Request::test(Status* status) const {
     DFAMR_REQUIRE(state_ != nullptr, "test on null request");
     std::lock_guard lock(state_->m);
+    if (state_->truncated) detail::throw_truncation();
     if (state_->done && status != nullptr) *status = state_->status;
     return state_->done;
 }
@@ -403,6 +422,7 @@ void Request::wait(Status* status) const {
         state_->cv.wait_for(lock, detail::kAbortPollInterval);
         if (!state_->done) state_->world->check_aborted();
     }
+    if (state_->truncated) detail::throw_truncation();
     if (status != nullptr) *status = state_->status;
 }
 
@@ -420,6 +440,7 @@ bool Request::wait_for(std::int64_t timeout_ns, Status* status) const {
         state_->cv.wait_for(lock, std::chrono::nanoseconds(step));
         if (!state_->done) state_->world->check_aborted();
     }
+    if (state_->truncated) detail::throw_truncation();
     if (status != nullptr) *status = state_->status;
     return true;
 }
@@ -647,7 +668,7 @@ Request Communicator::post_recv(void* buf, RxView* view, std::size_t capacity, i
             mbox.posted.push_back(detail::PostedRecv{source, tag, buf, capacity, req, view});
             return Request(std::move(req));
         }
-        DFAMR_REQUIRE(it->payload.size() <= capacity, "message truncation: recv buffer too small");
+        if (it->payload.size() > capacity) detail::throw_truncation();
         if (view != nullptr) {
             // The parked message is buffered already: hand the buffer over
             // instead of copying out of it.

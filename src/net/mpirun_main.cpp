@@ -12,7 +12,9 @@
 // gives each directed rank pair a shared-memory ring (the launcher is
 // single-host, so every world it starts is co-located). auto resolves to
 // shm for that reason. The exchange server runs in every mode — the shm
-// transport uses its round trip as the segment-creation barrier.
+// transport uses its round trip as the segment-creation barrier. Every mode
+// also exports the shm namespace and sweeps its segments at exit, so a rank
+// command that passes its own --transport shm works the same way.
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
@@ -100,7 +102,9 @@ int main(int argc, char** argv) {
     auto [listener, rdv_port] = dfamr::net::listen_on("127.0.0.1", 0, nranks + 8);
 
     // Shm worlds share a namespace distinct per launcher invocation so two
-    // concurrent launches on one host never collide on segment names.
+    // concurrent launches on one host never collide on segment names. Every
+    // transport exports it: a rank command may pick shm on its own command
+    // line, and its ranks must still find each other's segments.
     const std::string shm_ns = "w" + std::to_string(static_cast<long>(getpid()));
 
     std::vector<pid_t> pids(static_cast<std::size_t>(nranks), -1);
@@ -119,7 +123,7 @@ int main(int argc, char** argv) {
             setenv("DFAMR_RDV_HOST", "127.0.0.1", 1);
             set_env_int("DFAMR_RDV_PORT", rdv_port);
             setenv("DFAMR_TRANSPORT", transport.c_str(), 1);
-            if (transport == "shm") setenv("DFAMR_SHM_NS", shm_ns.c_str(), 1);
+            setenv("DFAMR_SHM_NS", shm_ns.c_str(), 1);
             if (coalesce) setenv("DFAMR_COALESCE", "1", 1);
             if (rndz_threshold >= 0) set_env_int("DFAMR_RNDZ_THRESHOLD", rndz_threshold);
             execvp(argv[argi], argv + argi);
@@ -194,16 +198,15 @@ int main(int argc, char** argv) {
     } catch (const std::exception&) {
     }
     exchange.join();
-    if (transport == "shm") {
-        // Normal teardown unlinks every segment (consumers own the names);
-        // sweep up after crashed worlds so /dev/shm never accumulates.
-        for (int i = 0; i < nranks; ++i) {
-            for (int j = 0; j < nranks; ++j) {
-                if (i == j) continue;
-                const std::string name = "/dfamr_" + shm_ns + "_" + std::to_string(i) + "to" +
-                                         std::to_string(j);
-                shm_unlink(name.c_str());
-            }
+    // Normal teardown unlinks every segment (consumers own the names); sweep
+    // up after crashed worlds so /dev/shm never accumulates. Whatever the
+    // launcher's transport: the ranks may have chosen shm themselves.
+    for (int i = 0; i < nranks; ++i) {
+        for (int j = 0; j < nranks; ++j) {
+            if (i == j) continue;
+            const std::string name =
+                "/dfamr_" + shm_ns + "_" + std::to_string(i) + "to" + std::to_string(j);
+            shm_unlink(name.c_str());
         }
     }
     return world_status;

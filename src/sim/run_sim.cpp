@@ -170,6 +170,11 @@ private:
         void wait(const graph::Access& access, int slot);
         /// The caller drains every rank at once.
         void drain(int) {}
+        /// The rank's main core waits for every task submitted since the
+        /// last join or drain, and the tasks submitted after it wait for
+        /// the main core. A transfer join's wait joins the barrier's
+        /// collective. Neither adds a data-flow task or a data-flow edge.
+        void join(graph::Join kind);
         /// Each object gets its own 4 GiB of addresses when first named.
         std::uint64_t base(graph::Object object, const BlockKey& key, int index) {
             auto [it, added] = objects.try_emplace({object, key, index});
@@ -185,6 +190,8 @@ private:
         amr::StreamLayout streams;
         std::map<std::tuple<graph::Object, BlockKey, int>, std::uint64_t> objects;
         std::uint64_t count = 0;
+        std::vector<SimTaskPtr> unjoined;  // submitted since the last join or drain
+        SimTaskPtr gate;                   // the last join
     };
 
     // --- small helpers -----------------------------------------------------
@@ -279,7 +286,16 @@ private:
         std::int64_t tmax = 0;
         for (int r = 0; r < R_; ++r) tmax = std::max(tmax, sim_.rank_time(r));
         sim_.advance_all_ranks_to(tmax + costs_.collective_ns(R_, bytes));
-        for (Sink& sink : sinks_) sink.registry.garbage_collect();
+        forget_drained();
+    }
+
+    /// After a drain every task has released: no join waits for one.
+    void forget_drained() {
+        for (Sink& sink : sinks_) {
+            sink.registry.garbage_collect();
+            sink.unjoined.clear();
+            sink.gate = nullptr;
+        }
     }
 
     /// Declares a message when the later of its two ends is built: ends
@@ -530,6 +546,7 @@ private:
     void refinement_phase(int steps) {
         finish_pending_checksums();
         sim_.run_until_drained();
+        forget_drained();
         const std::int64_t t0 = sim_.global_time();
 
         for (int s = 0; s < steps; ++s) {
@@ -565,7 +582,7 @@ private:
                 if (mine.empty()) continue;
                 if (refine_tasking()) {
                     graph::emit_splits(sinks_[static_cast<std::size_t>(r)], mine, max_level,
-                                       cfg_.num_vars);
+                                       cfg_.num_vars, W_);
                 } else {
                     block_copies(r, PhaseKind::RefineSplit, mine.size() * 8, block_copy);
                 }
@@ -644,17 +661,13 @@ private:
         }
         // Payload transfers.
         if (refine_tasking()) {
-            std::vector<std::vector<amr::BlockMove>> sends(static_cast<std::size_t>(R_)),
-                recvs(static_cast<std::size_t>(R_));
-            for (const amr::BlockMove& mv : moves) {
-                sends[static_cast<std::size_t>(mv.from)].push_back(mv);
-                recvs[static_cast<std::size_t>(mv.to)].push_back(mv);
-            }
+            // The barrier of the transfer joins.
+            transfer_barrier_ = sim_.new_collective(0);
             for (int r = 0; r < R_; ++r) {
-                graph::emit_block_transfers(sinks_[static_cast<std::size_t>(r)],
-                                            sends[static_cast<std::size_t>(r)],
-                                            recvs[static_cast<std::size_t>(r)], cfg_.num_vars);
+                graph::emit_block_transfers(sinks_[static_cast<std::size_t>(r)], moves, r,
+                                            cfg_.num_vars);
             }
+            sim_.close_collective(transfer_barrier_);
             return;
         }
         for (const amr::BlockMove& mv : moves) {
@@ -680,6 +693,7 @@ private:
     std::vector<Sink> sinks_;  // TAMPI+OSS only
     std::map<std::array<int, 3>, std::deque<std::pair<SimTaskPtr, bool>>> unmatched_;  // is_send
     int wait_collective_ = -1;  // the delayed checksum's collective being built
+    int transfer_barrier_ = -1;  // the collective of the exchange being built
     bool cks_pending_[2] = {false, false};
     int cks_slot_ = 0;
     std::int64_t refine_ns_ = 0;
@@ -742,13 +756,26 @@ void SimRun::Sink::submit(const graph::Task& task) {
     // CostModel::tasking_overhead_ns).
     cost += static_cast<std::int64_t>(run.costs_.tasking_overhead_ns);
     auto t = run.sim_.new_task(rank, task.kind.phase, cost);
+    edge(gate, t);
     register_accesses(t, task.accesses);
     run.sim_.submit(t);
+    unjoined.push_back(t);
     const bool send = op == graph::Op::Send || op == graph::Op::BlockSend;
     if (send || op == graph::Op::Recv || op == graph::Op::BlockRecv) {
         const auto bytes = static_cast<std::int64_t>(dep(task.accesses[0]).region.size);
         run.match(send ? rank : p.peer, send ? p.peer : rank, p.tag, t, send, bytes);
     }
+}
+
+void SimRun::Sink::join(graph::Join kind) {
+    Simulator& sim = run.sim_;
+    auto main_core = sim.new_task(rank, PhaseKind::Control, 0, run.W_ > 1 ? 0 : -1);
+    for (const SimTaskPtr& t : unjoined) edge(t, main_core);
+    run.chain(rank, main_core);
+    if (kind == graph::Join::Transfers) sim.set_collective(main_core, run.transfer_barrier_);
+    sim.submit(main_core);
+    unjoined.clear();
+    gate = std::move(main_core);
 }
 
 void SimRun::Sink::wait(const graph::Access& access, int) {

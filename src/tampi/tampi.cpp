@@ -35,7 +35,7 @@ Tampi::~Tampi() {
         pending_.clear();
     }
     for (Bound& b : leftovers) {
-        if (!b.request.test()) b.request.cancel();
+        if (!finished(b)) b.request.cancel();
         runtime_.decrease_task_events(b.task, 1);
     }
 }
@@ -137,6 +137,15 @@ void Tampi::help_with_deadline(mpi::Request& req, const char* op, int rank, int 
     }
 }
 
+bool Tampi::finished(const Bound& b) const {
+    try {
+        return b.request.test();
+    } catch (...) {
+        runtime_.report_external_error(std::current_exception());
+        return true;
+    }
+}
+
 std::size_t Tampi::pending() const {
     std::lock_guard lock(mutex_);
     return pending_.size();
@@ -145,7 +154,7 @@ std::size_t Tampi::pending() const {
 void Tampi::expire(Bound& b) {
     // cancel() can lose the race against a delivery that completed the
     // request concurrently — then this is a normal (late) completion.
-    if (!b.request.cancel() && b.request.test()) {
+    if (!b.request.cancel() && finished(b)) {
         runtime_.decrease_task_events(b.task, 1);
         return;
     }
@@ -169,7 +178,7 @@ bool Tampi::poll() {
     {
         std::lock_guard lock(mutex_);
         auto mid = std::partition(pending_.begin(), pending_.end(),
-                                  [](const Bound& b) { return !b.request.test(); });
+                                  [this](const Bound& b) { return !finished(b); });
         completed.assign(std::make_move_iterator(mid), std::make_move_iterator(pending_.end()));
         pending_.erase(mid, pending_.end());
         if (doomed) {
@@ -208,7 +217,7 @@ bool Tampi::poll() {
     for (Bound& b : aborted) {
         // cancel() can lose the race against a concurrent delivery — then
         // this is a normal (late) completion, not a casualty of the abort.
-        if (!b.request.cancel() && b.request.test()) {
+        if (!b.request.cancel() && finished(b)) {
             runtime_.decrease_task_events(b.task, 1);
             continue;
         }

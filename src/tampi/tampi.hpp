@@ -94,6 +94,10 @@ private:
     };
 
     void bind_current_task(mpi::Request req, int rank, int peer, int tag, const char* op);
+    /// Whether a bound request finished. One that failed (a truncated
+    /// receive) has finished too: its error goes to the runtime, so the
+    /// next taskwait raises it, and its task can complete.
+    bool finished(const Bound& b) const;
     /// Cancels an expired request and reports the timeout to the runtime;
     /// releases the owning task's event so the pool keeps draining.
     void expire(Bound& b);

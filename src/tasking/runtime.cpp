@@ -320,11 +320,6 @@ Task* Runtime::complete_if_ready(Task* task, bool body_finished, int events_done
         if (verify_ != nullptr) verify_->on_node_released(*task);
     }
 
-    bool quiescent = false;
-    for (Task* p = task->parent; p != nullptr; p = p->parent) {
-        if (p->descendants_live.fetch_sub(1, std::memory_order_acq_rel) == 1) quiescent = true;
-    }
-
     Task* immediate = nullptr;
     int newly_ready = 0;
     for (DepNode* succ_node : released) {
@@ -341,6 +336,18 @@ Task* Runtime::complete_if_ready(Task* task, bool body_finished, int events_done
     }
     // Wakeups proportional to newly ready work — no broadcast.
     if (newly_ready > 0) wake_workers(newly_ready);
+
+    // The captures die with the task's completion, not with the Task: the
+    // registry keeps completed tasks until a later access or its GC drops
+    // them. Destroyed here, outside every lock (a capture may own a block,
+    // whose release takes the arena's mutex), and before the ancestors
+    // count this task done, so a taskwait that returns has seen it go.
+    task->body = nullptr;
+
+    bool quiescent = false;
+    for (Task* p = task->parent; p != nullptr; p = p->parent) {
+        if (p->descendants_live.fetch_sub(1, std::memory_order_acq_rel) == 1) quiescent = true;
+    }
 
     // Signal idle waiters only when some ancestor's subtree just drained —
     // that is the transition taskwait blocks on. Waiters on other

@@ -47,6 +47,7 @@ class Runtime;
 /// A task instance. Public only as an opaque handle for the external-events
 /// API (TaskEventCounter) — users interact through Runtime.
 struct Task final : DepNode, std::enable_shared_from_this<Task> {
+    /// Destroyed, with everything it captures, when the task completes.
     std::function<void()> body;
     std::vector<Dep> deps;
     const char* label = "";

@@ -173,6 +173,22 @@ TEST(BlockArena, ReuseIsLastInFirstOut) {
     for (double* p : {a, b, c}) arena.release(p);
 }
 
+TEST(BlockArena, HighWaterIsTheMostBuffersLiveAtOnce) {
+    BlockArena arena(kDoubles);
+    double* a = arena.acquire();
+    double* b = arena.acquire();
+    arena.release(a);
+    double* c = arena.acquire();  // recycles a: still two live
+    EXPECT_EQ(arena.live_buffers(), 2u);
+    EXPECT_EQ(arena.high_water(), 2u);
+    double* d = arena.acquire();
+    arena.release(b);
+    arena.release(c);
+    arena.release(d);
+    EXPECT_EQ(arena.live_buffers(), 0u);
+    EXPECT_EQ(arena.high_water(), 3u);
+}
+
 TEST(BlockArena, SplitMergeCyclesMapNoSlabAfterTheFirst) {
     // 10^3 x 24 values per block: 192 kB, 21 to a 4 MiB slab, so splitting
     // the rank's 8 blocks outgrows the first slab.

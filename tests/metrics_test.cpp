@@ -134,6 +134,8 @@ TEST(Metrics, SnapshotOfRealRunRoundTrips) {
     EXPECT_TRUE(run.at("validation_ok").as_bool());
     EXPECT_EQ(run.at("final_blocks").as_int(), r.final_blocks);
     EXPECT_EQ(run.at("messages").as_int(), static_cast<std::int64_t>(r.messages));
+    EXPECT_EQ(run.at("arena_high_water").as_int(), static_cast<std::int64_t>(r.arena_high_water));
+    EXPECT_GT(r.arena_high_water, 0u);
 }
 
 TEST(Metrics, SchedulerCounterSamplesAppearInTrace) {

@@ -207,6 +207,27 @@ TEST(MpiSim, TruncationThrows) {
                  Error);
 }
 
+TEST(MpiSim, TruncatedDeliveryFailsTheReceiveNotTheSend) {
+    // The receive is posted first, so the sender's thread delivers into it:
+    // the sender carries on, and the receiver's wait raises the error.
+    World world(2);
+    world.run([](Communicator& comm) {
+        if (comm.rank() == 1) {
+            std::int64_t small = 0;
+            Request req = comm.irecv(&small, sizeof small, 0, 0);
+            comm.barrier();
+            // Bounded, so a delivery that never completes the receive
+            // fails here instead of hanging.
+            EXPECT_THROW(req.wait_for(5'000'000'000), Error);
+            EXPECT_EQ(small, 0);
+        } else {
+            const std::int64_t big[2] = {1, 2};
+            comm.barrier();
+            EXPECT_NO_THROW(comm.isend(big, sizeof big, 1, 0).wait());
+        }
+    });
+}
+
 class CollectiveTest : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveTest, ::testing::Values(1, 2, 3, 4, 8),
                          [](const auto& pinfo) { return "ranks" + std::to_string(pinfo.param); });

@@ -5,8 +5,10 @@
 // propagation and chaos runs over both transports.
 //
 // The binary paths come in as compile definitions (DFAMR_MPIRUN_BIN,
-// DFAMR_SINGLE_SPHERE_BIN) so the test works from any CWD.
+// DFAMR_SINGLE_SPHERE_BIN, DFAMR_TRUNCATING_RANK_BIN) so the test works
+// from any CWD.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -140,6 +142,41 @@ INSTANTIATE_TEST_SUITE_P(TaskVariants, MpirunDepLint, ::testing::Values("forkjoi
 
 TEST(Mpirun, PropagatesRankExitCode) {
     EXPECT_EQ(run(std::string(DFAMR_MPIRUN_BIN) + " -n 2 sh -c 'exit 3' > /dev/null 2>&1"), 3);
+}
+
+TEST(Mpirun, TruncatedWireMessageFailsTheReceivingRankCleanly) {
+    // The receive fails on the transport's receive thread and its wait
+    // raises the error: a RankError exit 1, not an abort (134).
+    EXPECT_EQ(run(std::string(DFAMR_MPIRUN_BIN) + " -n 2 --transport tcp " +
+                  DFAMR_TRUNCATING_RANK_BIN + " > /dev/null 2>&1"),
+              1);
+}
+
+TEST(Mpirun, RankChosenShmMeshesInTheLaunchersNamespace) {
+    // The launcher runs its default transport and the ranks choose shm on
+    // their own command line: they still share the launcher's namespace,
+    // whose segments (named after the launcher's pid) are gone at exit.
+    const std::string dir = ::testing::TempDir();
+    const std::string ref = dir + "/ref_rank_shm.txt";
+    const std::string wire = dir + "/wire_rank_shm.txt";
+    const std::string pid_file = dir + "/rank_shm.pid";
+    ASSERT_EQ(run(std::string(DFAMR_SINGLE_SPHERE_BIN) + " --checksum_out " + ref + " " +
+                  kProblem),
+              0);
+    ASSERT_EQ(run("sh -c 'echo $$ > " + pid_file + "; exec " + DFAMR_MPIRUN_BIN + " -n 2 " +
+                  DFAMR_SINGLE_SPHERE_BIN + " --transport shm --checksum_out " + wire + " " +
+                  kProblem + "'"),
+              0);
+    const std::string a = read_file(ref), b = read_file(wire);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(a, b);
+    std::string pid = read_file(pid_file);
+    while (!pid.empty() && (pid.back() == '\n' || pid.back() == ' ')) pid.pop_back();
+    ASSERT_FALSE(pid.empty());
+    for (const char* segment : {"0to1", "1to0"}) {
+        const std::string path = "/dev/shm/dfamr_w" + pid + "_" + segment;
+        EXPECT_NE(::access(path.c_str(), F_OK), 0) << path << " left behind";
+    }
 }
 
 TEST(Mpirun, FailsCleanlyOnUnlaunchableCommand) {

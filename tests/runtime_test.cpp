@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -194,6 +195,60 @@ TEST_P(RuntimeTest, ExternalEventsDelayDependencyRelease) {
         releaser.join();
         EXPECT_TRUE(successor_ran.load());
     }
+}
+
+// A task's captures live until the task completes and no longer, although
+// the dependency registry keeps completed tasks as interval writers until a
+// later access to the same bytes or its periodic GC drops them.
+class CaptureLifetime : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, CaptureLifetime, ::testing::Values(0, 2),
+                         [](const auto& pinfo) {
+                             return "workers" + std::to_string(pinfo.param);
+                         });
+
+TEST_P(CaptureLifetime, CapturesDieWhenTheTaskCompletes) {
+    Runtime rt(GetParam());
+    double data = 0;
+    auto held = std::make_shared<double>(3);
+    const std::weak_ptr<double> watch = held;
+    rt.submit([held = std::move(held), &data] { data = *held; }, {out(&data, sizeof data)});
+    rt.taskwait();
+    // No later access to `data`, and one registration: no GC has run.
+    EXPECT_EQ(data, 3);
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST_P(CaptureLifetime, BoundTaskKeepsCapturesUntilItsEventsComplete) {
+    Runtime rt(GetParam());
+    double data = 0;
+    auto held = std::make_shared<double>(3);
+    const std::weak_ptr<double> watch = held;
+    std::atomic<Task*> handle{nullptr};
+    rt.submit(
+        [held = std::move(held), &data, &handle] {
+            data = *held;
+            handle = Runtime::current()->increase_current_task_events(1);
+        },
+        {out(&data, sizeof data)});
+    // Fulfills the event once the body has returned: on a worker, or on the
+    // main thread inside the taskwait below without workers.
+    std::atomic<bool> alive_after_body{false};
+    std::thread releaser([&] {
+        const auto body_done = [&] {
+            Task* t = handle.load();
+            if (t == nullptr) return false;
+            std::lock_guard lock(t->node_lock);
+            return t->body_done;
+        };
+        while (!body_done()) std::this_thread::yield();
+        alive_after_body = !watch.expired();
+        rt.decrease_task_events(handle.load(), 1);
+    });
+    rt.taskwait();
+    releaser.join();
+    EXPECT_TRUE(alive_after_body.load());
+    EXPECT_TRUE(watch.expired());
 }
 
 TEST_P(RuntimeTest, MultidependencySendAfterManyPackers) {

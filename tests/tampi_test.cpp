@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/error.hpp"
 #include "mpisim/mpi.hpp"
 #include "tampi/tampi.hpp"
 #include "tasking/runtime.hpp"
@@ -43,6 +44,33 @@ TEST(Tampi, IrecvReleasesDepsOnlyAfterArrival) {
             rt.taskwait();
             EXPECT_TRUE(recv_task_done.load());
             EXPECT_TRUE(consumer_saw_value.load());
+        }
+    });
+}
+
+TEST(Tampi, TruncatedBoundReceiveFailsAtTaskwait) {
+    // The progress engine finds the receive failed: its task completes and
+    // the next taskwait raises the truncation, as a task error would.
+    mpi::World world(2);
+    world.run([](mpi::Communicator& comm) {
+        Runtime rt(2);
+        Tampi tampi(rt);
+        if (comm.rank() == 0) {
+            const double big[2] = {1, 2};
+            comm.barrier();
+            comm.send(big, sizeof big, 1, 0);
+        } else {
+            double small = 0;
+            std::atomic<bool> posted{false};
+            rt.submit(
+                [&] {
+                    tampi.irecv(comm, &small, sizeof small, 0, 0);
+                    posted = true;
+                },
+                {out(&small, sizeof small)}, "recv");
+            while (!posted.load()) std::this_thread::yield();
+            comm.barrier();  // the receive is posted before the message leaves
+            EXPECT_THROW(rt.taskwait(), Error);
         }
     });
 }

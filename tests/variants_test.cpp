@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "amr/task_graph.hpp"
 #include "core/variants.hpp"
 
 namespace dfamr::core {
@@ -288,6 +289,53 @@ TEST(Variants, SerialRefinementAblationMatches) {
     EXPECT_TRUE(b.validation_ok);
     expect_checksums_match(a, b, 1e-12);
     EXPECT_EQ(a.final_blocks, b.final_blocks);
+}
+
+// Data-flow refinement holds no more blocks than MPI-only's beyond a slack
+// that follows from the task graph, whatever the timing. One round per
+// phase, and a compute step after the last phase, so each phase starts and
+// ends with every rank at its phase-start and phase-end blocks. With T0 the
+// blocks at a phase's start and P the splits, M the merges and S the
+// coarsening sends of its round:
+//  * TAMPI+OSS holds at most T0 + 7P + Σ w_r + M: a rank's waves of at most
+//    W parents are joined, so only its last wave's w_r <= W parents live on
+//    beside their children; its merge parents are taken before the children
+//    go; a transfer join frees the sends before any receive is taken.
+//  * MPI-only reaches at least T0 + 7P - S - 7M: it holds one parent at a
+//    time, and when the last rank finishes its splits the others can have
+//    freed at most their sends and their merges' children.
+// So the slack is ranks x W + 8M + S <= ranks x W + 16M, and M is at most
+// the run's merges.
+TEST(Variants, TampiOssHoldsNoMoreBlocksThanMpiOnly) {
+    Config cfg = amr::single_sphere_input();
+    cfg.npx = 2;
+    cfg.init_x = cfg.init_y = cfg.init_z = 3;
+    cfg.nx = cfg.ny = cfg.nz = 4;
+    cfg.num_vars = 4;
+    cfg.num_tsteps = 3;
+    cfg.stages_per_ts = 2;
+    cfg.checksum_freq = 2;
+    cfg.num_refine = 2;
+    cfg.refine_freq = 2;
+    cfg.block_change = 1;
+    cfg.workers = 2;
+    cfg.objects[0].center = {0.3, 0.3, 0.3};
+    cfg.objects[0].size = {0.6, 0.6, 0.6};
+    cfg.objects[0].move = {0.05, 0.05, 0.05};
+    const RunResult mpi = run_variant(cfg, Variant::MpiOnly);
+    const RunResult df = run_variant(cfg, Variant::TampiOss);
+    ASSERT_TRUE(mpi.validation_ok);
+    ASSERT_TRUE(df.validation_ok);
+    EXPECT_EQ(df.final_blocks, mpi.final_blocks);
+    ASSERT_GT(df.counters.blocks_merged, 0);
+    ASSERT_GT(df.counters.load_balances, 0);
+    ASSERT_GT(df.counters.blocks_moved, 0);
+    const std::uint64_t wave = amr::graph::kSplitWaveParentsPerCore * cfg.workers;
+    const std::uint64_t slack = static_cast<std::uint64_t>(cfg.num_ranks()) * wave +
+                                16 * static_cast<std::uint64_t>(df.counters.blocks_merged);
+    EXPECT_GE(mpi.arena_high_water, static_cast<std::uint64_t>(mpi.final_blocks));
+    EXPECT_LE(df.arena_high_water, mpi.arena_high_water + slack)
+        << "MPI-only " << mpi.arena_high_water << ", slack " << slack;
 }
 
 TEST(Variants, CountersAreConsistentAcrossVariants) {
