@@ -145,6 +145,9 @@ int intern(const char* name, Nesting nesting) {
 void on_acquire(int cls, std::uint32_t subrank) {
     Registry& r = reg();
     std::vector<HeldLock>& held = tls_held();
+    if (!g_recorded.load(std::memory_order_relaxed)) {
+        g_recorded.store(true, std::memory_order_relaxed);
+    }
     for (const HeldLock& h : held) {
         if (h.cls == cls) {
             Nesting n;

@@ -17,11 +17,15 @@
 //   Nesting::Ordered — nesting is legal only in ascending subrank order
 //                      (registry shards, locked in ascending shard index).
 //
-// Cost model (the VerifyHook pattern): when lockdep is disabled, lock() and
-// unlock() add one relaxed atomic load and a predictable branch — no
-// allocation, no thread-local access, no shared writes. Enabled, the hot
-// path is a thread-local stack walk plus a lock-free edge-matrix probe;
-// the registry mutex is taken only when a never-before-seen edge appears.
+// Cost model (the VerifyHook pattern): in a process that never recorded an
+// acquisition, lock() and unlock() each add one relaxed atomic load and a
+// predictable branch — no call, no allocation, no thread-local access, no
+// shared writes. lock() tests whether lockdep is enabled; unlock() tests
+// whether any thread ever recorded an acquisition, because a lock taken
+// while lockdep was enabled must leave the held stack even when it is
+// released after disable(). Enabled, the hot path is a thread-local stack
+// walk plus a lock-free edge-matrix probe; the registry mutex is taken only
+// when a never-before-seen edge appears.
 //
 // Enablement: DFAMR_VERIFY builds enable lockdep at static initialization
 // and install an atexit gate that fails the process (exit 86) if any
@@ -43,6 +47,13 @@ namespace detail {
 
 inline std::atomic<bool> g_enabled{false};
 inline bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
+
+/// Set, and never cleared, by the first recorded acquisition. The thread
+/// that records an acquisition stores it itself, so its own later unlock
+/// reads true (read-after-write coherence); a thread that never recorded
+/// one has an empty held stack and may skip on_release.
+inline std::atomic<bool> g_recorded{false};
+inline bool recorded() { return g_recorded.load(std::memory_order_relaxed); }
 
 /// Interns a class by name (idempotent); returns its dense id.
 int intern(const char* name, Nesting nesting);
@@ -110,15 +121,15 @@ public:
         return true;
     }
     void unlock() {
-        note_release();
+        // Gated on recorded(), not on enabled(): a lock acquired while
+        // lockdep was on must leave the held stack even if lockdep was
+        // disabled in between. on_release is a no-op for an empty stack.
+        if (detail::recorded()) note_release();
         m_.unlock();
     }
 
 private:
     void note_acquire() { detail::on_acquire(cls(), subrank_); }
-    /// Always runs (not gated on enabled()): a lock acquired while lockdep
-    /// was on must leave the held stack even if lockdep was disabled in
-    /// between. on_release is a no-op for an empty stack.
     void note_release() { detail::on_release(cls()); }
     int cls() {
         int c = cls_.load(std::memory_order_relaxed);
@@ -142,7 +153,7 @@ class SpinLock {
 public:
     explicit SpinLock(const char* name, Nesting nesting = Nesting::Never,
                       std::uint32_t subrank = 0)
-        : name_(name), nesting_(nesting), subrank_(subrank) {}
+        : name_(name), subrank_(subrank), nesting_(nesting) {}
 
     SpinLock(const SpinLock&) = delete;
     SpinLock& operator=(const SpinLock&) = delete;
@@ -160,7 +171,7 @@ public:
         return true;
     }
     void unlock() {
-        note_release();
+        if (detail::recorded()) note_release();
         flag_.clear(std::memory_order_release);
     }
 
@@ -176,11 +187,12 @@ private:
         return c;
     }
 
-    std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
+    // Widest first: every task node carries one.
     const char* name_;
-    Nesting nesting_;
     std::uint32_t subrank_;
     std::atomic<int> cls_{-1};
+    std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
+    Nesting nesting_;
 };
 
 }  // namespace dfamr::lockdep

@@ -70,29 +70,31 @@ void TampiOssDriver::submit(const graph::Task& task) {
     } else if (task.kind.op == graph::Op::Merge || task.kind.op == graph::Op::BlockRecv) {
         mesh_.adopt(mesh_.make_block(p.key));
     }
-    std::vector<Dep> deps;
-    deps.reserve(task.accesses.size());
+    // The accesses and the body go straight into the runtime's task node.
+    tasking::Runtime::NewTask t = rt_.new_task(task.kind.label);
     std::array<std::span<double>, 3> spans{};  // the first accesses, which the kernels use
     for (std::size_t i = 0; i < task.accesses.size(); ++i) {
         const std::span<double> span = resolve(task.accesses[i].target);
         if (i < spans.size()) spans[i] = span;
-        deps.push_back(dep(task.accesses[i], span));
+        t.deps().push_back(dep(task.accesses[i], span));
     }
-    rt_.submit(body(task, spans), std::move(deps), task.kind.label);
+    bind(t.body(), task, spans);
+    rt_.submit(std::move(t));
 }
 
-std::function<void()> TampiOssDriver::body(const graph::Task& task,
-                                           const std::array<std::span<double>, 3>& s) {
+void TampiOssDriver::bind(tasking::TaskBody& out, const graph::Task& task,
+                          const std::array<std::span<double>, 3>& s) {
     const graph::Payload& p = task.payload;
     const graph::Op op = task.kind.op;
     const int vb = p.var_begin, ve = p.var_end;
     const int max_level = mesh_.structure().max_level();
-    // Most bodies are one interval of the task's phase on the trace.
-    const auto traced = [this, phase = task.kind.phase](auto fn) -> std::function<void()> {
-        return [this, phase, fn = std::move(fn)] {
+    // Most bodies are one interval of the task's phase on the trace. `fn`
+    // takes the driver, so the closure holds the driver and the phase once.
+    const auto traced = [this, phase = task.kind.phase](auto fn) {
+        return [self = this, phase, fn = std::move(fn)]() mutable {
             const std::int64_t t0 = now_ns();
-            fn();
-            trace(worker_index(), t0, now_ns(), phase);
+            fn(*self);
+            self->trace(self->worker_index(), t0, now_ns(), phase);
         };
     };
     switch (op) {
@@ -100,50 +102,56 @@ std::function<void()> TampiOssDriver::body(const graph::Task& task,
         case graph::Op::BlockRecv:
             // TAMPI_Irecv binds the task's completion to the arrival (the
             // body itself returns immediately).
-            return traced([this, msg = s[0], peer = p.peer, tag = p.tag] {
-                tampi_.irecv(comm_, msg.data(), msg.size_bytes(), peer, tag);
+            out = traced([msg = s[0], peer = p.peer, tag = p.tag](TampiOssDriver& d) {
+                d.tampi_.irecv(d.comm_, msg.data(), msg.size_bytes(), peer, tag);
             });
+            return;
         case graph::Op::Send:
-        case graph::Op::BlockSend: {
+            out = traced([msg = s[0], peer = p.peer, tag = p.tag](TampiOssDriver& d) {
+                d.tampi_.isend(d.comm_, msg.data(), msg.size_bytes(), peer, tag);
+            });
+            return;
+        case graph::Op::BlockSend:
             // A sent block leaves the mesh; the task frees it when it
             // completes, which TAMPI holds off until the send is done.
-            std::shared_ptr<const Block> sent;
-            if (op == graph::Op::BlockSend) sent = mesh_.release(p.key);
-            return traced([this, sent, msg = s[0], peer = p.peer, tag = p.tag] {
-                tampi_.isend(comm_, msg.data(), msg.size_bytes(), peer, tag);
+            out = traced([sent = mesh_.release(p.key), msg = s[0], peer = p.peer,
+                          tag = p.tag](TampiOssDriver& d) {
+                d.tampi_.isend(d.comm_, msg.data(), msg.size_bytes(), peer, tag);
             });
-        }
+            return;
         case graph::Op::Pack:
         case graph::Op::FluxPack:
-            return traced([this, face = p.face, src = s[0], sec = s[1], vb, ve,
-                           flux = op == graph::Op::FluxPack] {
+            out = traced([face = p.face, src = s[0], sec = s[1], vb, ve,
+                          flux = op == graph::Op::FluxPack](TampiOssDriver& d) {
                 DFAMR_CHECK_READ(src.data(), src.size_bytes());
                 DFAMR_CHECK_WRITE(sec.data(), sec.size_bytes());
                 if (flux) {
-                    flux_register(face->mine)
+                    d.flux_register(face->mine)
                         .pack_restricted(face->geom.axis, face->geom.sense, vb, ve, sec);
                 } else {
-                    mesh_.block(face->mine).pack_face(face->geom, vb, ve, sec);
+                    d.mesh_.block(face->mine).pack_face(face->geom, vb, ve, sec);
                 }
             });
+            return;
         case graph::Op::Unpack:
         case graph::Op::Reflux:
-            return traced([this, face = p.face, sec = s[0], blk = s[1], reg = s[2], vb, ve,
-                           flux = op == graph::Op::Reflux] {
+            out = traced([face = p.face, sec = s[0], blk = s[1], reg = s[2], vb, ve,
+                          flux = op == graph::Op::Reflux](TampiOssDriver& d) {
                 DFAMR_CHECK_READ(sec.data(), sec.size_bytes());
                 DFAMR_CHECK_WRITE(blk.data(), blk.size_bytes());
                 DFAMR_CHECK_WRITE(reg.data(), reg.size_bytes());
                 if (flux) {
-                    apply_flux_correction(*face, vb, ve, sec);
+                    d.apply_flux_correction(*face, vb, ve, sec);
                 } else {
-                    mesh_.block(face->mine).unpack_face(face->geom, vb, ve, sec);
+                    d.mesh_.block(face->mine).unpack_face(face->geom, vb, ve, sec);
                 }
             });
+            return;
         case graph::Op::Copy:
         case graph::Op::RefluxIntra:
             // Each copy or reflux is traced on its own; reflections are not.
-            return [this, copies = p.copies, boundary = p.boundary, dir = p.dir, vb, ve,
-                    flux = op == graph::Op::RefluxIntra] {
+            out = [this, copies = p.copies, boundary = p.boundary, dir = p.dir, vb, ve,
+                   flux = op == graph::Op::RefluxIntra] {
                 for (const amr::IntraCopy& c : copies) {
                     const std::int64_t t0 = now_ns();
                     if (flux) {
@@ -157,33 +165,37 @@ std::function<void()> TampiOssDriver::body(const graph::Task& task,
                     mesh_.block(key).reflect_face(dir, sense, vb, ve);
                 }
             };
+            return;
         case graph::Op::Outflux:
-            return traced([this, dir = p.dir, vb, ve] {
-                DFAMR_CHECK_WRITE(&boundary_outflux_, sizeof boundary_outflux_);
-                accumulate_boundary_outflux(dir, vb, ve);
+            out = traced([dir = p.dir, vb, ve](TampiOssDriver& d) {
+                DFAMR_CHECK_WRITE(&d.boundary_outflux_, sizeof d.boundary_outflux_);
+                d.accumulate_boundary_outflux(dir, vb, ve);
             });
+            return;
         case graph::Op::Stencil:
-            return traced([this, key = p.key, vb, ve] {
-                auto blk = mesh_.block(key).group_span(vb, ve);
+            out = traced([key = p.key, vb, ve](TampiOssDriver& d) {
+                auto blk = d.mesh_.block(key).group_span(vb, ve);
                 DFAMR_CHECK_READ(blk.data(), blk.size_bytes());
                 DFAMR_CHECK_WRITE(blk.data(), blk.size_bytes());
-                if (generator_ != nullptr) {
-                    auto reg = flux_register(key).slice(vb, ve);
+                if (d.generator_ != nullptr) {
+                    auto reg = d.flux_register(key).slice(vb, ve);
                     DFAMR_CHECK_WRITE(reg.data(), reg.size_bytes());
                 }
-                flops_ += update_block(mesh_.block(key), vb, ve);
+                d.flops_ += d.update_block(d.mesh_.block(key), vb, ve);
             });
+            return;
         case graph::Op::ChecksumLocal:
-            return traced([this, key = p.key, vb, ve, cell = s[1].data()] {
-                auto blk = mesh_.block(key).group_span(vb, ve);
+            out = traced([key = p.key, vb, ve, cell = s[1].data()](TampiOssDriver& d) {
+                auto blk = d.mesh_.block(key).group_span(vb, ve);
                 DFAMR_CHECK_READ(blk.data(), blk.size_bytes());
                 DFAMR_CHECK_WRITE(cell, sizeof(double));
                 // Cell-volume weight for scenario runs (mass gate); 1.0 — a
                 // bitwise identity — for the synthetic workload.
-                *cell = checksum_weight(key) * mesh_.block(key).checksum(vb, ve);
+                *cell = d.checksum_weight(key) * d.mesh_.block(key).checksum(vb, ve);
             });
+            return;
         case graph::Op::ChecksumReduce:
-            return [row = s[0], sum = s[1].data()] {
+            out = [row = s[0], sum = s[1].data()] {
                 // Element-wise checked access on the partials row: every
                 // load is validated against the declared in-region.
                 auto crow = DFAMR_CHECKED_SPAN((std::span<const double>{row}));
@@ -192,6 +204,7 @@ std::function<void()> TampiOssDriver::body(const graph::Task& task,
                 DFAMR_CHECK_WRITE(sum, sizeof(double));
                 *sum = acc;
             };
+            return;
         case graph::Op::Split: {
             // A parent's 8 children come in a row: the first takes it out of
             // the mesh and the last hands over the driver's reference, so the
@@ -199,22 +212,26 @@ std::function<void()> TampiOssDriver::body(const graph::Task& task,
             if (p.octant == 0) split_parent_ = mesh_.release(p.key);
             std::shared_ptr<const Block> parent =
                 p.octant == 7 ? std::move(split_parent_) : split_parent_;
-            return traced([parent = std::move(parent), octant = p.octant,
-                           child = &mesh_.block(p.key.child(p.octant, max_level))] {
-                child->fill_from_parent(*parent, octant);
-            });
+            out = traced([parent = std::move(parent), octant = p.octant,
+                          child = &mesh_.block(p.key.child(p.octant, max_level))](
+                             TampiOssDriver&) { child->fill_from_parent(*parent, octant); });
+            return;
         }
         case graph::Op::Merge: {
-            auto children = std::make_shared<std::array<std::unique_ptr<Block>, 8>>();
+            // The task owns the 8 children it absorbs and frees them when it
+            // completes.
+            std::array<std::unique_ptr<Block>, 8> children;
             for (int octant = 0; octant < 8; ++octant) {
-                (*children)[static_cast<std::size_t>(octant)] =
+                children[static_cast<std::size_t>(octant)] =
                     mesh_.release(p.key.child(octant, max_level));
             }
-            return traced([children, parent = &mesh_.block(p.key)] {
+            out = traced([children = std::move(children),
+                          parent = &mesh_.block(p.key)](TampiOssDriver&) {
                 for (int octant = 0; octant < 8; ++octant) {
-                    parent->absorb_child(*(*children)[static_cast<std::size_t>(octant)], octant);
+                    parent->absorb_child(*children[static_cast<std::size_t>(octant)], octant);
                 }
             });
+            return;
         }
     }
     throw Error("unknown task-graph op");

@@ -11,7 +11,7 @@
 
 #include <array>
 #include <atomic>
-#include <functional>
+#include <memory>
 #include <span>
 
 #include "amr/task_graph.hpp"
@@ -54,9 +54,10 @@ private:
     /// The span an access target names.
     std::span<double> resolve(const amr::graph::Target& target);
     static tasking::Dep dep(const amr::graph::Access& access, std::span<double> span);
-    /// The kernel of `task`, bound to the spans of its first accesses.
-    std::function<void()> body(const amr::graph::Task& task,
-                               const std::array<std::span<double>, 3>& spans);
+    /// Binds `out` to the kernel of `task` on the spans of its first
+    /// accesses.
+    void bind(tasking::TaskBody& out, const amr::graph::Task& task,
+              const std::array<std::span<double>, 3>& spans);
     /// Reduces and validates checksum slot `slot`, and frees it.
     void validate(int slot);
     /// Waits for every submitted task, then validates the deferred checksum

@@ -17,20 +17,10 @@ DependencyRegistry::DependencyRegistry()
     }
 }
 
-void DependencyRegistry::split_at(IntervalMap& map, std::uintptr_t point) {
-    // Find the interval containing `point` (if any) and split it so `point`
-    // becomes an interval boundary.
-    auto it = map.upper_bound(point);
-    if (it != map.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first < point && point < prev->second.end) {
-            Interval right = prev->second;  // copy writer/readers
-            const std::uintptr_t right_end = prev->second.end;
-            prev->second.end = point;
-            right.end = right_end;
-            map.emplace_hint(it, point, std::move(right));
-        }
-    }
+void DependencyRegistry::split(std::vector<Interval>& v, std::size_t i, std::uintptr_t point) {
+    Interval right{point, v[i].end, v[i].writer, v[i].readers};
+    v[i].end = point;
+    v.insert(v.begin() + static_cast<std::ptrdiff_t>(i) + 1, std::move(right));
 }
 
 void DependencyRegistry::add_edge(const DepNodePtr& pred, const DepNodePtr& succ, int& added) {
@@ -66,33 +56,9 @@ void DependencyRegistry::add_edge(const DepNodePtr& pred, const DepNodePtr& succ
 
 int DependencyRegistry::register_piece(Shard& shard, const DepNodePtr& node, DepKind kind,
                                        std::uintptr_t lo, std::uintptr_t hi) {
-    IntervalMap& map = shard.intervals;
-    split_at(map, lo);
-    split_at(map, hi);
+    std::vector<Interval>& v = shard.intervals;
     int added = 0;
-    auto it = map.lower_bound(lo);
-    std::uintptr_t cursor = lo;
-    while (cursor < hi) {
-        if (it == map.end() || it->first > cursor) {
-            // Gap [cursor, min(hi, next_start)): fresh interval, no edges.
-            const std::uintptr_t gap_end =
-                (it == map.end()) ? hi : std::min<std::uintptr_t>(hi, it->first);
-            Interval fresh;
-            fresh.end = gap_end;
-            if (kind == DepKind::In) {
-                fresh.readers.push_back(node);
-            } else {
-                fresh.writer = node;
-            }
-            it = map.emplace_hint(it, cursor, std::move(fresh));
-            ++it;
-            cursor = gap_end;
-            continue;
-        }
-        // Existing interval starting exactly at cursor (split_at ensured
-        // boundaries at lo/hi, and we iterate boundary to boundary).
-        DFAMR_ASSERT(it->first == cursor && it->second.end <= hi);
-        Interval& iv = it->second;
+    const auto access = [&](Interval& iv) {
         if (kind == DepKind::In) {
             add_edge(iv.writer, node, added);
             // Record as reader (avoid duplicate entry for this node).
@@ -107,8 +73,40 @@ int DependencyRegistry::register_piece(Shard& shard, const DepNodePtr& node, Dep
             iv.writer = node;
             iv.readers.clear();
         }
-        cursor = iv.end;
-        ++it;
+    };
+    // The first interval ending after lo.
+    std::size_t i = static_cast<std::size_t>(
+        std::partition_point(v.begin(), v.end(),
+                             [lo](const Interval& iv) { return iv.end <= lo; }) -
+        v.begin());
+    // Exact hit: most pieces re-access a region with the bounds it had.
+    if (i < v.size() && v[i].start == lo && v[i].end == hi) {
+        access(v[i]);
+        return added;
+    }
+    if (i < v.size() && v[i].start < lo) {
+        split(v, i, lo);
+        ++i;
+    }
+    std::uintptr_t cursor = lo;
+    while (cursor < hi) {
+        if (i == v.size() || v[i].start > cursor) {
+            // Gap [cursor, min(hi, next_start)): fresh interval, no edges.
+            const std::uintptr_t gap_end = i == v.size() ? hi : std::min(hi, v[i].start);
+            Interval fresh{cursor, gap_end, nullptr, {}};
+            if (kind == DepKind::In) {
+                fresh.readers.push_back(node);
+            } else {
+                fresh.writer = node;
+            }
+            v.insert(v.begin() + static_cast<std::ptrdiff_t>(i), std::move(fresh));
+        } else {
+            // An interval starting at cursor; cut it at hi if it reaches past.
+            if (v[i].end > hi) split(v, i, hi);
+            access(v[i]);
+        }
+        cursor = v[i].end;
+        ++i;
     }
     return added;
 }
@@ -173,18 +171,19 @@ void DependencyRegistry::collect_shard(Shard& shard) {
     // dep_released never goes back to false, so an unlocked read seeing
     // `true` is stable; a stale `false` just keeps the entry one cycle
     // longer.
-    for (auto it = shard.intervals.begin(); it != shard.intervals.end();) {
-        Interval& iv = it->second;
-        std::erase_if(iv.readers, [](const DepNodePtr& r) {
-            return r->dep_released.load(std::memory_order_acquire);
-        });
-        if (iv.writer && iv.writer->dep_released.load(std::memory_order_acquire) &&
-            iv.readers.empty()) {
-            it = shard.intervals.erase(it);
-        } else {
-            ++it;
-        }
+    const auto released = [](const DepNodePtr& n) {
+        return n->dep_released.load(std::memory_order_acquire);
+    };
+    std::vector<Interval>& v = shard.intervals;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        Interval& iv = v[i];
+        std::erase_if(iv.readers, released);
+        if (iv.writer && released(iv.writer) && iv.readers.empty()) continue;
+        if (kept != i) v[kept] = std::move(iv);
+        ++kept;
     }
+    v.erase(v.begin() + static_cast<std::ptrdiff_t>(kept), v.end());
 }
 
 void DependencyRegistry::garbage_collect() {

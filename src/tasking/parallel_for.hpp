@@ -30,7 +30,8 @@ inline void parallel_for(Runtime& rt, std::int64_t begin, std::int64_t end,
     const std::int64_t n = end - begin;
     if (n <= 0) return;
     const std::int64_t team = static_cast<std::int64_t>(rt.worker_count()) + 1;
-    std::vector<std::function<void()>> chunks;
+    std::vector<TaskBody> chunks;
+    chunks.reserve(static_cast<std::size_t>(team));
     for (std::int64_t c = 0; c < team; ++c) {
         const std::int64_t lo = begin + n * c / team;
         const std::int64_t hi = begin + n * (c + 1) / team;
@@ -39,7 +40,7 @@ inline void parallel_for(Runtime& rt, std::int64_t begin, std::int64_t end,
             for (std::int64_t i = lo; i < hi; ++i) fn(i);
         });
     }
-    rt.submit_independent(std::move(chunks), "parallel_for");
+    rt.submit_independent(chunks, "parallel_for");
     rt.taskwait();
 }
 

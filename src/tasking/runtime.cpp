@@ -68,41 +68,45 @@ void Runtime::set_verify_hook(VerifyHook* hook) {
     registry_.set_verify_hook(hook);
 }
 
-void Runtime::submit(std::function<void()> body, std::vector<Dep> deps, const char* label) {
-    if (register_and_release_guard(make_task(std::move(body), std::move(deps), label))) {
-        wake_workers(1);
-    }
+Runtime::NewTask Runtime::new_task(const char* label) {
+    const bool nested = (tls_runtime == this && tls_task != nullptr);
+    TaskPtr task = make_task(label, nested ? tls_task : &root_);
+    // The running task's self_ref stays set until it completes, which its
+    // own body cannot outlast.
+    if (nested) task->parent_ref = tls_task->self_ref;
+    return NewTask(std::move(task));
 }
 
-void Runtime::submit_independent(std::vector<std::function<void()>> bodies, const char* label) {
+void Runtime::submit(NewTask task) {
+    const TaskPtr submitted = std::move(task.task_);
+    if (register_and_release_guard(submitted)) wake_workers(1);
+}
+
+void Runtime::submit_independent(std::span<TaskBody> bodies, const char* label) {
     int ready = 0;
-    for (auto& body : bodies) {
-        if (register_and_release_guard(make_task(std::move(body), {}, label))) ++ready;
+    for (TaskBody& body : bodies) {
+        NewTask task = new_task(label);
+        task.body() = std::move(body);
+        if (register_and_release_guard(task.task_)) ++ready;
     }
     wake_workers(ready);
 }
 
-Runtime::TaskPtr Runtime::make_task(std::function<void()> body, std::vector<Dep> deps,
-                                    const char* label) {
-    auto task = std::make_shared<Task>();
-    task->body = std::move(body);
-    task->deps = std::move(deps);
+Runtime::TaskPtr Runtime::make_task(const char* label, Task* parent) {
+    TaskPtr task = std::allocate_shared<Task>(NodeAllocator<Task>(this));
     task->label = label;
-
-    const bool nested = (tls_runtime == this && tls_task != nullptr);
-    task->parent = nested ? tls_task : &root_;
-    if (nested) task->parent_ref = tls_task->shared_from_this();
+    task->parent = parent;
     return task;
 }
 
 bool Runtime::register_and_release_guard(const TaskPtr& task) {
-    task->node_id = next_task_id_.fetch_add(1, std::memory_order_relaxed);
+    task->node_id = submit_stats_.next_task_id.fetch_add(1, std::memory_order_relaxed);
     task->self_ref = task;
     // Submission guard: one artificial predecessor held while accesses are
     // registered, so a predecessor releasing concurrently cannot make the
     // task ready (and runnable) halfway through registration.
     task->pred_count.store(1, std::memory_order_relaxed);
-    stats_.tasks_submitted.fetch_add(1, std::memory_order_relaxed);
+    submit_stats_.tasks_submitted.fetch_add(1, std::memory_order_relaxed);
     for (Task* p = task->parent; p != nullptr; p = p->parent) {
         p->descendants_live.fetch_add(1, std::memory_order_relaxed);
     }
@@ -112,11 +116,11 @@ bool Runtime::register_and_release_guard(const TaskPtr& task) {
             // Serialized mode: the whole registration becomes one atomic
             // step in the total order DepLint's logical clock requires.
             vlock.lock();
-            verify_->on_node_registered(*task, task->label, std::span<const Dep>(task->deps));
+            verify_->on_node_registered(*task, task->label, task->deps);
         }
-        const int added = registry_.register_accesses(task, std::span<const Dep>(task->deps));
-        stats_.edges_added.fetch_add(static_cast<std::uint64_t>(added),
-                                     std::memory_order_relaxed);
+        const int added = registry_.register_accesses(task, task->deps);
+        submit_stats_.edges_added.fetch_add(static_cast<std::uint64_t>(added),
+                                            std::memory_order_relaxed);
     }
     // Drop the guard; whoever brings pred_count to zero schedules the task.
     if (task->pred_count.fetch_sub(1, std::memory_order_acq_rel) != 1) return false;
@@ -245,7 +249,7 @@ void Runtime::run_body(Task* task) {
     // verify_ is only mutated while no tasks are in flight (attach-before-
     // submit contract), so the unlocked reads here are safe.
     if (verify_ != nullptr) {
-        verify_->on_body_start(*task, task->label, std::span<const Dep>(task->deps));
+        verify_->on_body_start(*task, task->label, task->deps);
     }
     try {
         if (task->body) task->body();
@@ -292,7 +296,6 @@ Task* Runtime::finish_body(Task* task) {
 }
 
 Task* Runtime::complete_if_ready(Task* task, bool body_finished, int events_done) {
-    std::vector<DepNode*> released;
     {
         std::unique_lock vlock(verify_mutex_, std::defer_lock);
         if (verify_ != nullptr) vlock.lock();
@@ -310,19 +313,17 @@ Task* Runtime::complete_if_ready(Task* task, bool body_finished, int events_done
                 return nullptr;
             }
             task->completed.store(true, std::memory_order_release);
-            // Under the same node lock as the successor drain: a concurrent
-            // add_edge either got its edge in (and is drained below) or
-            // observes dep_released and elides.
+            // Under the node lock: a concurrent add_edge either got its
+            // edge in before this (and is drained below) or observes
+            // dep_released and elides, so the successor list is final.
             task->dep_released.store(true, std::memory_order_release);
-            released = std::move(task->successors);
-            task->successors.clear();
         }
         if (verify_ != nullptr) verify_->on_node_released(*task);
     }
 
     Task* immediate = nullptr;
     int newly_ready = 0;
-    for (DepNode* succ_node : released) {
+    for (DepNode* succ_node : task->successors) {
         auto* succ = static_cast<Task*>(succ_node);
         if (succ->pred_count.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             if (body_finished && immediate == nullptr) {
@@ -334,6 +335,7 @@ Task* Runtime::complete_if_ready(Task* task, bool body_finished, int events_done
             }
         }
     }
+    task->successors.clear();
     // Wakeups proportional to newly ready work — no broadcast.
     if (newly_ready > 0) wake_workers(newly_ready);
 
@@ -342,7 +344,7 @@ Task* Runtime::complete_if_ready(Task* task, bool body_finished, int events_done
     // them. Destroyed here, outside every lock (a capture may own a block,
     // whose release takes the arena's mutex), and before the ancestors
     // count this task done, so a taskwait that returns has seen it go.
-    task->body = nullptr;
+    task->body.reset();
 
     bool quiescent = false;
     for (Task* p = task->parent; p != nullptr; p = p->parent) {
@@ -377,8 +379,7 @@ Task* Runtime::pop_injected() {
     if (inject_size_.load(std::memory_order_acquire) == 0) return nullptr;
     std::lock_guard lock(inject_mutex_);
     if (inject_queue_.empty()) return nullptr;
-    Task* t = inject_queue_.front();
-    inject_queue_.pop_front();
+    Task* t = inject_queue_.pop_front();
     inject_size_.fetch_sub(1, std::memory_order_relaxed);
     return t;
 }
@@ -487,12 +488,11 @@ void Runtime::taskwait() {
     if (err) std::rethrow_exception(err);
 }
 
-void Runtime::taskwait_on(std::vector<Dep> deps) {
-    auto sentinel = std::make_shared<Task>();
-    sentinel->label = "<taskwait-on>";
-    sentinel->deps = std::move(deps);
-    sentinel->parent = &root_;  // not a descendant of the caller: a plain taskwait
-                                // afterwards must still be able to run it inline.
+void Runtime::taskwait_on(std::span<const Dep> deps) {
+    // Not a descendant of the caller: a plain taskwait afterwards must
+    // still be able to run it inline.
+    TaskPtr sentinel = make_task("<taskwait-on>", &root_);
+    sentinel->deps.assign(deps);
     if (register_and_release_guard(sentinel)) wake_workers(1);
     Task* raw = sentinel.get();  // kept alive by the local shared_ptr
     wait_until([raw] { return raw->completed.load(std::memory_order_acquire); });
@@ -536,11 +536,11 @@ void Runtime::unregister_polling_service(const std::string& name) {
 
 RuntimeStats Runtime::stats() const {
     RuntimeStats s;
-    s.tasks_submitted = stats_.tasks_submitted.load(std::memory_order_relaxed);
+    s.tasks_submitted = submit_stats_.tasks_submitted.load(std::memory_order_relaxed);
     s.tasks_executed = stats_.tasks_executed.load(std::memory_order_relaxed);
     s.immediate_successor_hits =
         stats_.immediate_successor_hits.load(std::memory_order_relaxed);
-    s.edges_added = stats_.edges_added.load(std::memory_order_relaxed);
+    s.edges_added = submit_stats_.edges_added.load(std::memory_order_relaxed);
     s.edges_elided = registry_.edges_elided();
     s.steals = stats_.steals.load(std::memory_order_relaxed);
     s.steal_fails = stats_.steal_fails.load(std::memory_order_relaxed);

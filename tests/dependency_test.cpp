@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -198,6 +200,123 @@ TEST(DependencyRegistryProperty, RandomConflictsAreOrdered) {
             }
         }
     }
+}
+
+// --- differential test of the interval store --------------------------------
+
+/// Per-byte reference of the registry's rule: a byte's last writer and its
+/// readers since that write. A read depends on the last writer; a write on
+/// the readers since it, or on the writer when there are none (the readers
+/// already follow it). A task never depends on itself.
+struct ByteReference {
+    std::vector<int> writer;
+    std::vector<std::vector<int>> readers;
+
+    explicit ByteReference(std::size_t bytes) : writer(bytes, -1), readers(bytes) {}
+
+    /// Adds `node`'s predecessors through byte `b` to `preds`, then records
+    /// the access.
+    void access(std::size_t b, int node, DepKind kind, std::set<int>& preds) {
+        std::vector<int>& rd = readers[b];
+        if (kind == DepKind::In) {
+            if (writer[b] >= 0 && writer[b] != node) preds.insert(writer[b]);
+            rd.push_back(node);
+            return;
+        }
+        if (rd.empty()) {
+            if (writer[b] >= 0 && writer[b] != node) preds.insert(writer[b]);
+        }
+        for (int r : rd) {
+            if (r != node) preds.insert(r);
+        }
+        writer[b] = node;
+        rd.clear();
+    }
+};
+
+/// Random In/Out/InOut streams on two windows that straddle 1 MiB granule
+/// boundaries (so regions cross shards), with partial overlaps and empty
+/// regions; nodes release in an order their edges allow, interleaved with
+/// registrations and, with `gc`, with explicit collections. The registry's
+/// edges must be exactly the reference's edges from unreleased
+/// predecessors. Without any collection (fewer registrations than a
+/// shard's GC period), added + elided edges count every conflicting pair.
+void run_differential(std::uint64_t seed, bool gc, int node_count) {
+    constexpr std::uintptr_t kGranule = std::uintptr_t{1} << DependencyRegistry::kGranuleBits;
+    constexpr std::uintptr_t kWindow = 160;
+    const std::uintptr_t origin[2] = {5 * kGranule - kWindow / 2, 70 * kGranule - kWindow / 2};
+    Rng rng(seed);
+    DependencyRegistry reg;
+    ByteReference ref(2 * kWindow);
+    std::vector<DepNodePtr> nodes;
+    std::set<std::pair<int, int>> expected_edges;
+    std::uint64_t conflicting_pairs = 0;
+    std::uint64_t edges_added = 0;
+
+    const auto release_one_ready = [&] {
+        std::vector<int> ready;
+        for (int i = 0; i < static_cast<int>(nodes.size()); ++i) {
+            const DepNode& n = *nodes[static_cast<std::size_t>(i)];
+            if (!n.dep_released && n.pred_count == 0) ready.push_back(i);
+        }
+        if (ready.empty()) return;
+        DepNode& n = *nodes[static_cast<std::size_t>(ready[rng.below(ready.size())])];
+        n.dep_released = true;
+        for (DepNode* s : n.successors) --s->pred_count;
+    };
+
+    for (int id = 0; id < node_count; ++id) {
+        while (rng.below(3) == 0) release_one_ready();
+        if (gc && rng.below(16) == 0) reg.garbage_collect();
+
+        std::vector<Dep> deps;
+        std::set<int> preds;
+        const int ndeps = 1 + static_cast<int>(rng.below(4));
+        for (int d = 0; d < ndeps; ++d) {
+            const std::size_t w = rng.below(2);
+            const std::uintptr_t size = rng.below(6) == 0 ? 0 : 1 + rng.below(40);
+            const std::uintptr_t offset = rng.below(kWindow - size + 1);
+            const auto kind = static_cast<DepKind>(rng.below(3));
+            deps.push_back({kind, Region::synthetic(origin[w] + offset, size)});
+            for (std::uintptr_t b = offset; b < offset + size; ++b) {
+                ref.access(w * kWindow + b, id, kind, preds);
+            }
+        }
+        nodes.push_back(make_node(static_cast<std::uint64_t>(id) + 1));
+        const int added = reg.register_accesses(nodes.back(), deps);
+        int expected_added = 0;
+        for (int p : preds) {
+            if (nodes[static_cast<std::size_t>(p)]->dep_released) continue;
+            expected_edges.insert({p, id});
+            ++expected_added;
+        }
+        ASSERT_EQ(added, expected_added) << "seed " << seed << ", node " << id;
+        edges_added += static_cast<std::uint64_t>(added);
+        conflicting_pairs += preds.size();
+    }
+
+    std::set<std::pair<int, int>> edges;
+    for (int i = 0; i < static_cast<int>(nodes.size()); ++i) {
+        for (DepNode* s : nodes[static_cast<std::size_t>(i)]->successors) {
+            edges.insert({i, static_cast<int>(s->node_id) - 1});
+        }
+    }
+    EXPECT_EQ(edges, expected_edges) << "seed " << seed;
+    if (gc) {
+        EXPECT_LE(edges_added + reg.edges_elided(), conflicting_pairs) << "seed " << seed;
+    } else {
+        EXPECT_EQ(edges_added + reg.edges_elided(), conflicting_pairs) << "seed " << seed;
+    }
+}
+
+TEST(DependencyRegistryDifferential, MatchesPerByteReferenceWithoutGc) {
+    // Below the period: no shard collects on its own.
+    for (std::uint64_t seed : {101, 102, 103, 104, 105, 106}) run_differential(seed, false, 250);
+}
+
+TEST(DependencyRegistryDifferential, MatchesPerByteReferenceWithGc) {
+    // Past the period too: the amortized collection runs as well.
+    for (std::uint64_t seed : {201, 202, 203, 204}) run_differential(seed, true, 900);
 }
 
 // --- zero-size regions and empty dependency lists --------------------------

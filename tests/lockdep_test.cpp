@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #if defined(__SANITIZE_THREAD__)
 #define DFAMR_LOCKDEP_TEST_TSAN 1
@@ -203,6 +206,42 @@ TEST(Lockdep, DisabledRecordingCostsNothingAndSeesNothing) {
     }
     EXPECT_TRUE(report().clean());
     if (was) enable();
+}
+
+TEST(Lockdep, LockTakenWhileEnabledIsReleasedAfterDisable) {
+    // A lock recorded while enabled and released while disabled must leave
+    // the held stack: a stale entry would pose as held under every later
+    // acquisition and report a same-class nesting or an order never taken.
+    ScopedLockdep guard;
+    const auto release_while_disabled = [](Mutex& m) {
+        m.lock();
+        disable();
+        m.unlock();
+        enable();
+    };
+    // Both orders, each on its own pair of classes (on one pair they would
+    // be a real cycle).
+    Mutex a1("test.late_a1"), b1("test.late_b1");
+    release_while_disabled(a1);
+    {
+        std::lock_guard lb(b1);
+        std::lock_guard la(a1);
+    }
+    Mutex a2("test.late_a2"), b2("test.late_b2");
+    release_while_disabled(a2);
+    {
+        std::lock_guard la(a2);
+        std::lock_guard lb(b2);
+    }
+    const Report r = report();
+    EXPECT_TRUE(r.clean()) << r.to_string();
+    const std::vector<std::pair<std::string, std::string>> expected = {
+        {"test.late_b1", "test.late_a1"}, {"test.late_a2", "test.late_b2"}};
+    for (const auto& edge : r.edges) {
+        if (edge.first.rfind("test.late_", 0) != 0) continue;
+        EXPECT_NE(std::find(expected.begin(), expected.end(), edge), expected.end())
+            << edge.first << " -> " << edge.second;
+    }
 }
 
 TEST(Lockdep, WorksWithConditionVariableAny) {
