@@ -1,12 +1,15 @@
-// The data-flow variant's task graph (paper §IV), described once. One emit
-// function per phase hands each task, in submission order, to a sink as a
-// kind, typed accesses and a payload. TampiOssDriver resolves accesses to
-// spans and submits the kernels; the DES (src/sim/run_sim.cpp) resolves them
-// to synthetic regions of the same offsets and sizes and charges costs. The
-// sink is a template parameter, so submitting costs no virtual call. A sink
-// has submit(const Task&), wait(const Access&, int slot) (taskwait on the
-// access, then validate checksum slot `slot`), drain(int slot) and
-// join(Join) (the main thread waits for the rank's tasks, see Join).
+// The task graph of all three variants (paper §IV-V), described once. One
+// emit function per phase hands each task, in submission order, to a sink
+// as a kind, typed accesses and a payload. TampiOssDriver resolves accesses
+// to spans and submits the kernels; the DES's TAMPI+OSS model
+// (src/sim/run_sim.cpp) resolves them to synthetic regions of the same
+// offsets and sizes and charges costs; SyncDriver and the DES's MPI-only
+// and fork-join models run the tasks through LoopRule, the bulk-synchronous
+// loop rule at the end of this file. The sink is a template parameter, so
+// submitting costs no virtual call. A sink has submit(const Task&),
+// wait(const Access&, int slot) (taskwait on the access, then validate
+// checksum slot `slot`), drain(int slot) and join(Join) (the main thread
+// waits for the rank's tasks, see Join).
 #pragma once
 
 #include <cstdint>
@@ -93,7 +96,7 @@ struct Access {
 struct Payload {
     int var_begin = 0, var_end = 0;      // the variable group
     int dir = 0;                         // Copy, Outflux: the direction
-    int peer = -1, tag = 0;              // Recv, Send, BlockSend, BlockRecv
+    int peer = -1, tag = 0;              // messages; Unpack, Reflux: the one applied
     const FaceTransfer* face = nullptr;  // Pack, Unpack, FluxPack, Reflux
     BlockKey key{};  // Stencil, ChecksumLocal, Merge, BlockSend/Recv; Split: the parent
     int octant = 0;  // Split: the child
@@ -186,7 +189,8 @@ void emit_exchange(Sink& sink, const Plan& plan, bool flux, int dir,
                     {Mode::InOut, vars(Object::Vars, face.mine, vb, ve)},
                     {Mode::InOut, vars(Object::Flux, face.mine, vb, ve)}};
                 sink.submit(Task{kinds.apply, std::span(a, flux ? 3 : 2),
-                                 {.var_begin = vb, .var_end = ve, .face = &face}});
+                                 {.var_begin = vb, .var_end = ve, .peer = ex.peer,
+                                  .tag = chunk.tag, .face = &face}});
             }
         }
     }
@@ -214,11 +218,12 @@ void emit_stencil(Sink& sink, std::span<const BlockKey> keys, int vb, int ve, bo
 }
 
 /// One checksum stage (§IV-C) into slot `index`: per group, a local task per
-/// block and a reduce task; then a drain, or with --delayed_checksum a
-/// taskwait on the previous slot's sums if they are still pending.
+/// block and a reduce task; then a drain, or if `delayed` (--delayed_checksum,
+/// TAMPI+OSS only) a taskwait on the previous slot's sums if they are still
+/// pending.
 template <class Sink>
 void emit_checksum(Sink& sink, const Config& cfg, std::span<const BlockKey> keys, int index,
-                   bool previous_pending) {
+                   bool previous_pending, bool delayed) {
     const auto n = static_cast<std::int64_t>(keys.size());
     for (int g = 0; g < cfg.num_groups(); ++g) {
         const int vb = cfg.group_begin(g), ve = cfg.group_end(g);
@@ -234,7 +239,7 @@ void emit_checksum(Sink& sink, const Config& cfg, std::span<const BlockKey> keys
         sink.submit(
             Task{{Op::ChecksumReduce, "checksum_reduce", PhaseKind::ChecksumReduce}, a, {}});
     }
-    if (!cfg.delayed_checksum) {
+    if (!delayed) {
         sink.drain(index);
     } else if (previous_pending) {
         sink.wait({Mode::In, slot(Object::Sums, 1 - index, 0, cfg.num_groups())}, 1 - index);
@@ -243,14 +248,14 @@ void emit_checksum(Sink& sink, const Config& cfg, std::span<const BlockKey> keys
 
 /// Refinement (§IV-B): a task per split child (the parent's last writer ran
 /// before the phase, so no task names it) and a task per merged parent. The
-/// sink takes every block a task fills from the arena. The splits come in
-/// waves of kSplitWaveParentsPerCore parents per core, joined in between:
-/// nothing else is in flight, so a wave's parents are freed before the next
-/// wave takes its children.
+/// sink takes every block a task fills from the arena. Splits come in waves
+/// of `wave` parents, joined in between, so a wave's parents are freed before
+/// the next wave takes its children. The data-flow sinks, which take a wave's
+/// children as they submit it, pass kSplitWaveParentsPerCore per core; the
+/// bulk loops free each parent with its last child and pass one wave.
 template <class Sink>
 void emit_splits(Sink& sink, std::span<const BlockKey> parents, int max_level, int num_vars,
-                 int cores) {
-    const std::size_t wave = static_cast<std::size_t>(kSplitWaveParentsPerCore * cores);
+                 std::size_t wave) {
     for (std::size_t i = 0; i < parents.size(); ++i) {
         if (i > 0 && i % wave == 0) sink.join(Join::SplitWave);
         const BlockKey& parent = parents[i];
@@ -300,5 +305,87 @@ void emit_block_transfers(Sink& sink, std::span<const BlockMove> moves, int rank
                          {.peer = mv.from, .tag = kBlockDataTagBase + mv.id, .key = mv.key}});
     }
 }
+
+/// The tasks that apply a section of an arrived message.
+inline bool applies(Op op) { return op == Op::Unpack || op == Op::Reflux; }
+
+/// The bulk-synchronous variants' loop rule (Algorithm 2), the sink that
+/// SyncDriver and the DES's MPI-only and fork-join models hand the emit
+/// functions. Consecutive tasks of one op form one loop, which the backend
+/// runs as its for_each (a plain or a worksharing loop; in the DES, a serial
+/// chain or a parallel region). A task of another op, a drain or a join
+/// first runs the pending loop. Receives are posted on the master at once.
+/// A send runs its chunk's pack loop, then sends from the master. Apply
+/// tasks are grouped by the message they name and run as Waitany returns
+/// each message; end_exchange, which the stage hook calls after each
+/// direction, runs them and then waits for the sends. A Backend has
+/// `Item item(const Task&)`, `loop(std::span<Item>)`, `post(const Task&)`
+/// (a receive), `send(const Task&, run_packs)`, `int wait_any()` (the
+/// posting-order index of the next receive to complete, or -1 once all have),
+/// `end_exchange()` (waits for the sends) and `validate(int slot)`.
+template <class Backend>
+class LoopRule {
+public:
+    using Item = typename Backend::Item;
+    explicit LoopRule(Backend& backend) : b_(backend) {}
+
+    void submit(const Task& task) {
+        const Op op = task.kind.op;
+        if (op == Op::Recv) {
+            run();
+            b_.post(task);
+            return;
+        }
+        if (op == Op::Send) {
+            b_.send(task, [this] { run(); });
+            return;
+        }
+        if (!items_.empty() && op != op_) run();
+        op_ = op;
+        if (applies(op)) {
+            // The applies come grouped by message, in posting order; two
+            // messages in a row never share a peer and a tag.
+            const std::pair name{task.payload.peer, task.payload.tag};
+            if (starts_.empty() || name != last_) starts_.push_back(items_.size());
+            last_ = name;
+        }
+        items_.push_back(b_.item(task));
+    }
+    void drain(int slot) {
+        run();
+        b_.validate(slot);
+    }
+    void wait(const Access&, int slot) { drain(slot); }
+    void join(Join) { run(); }
+
+    /// Runs the pending loop: an apply loop per message, in arrival order.
+    void run() {
+        if (items_.empty()) return;
+        const std::span<Item> items(items_);
+        if (applies(op_)) {
+            starts_.push_back(items_.size());
+            for (int i; (i = b_.wait_any()) >= 0;) {
+                const std::size_t m = static_cast<std::size_t>(i);
+                b_.loop(items.subspan(starts_[m], starts_[m + 1] - starts_[m]));
+            }
+            starts_.clear();
+        } else {
+            b_.loop(items);
+        }
+        items_.clear();
+    }
+    /// Ends a direction's exchange: its apply loops, then its sends.
+    void end_exchange() {
+        run();
+        b_.end_exchange();
+    }
+
+private:
+    Backend& b_;
+    Op op_ = Op::Recv;
+    std::vector<Item> items_;
+    std::vector<std::size_t> starts_;  // the first apply item of each message
+    std::pair<int, int> last_{};       // the message the last apply named
+};
 
 }  // namespace dfamr::amr::graph

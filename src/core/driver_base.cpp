@@ -10,9 +10,17 @@
 #include "common/error.hpp"
 #include "common/timing.hpp"
 #include "tasking/runtime.hpp"
+#include "verify/access_check.hpp"
 #include "verify/verifier.hpp"
 
+// Access checks on whole spans; free (not even evaluated) without
+// DFAMR_VERIFY.
+#define DFAMR_CHECK_SPAN_READ(s) DFAMR_CHECK_READ((s).data(), (s).size_bytes())
+#define DFAMR_CHECK_SPAN_WRITE(s) DFAMR_CHECK_WRITE((s).data(), (s).size_bytes())
+
 namespace dfamr::core {
+
+namespace graph = amr::graph;
 
 namespace {
 resilience::RetryPolicy retry_policy(const Config& cfg) {
@@ -124,6 +132,7 @@ RankResult DriverBase::run() {
     }
     main_loop();
     final_sync();
+    result_.stencil_flops = flops_.load();
     compute_error_norm();
     if (generator_ != nullptr) {
         // Conservation accounting, allreduced once so every rank reports
@@ -687,6 +696,143 @@ void DriverBase::reduce_and_validate(const std::vector<double>& local_group_sums
     for (double v : global) total += v;
     result_.checksums.push_back(total);
     result_.validation_ok = result_.validation_ok && ok;
+}
+
+// ---- the task graph's kernels: the one body each compute op has, whichever
+// driver runs it (TampiOssDriver submits it as a task, SyncDriver runs it
+// as an item of a loop) --------------------------------------------------
+
+std::span<double> DriverBase::resolve(const graph::Target& t) {
+    const auto vb = static_cast<int>(t.first), ve = static_cast<int>(t.first + t.count);
+    const auto section = [&t](std::span<double> s) {
+        return s.subspan(static_cast<std::size_t>(t.first), static_cast<std::size_t>(t.count));
+    };
+    switch (t.object) {
+        case graph::Object::Vars: return mesh_.block(t.key).group_span(vb, ve);
+        case graph::Object::Flux: return flux_register(t.key).slice(vb, ve);
+        case graph::Object::Send: return section(buffers_.send_storage(t.index));
+        case graph::Object::Recv: return section(buffers_.recv_storage(t.index));
+        case graph::Object::FluxSend: return section(flux_buffers_.send_storage(t.index));
+        case graph::Object::FluxRecv: return section(flux_buffers_.recv_storage(t.index));
+        case graph::Object::Partials: return section(slots_[t.index].partials);
+        case graph::Object::Sums: return section(slots_[t.index].group_sums);
+        case graph::Object::Outflux: return {&boundary_outflux_, 1};
+    }
+    throw Error("unknown task-graph object");
+}
+
+void DriverBase::bind(tasking::TaskBody& body, const graph::Kind& kind, const graph::Payload& p,
+                      std::span<const double> in, std::span<double> out) {
+    const graph::Op op = kind.op;
+    const int vb = p.var_begin, ve = p.var_end;
+    switch (op) {
+        case graph::Op::Pack:
+        case graph::Op::FluxPack:
+            body = traced(this, kind.phase, [face = p.face, sec = out, vb, ve,
+                           flux = op == graph::Op::FluxPack](DriverBase& d) {
+                DFAMR_CHECK_SPAN_WRITE(sec);
+                if (flux) {
+                    FluxRegister& reg = d.flux_register(face->mine);
+                    DFAMR_CHECK_SPAN_READ(reg.slice(vb, ve));
+                    reg.pack_restricted(face->geom.axis, face->geom.sense, vb, ve, sec);
+                } else {
+                    Block& blk = d.mesh_.block(face->mine);
+                    DFAMR_CHECK_SPAN_READ(blk.group_span(vb, ve));
+                    blk.pack_face(face->geom, vb, ve, sec);
+                }
+            });
+            return;
+        case graph::Op::Unpack:
+        case graph::Op::Reflux:
+            body = traced(this, kind.phase, [face = p.face, sec = in, vb, ve,
+                           flux = op == graph::Op::Reflux](DriverBase& d) {
+                DFAMR_CHECK_SPAN_READ(sec);
+                DFAMR_CHECK_SPAN_WRITE(d.mesh_.block(face->mine).group_span(vb, ve));
+                if (flux) {
+                    DFAMR_CHECK_SPAN_WRITE(d.flux_register(face->mine).slice(vb, ve));
+                    d.apply_flux_correction(*face, vb, ve, sec);
+                } else {
+                    d.mesh_.block(face->mine).unpack_face(face->geom, vb, ve, sec);
+                }
+            });
+            return;
+        case graph::Op::Copy:
+        case graph::Op::RefluxIntra:
+            // Each copy or reflux is traced on its own; reflections are not.
+            body = [this, copies = p.copies, boundary = p.boundary, dir = p.dir, vb, ve,
+                    flux = op == graph::Op::RefluxIntra] {
+                for (const amr::IntraCopy& c : copies) {
+                    const std::int64_t t0 = now_ns();
+                    if (flux) {
+                        apply_intra_flux(c, vb, ve);
+                    } else {
+                        mesh_.block(c.dst).copy_face_from(mesh_.block(c.src), c.geom, vb, ve);
+                    }
+                    trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
+                }
+                for (const auto& [key, sense] : boundary) {
+                    mesh_.block(key).reflect_face(dir, sense, vb, ve);
+                }
+            };
+            return;
+        case graph::Op::Outflux:
+            body = traced(this, kind.phase, [dir = p.dir, vb, ve](DriverBase& d) {
+                DFAMR_CHECK_WRITE(&d.boundary_outflux_, sizeof d.boundary_outflux_);
+                d.accumulate_boundary_outflux(dir, vb, ve);
+            });
+            return;
+        case graph::Op::Stencil:
+            body = traced(this, kind.phase, [key = p.key, vb, ve](DriverBase& d) {
+                Block& blk = d.mesh_.block(key);
+                DFAMR_CHECK_SPAN_READ(blk.group_span(vb, ve));
+                DFAMR_CHECK_SPAN_WRITE(blk.group_span(vb, ve));
+                if (d.generator_ != nullptr) {
+                    DFAMR_CHECK_SPAN_WRITE(d.flux_register(key).slice(vb, ve));
+                }
+                d.flops_.fetch_add(d.update_block(blk, vb, ve), std::memory_order_relaxed);
+            });
+            return;
+        case graph::Op::ChecksumLocal:
+            body = traced(this, kind.phase, [key = p.key, vb, ve,
+                                             cell = out.data()](DriverBase& d) {
+                const Block& blk = d.mesh_.block(key);
+                DFAMR_CHECK_SPAN_READ(blk.group_span(vb, ve));
+                DFAMR_CHECK_WRITE(cell, sizeof(double));
+                // Cell-volume weight for scenario runs (mass gate); 1.0 — a
+                // bitwise identity — for the synthetic workload.
+                *cell = d.checksum_weight(key) * blk.checksum(vb, ve);
+            });
+            return;
+        case graph::Op::ChecksumReduce:
+            body = [row = in, sum = out.data()] {
+                // Element-wise checked access on the partials row: every
+                // load is validated against the declared in-region. Summed
+                // in owned-key order, so the sum does not depend on the team.
+                auto crow = DFAMR_CHECKED_SPAN(row);
+                double acc = 0;
+                for (std::size_t i = 0; i < row.size(); ++i) acc += crow[i];
+                DFAMR_CHECK_WRITE(sum, sizeof(double));
+                *sum = acc;
+            };
+            return;
+        default: throw Error(std::string("not a compute task: ") + kind.label);
+    }
+}
+
+int DriverBase::open_checksum(std::span<const BlockKey> keys) {
+    const int index = slot_index_;
+    ChecksumSlot& slot = slots_[index];
+    DFAMR_REQUIRE(!slot.pending, "checksum slot reused before validation");
+    slot.partials.assign(keys.size() * static_cast<std::size_t>(cfg_.num_groups()), 0.0);
+    slot.group_sums.assign(static_cast<std::size_t>(cfg_.num_groups()), 0.0);
+    slot.pending = true;
+    slot_index_ = 1 - slot_index_;
+    return index;
+}
+
+void DriverBase::validate(int slot) {
+    reduce_and_validate(slots_[slot].group_sums);
+    slots_[slot].pending = false;
 }
 
 }  // namespace dfamr::core

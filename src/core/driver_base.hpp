@@ -1,28 +1,33 @@
-// Shared per-rank orchestration of the miniAMR main loop (Algorithm 1) and
-// the refinement / load-balancing mechanics. Two drivers subclass this and
-// provide the parallelization of each phase:
+// Shared per-rank orchestration of the miniAMR main loop (Algorithm 1), the
+// refinement / load-balancing mechanics and the kernels of the task graph
+// (amr/task_graph.hpp). Two drivers subclass this and run the graph:
 //   * SyncDriver     — the bulk-synchronous variants: MPI-only (everything
 //                      sequential, the reference) and fork-join (worksharing
-//                      loops + master-only MPI), which differ only in how a
-//                      loop over independent items runs
-//   * TampiOssDriver — the paper's data-flow taskification
+//                      loops + master-only MPI), which run it by its loop
+//                      rule and differ only in how a loop runs
+//   * TampiOssDriver — the paper's data-flow taskification: each task of the
+//                      graph is a task of the runtime
 #pragma once
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "amr/comm_plan.hpp"
 #include "amr/config.hpp"
 #include "amr/flux_register.hpp"
 #include "amr/mesh.hpp"
+#include "amr/task_graph.hpp"
 #include "amr/trace.hpp"
+#include "common/timing.hpp"
 #include "core/result.hpp"
 #include "mpisim/mpi.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/hardened_comm.hpp"
 #include "scenario/problem_generator.hpp"
 #include "scenario/refinement_condition.hpp"
+#include "tasking/task_body.hpp"
 
 namespace dfamr::tasking {
 class Runtime;
@@ -126,6 +131,39 @@ protected:
     void rebuild_comm_plan();
     /// Allreduces per-group local sums, validates drift, records the result.
     void reduce_and_validate(const std::vector<double>& local_group_sums);
+
+    // ---- the task graph's kernels ---------------------------------------------
+    /// The span an access target names.
+    std::span<double> resolve(const amr::graph::Target& target);
+    /// Binds `body` to the kernel, access checks and trace interval of a
+    /// task that computes (any op but messages, splits and merges). `in` and
+    /// `out` are its accesses 0 and 1 where a kernel uses them: an apply's
+    /// or a pack's section, a partial sum, a reduce's row and sum (kernels
+    /// find blocks and registers by key).
+    void bind(tasking::TaskBody& body, const amr::graph::Kind& kind,
+              const amr::graph::Payload& p, std::span<const double> in, std::span<double> out);
+    /// Emits one variable group's ghost exchange, or with `flux` its reflux
+    /// over the flux plan (DESIGN.md §18), into `sink`, direction after
+    /// direction, calling `done()` after each.
+    template <class Sink, class Done>
+    void emit_exchanges(Sink& sink, int group, bool flux, const Done& done) {
+        const int gb = cfg_.group_begin(group), ge = cfg_.group_end(group);
+        for (int dir = 0; dir < 3; ++dir) {
+            const amr::DirectionPlan& dp = plan_.direction(dir);
+            if (flux) {
+                amr::graph::emit_exchange(sink, flux_plan_.direction(dir), true, dir, dp.boundary,
+                                          flux_buffers_.layout(), gb, ge);
+            } else {
+                amr::graph::emit_exchange(sink, dp, false, dir, dp.boundary, buffers_.layout(),
+                                          gb, ge);
+            }
+            done();
+        }
+    }
+    /// Claims the next checksum slot for a stage over `keys` and returns it.
+    int open_checksum(std::span<const BlockKey> keys);
+    /// Reduces and validates checksum slot `slot`, and frees it.
+    void validate(int slot);
     /// Resets the drift reference (after refinement changes the cell count).
     void reset_checksum_reference() { checksum_reference_.clear(); }
 
@@ -173,6 +211,16 @@ protected:
     void trace(int worker, std::int64_t t0, std::int64_t t1, PhaseKind kind) {
         if (tracer_ != nullptr) tracer_->record(rank_, worker, t0, t1, kind);
     }
+    /// A task body running `fn(*self)` as one interval of `phase` on the
+    /// calling thread's lane (the closure holds the driver once).
+    template <class D, class F>
+    static auto traced(D* self, PhaseKind phase, F fn) {
+        return [self, phase, fn = std::move(fn)]() mutable {
+            const std::int64_t t0 = now_ns();
+            fn(*self);
+            self->trace(self->worker_index(), t0, now_ns(), phase);
+        };
+    }
     /// Lane of the calling thread in per-core timelines: the runtime's
     /// Runtime::trace_lane, or 0 (the rank's main thread) without one.
     int worker_index() const;
@@ -206,6 +254,16 @@ protected:
 
     RankResult result_;
     std::vector<double> checksum_reference_;  // per group; empty = no reference
+    /// Double-buffered checksum state for the §IV-C delayed validation.
+    struct ChecksumSlot {
+        std::vector<double> partials;    // [group][block]
+        std::vector<double> group_sums;  // one per group
+        bool pending = false;
+    };
+    ChecksumSlot slots_[2];
+    int slot_index_ = 0;  // the slot the next stage claims
+    /// Stencil FLOPs so far; the kernels add from any thread.
+    std::atomic<std::int64_t> flops_{0};
 
     /// First timestep of main_loop (shifted by a checkpoint restore).
     int start_ts_ = 1;

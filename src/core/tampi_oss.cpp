@@ -37,25 +37,6 @@ TampiOssDriver::~TampiOssDriver() {
     }
 }
 
-std::span<double> TampiOssDriver::resolve(const graph::Target& t) {
-    const auto vb = static_cast<int>(t.first), ve = static_cast<int>(t.first + t.count);
-    const auto section = [&t](std::span<double> s) {
-        return s.subspan(static_cast<std::size_t>(t.first), static_cast<std::size_t>(t.count));
-    };
-    switch (t.object) {
-        case graph::Object::Vars: return mesh_.block(t.key).group_span(vb, ve);
-        case graph::Object::Flux: return flux_register(t.key).slice(vb, ve);
-        case graph::Object::Send: return section(buffers_.send_storage(t.index));
-        case graph::Object::Recv: return section(buffers_.recv_storage(t.index));
-        case graph::Object::FluxSend: return section(flux_buffers_.send_storage(t.index));
-        case graph::Object::FluxRecv: return section(flux_buffers_.recv_storage(t.index));
-        case graph::Object::Partials: return section(slots_[t.index].partials);
-        case graph::Object::Sums: return section(slots_[t.index].group_sums);
-        case graph::Object::Outflux: return {&boundary_outflux_, 1};
-    }
-    throw Error("unknown task-graph object");
-}
-
 Dep TampiOssDriver::dep(const graph::Access& access, std::span<double> span) {
     return Dep{static_cast<tasking::DepKind>(access.mode),
                tasking::Region(span.data(), span.size_bytes())};
@@ -72,7 +53,7 @@ void TampiOssDriver::submit(const graph::Task& task) {
     }
     // The accesses and the body go straight into the runtime's task node.
     tasking::Runtime::NewTask t = rt_.new_task(task.kind.label);
-    std::array<std::span<double>, 3> spans{};  // the first accesses, which the kernels use
+    std::array<std::span<double>, 2> spans{};  // the first accesses, which the kernels use
     for (std::size_t i = 0; i < task.accesses.size(); ++i) {
         const std::span<double> span = resolve(task.accesses[i].target);
         if (i < spans.size()) spans[i] = span;
@@ -83,127 +64,33 @@ void TampiOssDriver::submit(const graph::Task& task) {
 }
 
 void TampiOssDriver::bind(tasking::TaskBody& out, const graph::Task& task,
-                          const std::array<std::span<double>, 3>& s) {
+                          const std::array<std::span<double>, 2>& s) {
     const graph::Payload& p = task.payload;
-    const graph::Op op = task.kind.op;
-    const int vb = p.var_begin, ve = p.var_end;
     const int max_level = mesh_.structure().max_level();
-    // Most bodies are one interval of the task's phase on the trace. `fn`
-    // takes the driver, so the closure holds the driver and the phase once.
-    const auto traced = [this, phase = task.kind.phase](auto fn) {
-        return [self = this, phase, fn = std::move(fn)]() mutable {
-            const std::int64_t t0 = now_ns();
-            fn(*self);
-            self->trace(self->worker_index(), t0, now_ns(), phase);
-        };
+    const auto traced_body = [this, &task](auto fn) {
+        return traced(this, task.kind.phase, std::move(fn));
     };
-    switch (op) {
+    switch (task.kind.op) {
         case graph::Op::Recv:
         case graph::Op::BlockRecv:
             // TAMPI_Irecv binds the task's completion to the arrival (the
             // body itself returns immediately).
-            out = traced([msg = s[0], peer = p.peer, tag = p.tag](TampiOssDriver& d) {
+            out = traced_body([msg = s[0], peer = p.peer, tag = p.tag](TampiOssDriver& d) {
                 d.tampi_.irecv(d.comm_, msg.data(), msg.size_bytes(), peer, tag);
             });
             return;
         case graph::Op::Send:
-            out = traced([msg = s[0], peer = p.peer, tag = p.tag](TampiOssDriver& d) {
+            out = traced_body([msg = s[0], peer = p.peer, tag = p.tag](TampiOssDriver& d) {
                 d.tampi_.isend(d.comm_, msg.data(), msg.size_bytes(), peer, tag);
             });
             return;
         case graph::Op::BlockSend:
             // A sent block leaves the mesh; the task frees it when it
             // completes, which TAMPI holds off until the send is done.
-            out = traced([sent = mesh_.release(p.key), msg = s[0], peer = p.peer,
+            out = traced_body([sent = mesh_.release(p.key), msg = s[0], peer = p.peer,
                           tag = p.tag](TampiOssDriver& d) {
                 d.tampi_.isend(d.comm_, msg.data(), msg.size_bytes(), peer, tag);
             });
-            return;
-        case graph::Op::Pack:
-        case graph::Op::FluxPack:
-            out = traced([face = p.face, src = s[0], sec = s[1], vb, ve,
-                          flux = op == graph::Op::FluxPack](TampiOssDriver& d) {
-                DFAMR_CHECK_READ(src.data(), src.size_bytes());
-                DFAMR_CHECK_WRITE(sec.data(), sec.size_bytes());
-                if (flux) {
-                    d.flux_register(face->mine)
-                        .pack_restricted(face->geom.axis, face->geom.sense, vb, ve, sec);
-                } else {
-                    d.mesh_.block(face->mine).pack_face(face->geom, vb, ve, sec);
-                }
-            });
-            return;
-        case graph::Op::Unpack:
-        case graph::Op::Reflux:
-            out = traced([face = p.face, sec = s[0], blk = s[1], reg = s[2], vb, ve,
-                          flux = op == graph::Op::Reflux](TampiOssDriver& d) {
-                DFAMR_CHECK_READ(sec.data(), sec.size_bytes());
-                DFAMR_CHECK_WRITE(blk.data(), blk.size_bytes());
-                DFAMR_CHECK_WRITE(reg.data(), reg.size_bytes());
-                if (flux) {
-                    d.apply_flux_correction(*face, vb, ve, sec);
-                } else {
-                    d.mesh_.block(face->mine).unpack_face(face->geom, vb, ve, sec);
-                }
-            });
-            return;
-        case graph::Op::Copy:
-        case graph::Op::RefluxIntra:
-            // Each copy or reflux is traced on its own; reflections are not.
-            out = [this, copies = p.copies, boundary = p.boundary, dir = p.dir, vb, ve,
-                   flux = op == graph::Op::RefluxIntra] {
-                for (const amr::IntraCopy& c : copies) {
-                    const std::int64_t t0 = now_ns();
-                    if (flux) {
-                        apply_intra_flux(c, vb, ve);
-                    } else {
-                        mesh_.block(c.dst).copy_face_from(mesh_.block(c.src), c.geom, vb, ve);
-                    }
-                    trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
-                }
-                for (const auto& [key, sense] : boundary) {
-                    mesh_.block(key).reflect_face(dir, sense, vb, ve);
-                }
-            };
-            return;
-        case graph::Op::Outflux:
-            out = traced([dir = p.dir, vb, ve](TampiOssDriver& d) {
-                DFAMR_CHECK_WRITE(&d.boundary_outflux_, sizeof d.boundary_outflux_);
-                d.accumulate_boundary_outflux(dir, vb, ve);
-            });
-            return;
-        case graph::Op::Stencil:
-            out = traced([key = p.key, vb, ve](TampiOssDriver& d) {
-                auto blk = d.mesh_.block(key).group_span(vb, ve);
-                DFAMR_CHECK_READ(blk.data(), blk.size_bytes());
-                DFAMR_CHECK_WRITE(blk.data(), blk.size_bytes());
-                if (d.generator_ != nullptr) {
-                    auto reg = d.flux_register(key).slice(vb, ve);
-                    DFAMR_CHECK_WRITE(reg.data(), reg.size_bytes());
-                }
-                d.flops_ += d.update_block(d.mesh_.block(key), vb, ve);
-            });
-            return;
-        case graph::Op::ChecksumLocal:
-            out = traced([key = p.key, vb, ve, cell = s[1].data()](TampiOssDriver& d) {
-                auto blk = d.mesh_.block(key).group_span(vb, ve);
-                DFAMR_CHECK_READ(blk.data(), blk.size_bytes());
-                DFAMR_CHECK_WRITE(cell, sizeof(double));
-                // Cell-volume weight for scenario runs (mass gate); 1.0 — a
-                // bitwise identity — for the synthetic workload.
-                *cell = d.checksum_weight(key) * d.mesh_.block(key).checksum(vb, ve);
-            });
-            return;
-        case graph::Op::ChecksumReduce:
-            out = [row = s[0], sum = s[1].data()] {
-                // Element-wise checked access on the partials row: every
-                // load is validated against the declared in-region.
-                auto crow = DFAMR_CHECKED_SPAN((std::span<const double>{row}));
-                double acc = 0;
-                for (std::size_t i = 0; i < row.size(); ++i) acc += crow[i];
-                DFAMR_CHECK_WRITE(sum, sizeof(double));
-                *sum = acc;
-            };
             return;
         case graph::Op::Split: {
             // A parent's 8 children come in a row: the first takes it out of
@@ -212,7 +99,7 @@ void TampiOssDriver::bind(tasking::TaskBody& out, const graph::Task& task,
             if (p.octant == 0) split_parent_ = mesh_.release(p.key);
             std::shared_ptr<const Block> parent =
                 p.octant == 7 ? std::move(split_parent_) : split_parent_;
-            out = traced([parent = std::move(parent), octant = p.octant,
+            out = traced_body([parent = std::move(parent), octant = p.octant,
                           child = &mesh_.block(p.key.child(p.octant, max_level))](
                              TampiOssDriver&) { child->fill_from_parent(*parent, octant); });
             return;
@@ -225,7 +112,7 @@ void TampiOssDriver::bind(tasking::TaskBody& out, const graph::Task& task,
                 children[static_cast<std::size_t>(octant)] =
                     mesh_.release(p.key.child(octant, max_level));
             }
-            out = traced([children = std::move(children),
+            out = traced_body([children = std::move(children),
                           parent = &mesh_.block(p.key)](TampiOssDriver&) {
                 for (int octant = 0; octant < 8; ++octant) {
                     parent->absorb_child(*children[static_cast<std::size_t>(octant)], octant);
@@ -233,32 +120,7 @@ void TampiOssDriver::bind(tasking::TaskBody& out, const graph::Task& task,
             });
             return;
         }
-    }
-    throw Error("unknown task-graph op");
-}
-
-void TampiOssDriver::communicate_stage(int group) {
-    // Algorithm 3: tasks are instantiated for each direction; whether the
-    // directions can actually run concurrently depends on the buffers
-    // (--separate_buffers) — the dependency system works it out.
-    for (int dir = 0; dir < 3; ++dir) {
-        const amr::DirectionPlan& dp = plan_.direction(dir);
-        graph::emit_exchange(*this, dp, false, dir, dp.boundary, buffers_.layout(),
-                             cfg_.group_begin(group), cfg_.group_end(group));
-    }
-}
-
-void TampiOssDriver::reflux_stage(int group) {
-    // Like communicate_stage, this only instantiates tasks; the dependency
-    // system orders each direction's corrections after the kernels that
-    // recorded the registers and before anything that re-reads the blocks.
-    // The inout on each coarse block and its register serializes the
-    // corrections of different directions on the same block in submission
-    // order (dir 0 -> 1 -> 2, matching the synchronous variants' loop).
-    const int gb = cfg_.group_begin(group), ge = cfg_.group_end(group);
-    for (int dir = 0; dir < 3; ++dir) {
-        graph::emit_exchange(*this, flux_plan_.direction(dir), true, dir,
-                             plan_.direction(dir).boundary, flux_buffers_.layout(), gb, ge);
+        default: DriverBase::bind(out, task.kind, p, s[0], s[1]);
     }
 }
 
@@ -268,14 +130,10 @@ void TampiOssDriver::stencil_stage(int group) {
 }
 
 void TampiOssDriver::checksum_stage() {
-    ChecksumSlot& slot = slots_[slot_index_];
-    DFAMR_REQUIRE(!slot.pending, "checksum slot reused before validation");
     const std::vector<BlockKey> keys = mesh_.owned_keys();
-    slot.partials.assign(keys.size() * static_cast<std::size_t>(cfg_.num_groups()), 0.0);
-    slot.group_sums.assign(static_cast<std::size_t>(cfg_.num_groups()), 0.0);
-    slot.pending = true;
-    graph::emit_checksum(*this, cfg_, keys, slot_index_, slots_[1 - slot_index_].pending);
-    slot_index_ = 1 - slot_index_;
+    const int slot = open_checksum(keys);
+    graph::emit_checksum(*this, cfg_, keys, slot, slots_[1 - slot].pending,
+                         cfg_.delayed_checksum);
 }
 
 void TampiOssDriver::wait(const graph::Access& access, int slot) {
@@ -298,11 +156,6 @@ void TampiOssDriver::join(graph::Join kind) {
     if (kind == graph::Join::Transfers) comm_.barrier();
 }
 
-void TampiOssDriver::validate(int slot) {
-    reduce_and_validate(slots_[slot].group_sums);
-    slots_[slot].pending = false;
-}
-
 void TampiOssDriver::quiesce() {
     // Drain in-flight tasks so the main thread may read field state (live
     // CFL recomputation) without racing the stencil/reflux pipeline.
@@ -318,10 +171,7 @@ void TampiOssDriver::drain_checksums() {
     }
 }
 
-void TampiOssDriver::final_sync() {
-    drain_checksums();
-    result_.stencil_flops = flops_.load();
-}
+void TampiOssDriver::final_sync() { drain_checksums(); }
 
 void TampiOssDriver::sync_before_refine() {
     // A deferred checksum crossing a refinement boundary must be resolved
@@ -342,7 +192,7 @@ void TampiOssDriver::do_splits(const std::vector<BlockKey>& parents) {
         return;
     }
     graph::emit_splits(*this, parents, mesh_.structure().max_level(), cfg_.num_vars,
-                       cfg_.workers);
+                       static_cast<std::size_t>(graph::kSplitWaveParentsPerCore * cfg_.workers));
 }
 
 void TampiOssDriver::do_merges(const std::vector<BlockKey>& parents) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <span>
 
@@ -38,9 +37,13 @@ public:
     void join(amr::graph::Join kind);
 
 protected:
-    void communicate_stage(int group) override;
+    /// Algorithm 3 and the reflux only instantiate tasks: the dependency
+    /// system finds whether directions overlap (--separate_buffers), and the
+    /// inout on a coarse block and its register orders its corrections
+    /// 0 -> 1 -> 2, like the synchronous variants.
+    void communicate_stage(int group) override { emit_exchanges(*this, group, false, [] {}); }
     void stencil_stage(int group) override;
-    void reflux_stage(int group) override;
+    void reflux_stage(int group) override { emit_exchanges(*this, group, true, [] {}); }
     void checksum_stage() override;
     void quiesce() override;
     void final_sync() override;
@@ -51,15 +54,11 @@ protected:
     void transfer_block_data(const std::vector<BlockMove>& moves) override;
 
 private:
-    /// The span an access target names.
-    std::span<double> resolve(const amr::graph::Target& target);
     static tasking::Dep dep(const amr::graph::Access& access, std::span<double> span);
-    /// Binds `out` to the kernel of `task` on the spans of its first
-    /// accesses.
+    /// Binds `out` to the body of `task` on its first two accesses' spans:
+    /// messages and refinement here, the rest by DriverBase::bind.
     void bind(tasking::TaskBody& out, const amr::graph::Task& task,
-              const std::array<std::span<double>, 3>& spans);
-    /// Reduces and validates checksum slot `slot`, and frees it.
-    void validate(int slot);
+              const std::array<std::span<double>, 2>& spans);
     /// Waits for every submitted task, then validates the deferred checksum
     /// stages still pending, older first.
     void drain_checksums();
@@ -70,16 +69,6 @@ private:
     std::unique_ptr<verify::Verifier> verifier_;
     tasking::Runtime rt_;
     tampi::Tampi tampi_;
-    std::atomic<std::int64_t> flops_{0};
-
-    /// Double-buffered checksum state for the §IV-C delayed validation.
-    struct ChecksumSlot {
-        std::vector<double> partials;    // [group][block]
-        std::vector<double> group_sums;  // one per group
-        bool pending = false;
-    };
-    ChecksumSlot slots_[2];
-    int slot_index_ = 0;
     /// The parent whose 8 split tasks are being submitted.
     std::shared_ptr<const Block> split_parent_;
 };

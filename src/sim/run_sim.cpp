@@ -4,7 +4,6 @@
 #include <array>
 #include <deque>
 #include <map>
-#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -87,8 +86,11 @@ void arrange(amr::Config& cfg, Vec3i block_grid, int total_ranks) {
 
 // ---------------------------------------------------------------------------
 // SimRun: core::DriverBase's orchestration over every rank, building DAGs
-// instead of executing kernels. The data-flow variant consumes the driver's
-// own graph (amr/task_graph.hpp); the bulk-synchronous ones are built here.
+// instead of executing kernels. Every variant consumes the drivers' own graph
+// (amr/task_graph.hpp): the data-flow variant as tasks with dependencies, the
+// bulk-synchronous ones through the graph's loop rule, as SyncDriver does.
+// Refinement control, load balancing, the block-exchange protocol, blocking
+// block transfers and collectives are modelled here.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -108,6 +110,16 @@ public:
         cfg_.validate();
         DFAMR_REQUIRE(cfg_.num_ranks() == cluster.total_ranks(),
                       "config rank grid must match the cluster's total ranks");
+        // The DES prices the synthetic stencil refined around the objects;
+        // any other run would be reported as that one.
+        if (cfg_.scenario != "synthetic") {
+            throw ConfigError("the DES models the synthetic workload only, not scenario '" +
+                              cfg_.scenario + "'");
+        }
+        if (cfg_.estimator != "objects") {
+            throw ConfigError("the DES refines around the objects only, not by estimator '" +
+                              cfg_.estimator + "'");
+        }
         R_ = cluster.total_ranks();
         W_ = cluster.cores_per_rank();
         mem_factor_ = cluster.rank_spans_sockets() ? costs.numa_penalty : 1.0;
@@ -155,34 +167,143 @@ private:
         SimTaskPtr tail;  // program-order / main-thread chain
     };
 
-    /// One rank's sink for amr/task_graph.hpp: each access becomes a
-    /// synthetic region with the offset and size TampiOssDriver's span has
-    /// in its object; each task gets the cost model's price and each send
-    /// its receive.
+    /// One rank's sink for amr/task_graph.hpp. For TAMPI+OSS each access
+    /// becomes a synthetic region with the offset and size TampiOssDriver's
+    /// span has in its object, each task gets the cost model's price and
+    /// each send its receive. For the bulk-synchronous variants (and
+    /// TAMPI+OSS's --serial_refinement) the tasks go through `loops`, the
+    /// graph's loop rule, and this is its backend: a loop is a task on the
+    /// main core, or a parallel region for fork-join, priced by the same
+    /// cost function.
     struct Sink {
         Sink(SimRun& run_, int rank_)
             : run(run_),
               rank(rank_),
               streams(run.state_[static_cast<std::size_t>(rank)].plan, run.cfg_.vars_per_group(),
                       run.cfg_.separate_buffers) {}
-        void submit(const graph::Task& task);
+        void submit(const graph::Task& task) {
+            const graph::Payload& p = task.payload;
+            const graph::Op op = task.kind.op;
+            // A block a task fills is a new object, as the driver takes it
+            // from the arena.
+            if (op == graph::Op::Split) {
+                objects[{graph::Object::Vars, p.key.child(p.octant, run.structure_.max_level()),
+                         0}] = ++count << 32;
+            } else if (op == graph::Op::Merge || op == graph::Op::BlockRecv) {
+                objects[{graph::Object::Vars, p.key, 0}] = ++count << 32;
+            }
+            // Plus the runtime's cost per task on a worker's critical path (see
+            // CostModel::tasking_overhead_ns).
+            auto t = run.sim_.new_task(
+                rank, task.kind.phase,
+                run.cost(task) + static_cast<std::int64_t>(run.costs_.tasking_overhead_ns));
+            edge(gate, t);
+            register_accesses(t, task.accesses);
+            run.sim_.submit(t);
+            unjoined.push_back(t);
+            const bool send = op == graph::Op::Send || op == graph::Op::BlockSend;
+            if (send || op == graph::Op::Recv || op == graph::Op::BlockRecv) {
+                const auto bytes = static_cast<std::int64_t>(dep(task.accesses[0]).region.size);
+                run.match(send ? rank : p.peer, send ? p.peer : rank, p.tag, t, send, bytes);
+            }
+        }
         /// A main-core member of the collective validating the previous sums.
-        void wait(const graph::Access& access, int slot);
+        void wait(const graph::Access& access, int) {
+            Simulator& sim = run.sim_;
+            if (run.wait_collective_ < 0) {
+                run.wait_collective_ = sim.new_collective(run.cfg_.num_groups() * 8);
+            }
+            auto member = sim.new_task(rank, PhaseKind::ChecksumReduce, run.mpi_call(), 0);
+            register_accesses(member, std::span(&access, 1));
+            run.chain(rank, member);
+            sim.set_collective(member, run.wait_collective_);
+            sim.submit(member);
+        }
         /// The caller drains every rank at once.
         void drain(int) {}
         /// The rank's main core waits for every task submitted since the
         /// last join or drain, and the tasks submitted after it wait for
         /// the main core. A transfer join's wait joins the barrier's
         /// collective. Neither adds a data-flow task or a data-flow edge.
-        void join(graph::Join kind);
+        void join(graph::Join kind) {
+            Simulator& sim = run.sim_;
+            auto main_core = sim.new_task(rank, PhaseKind::Control, 0, run.main_core());
+            for (const SimTaskPtr& t : unjoined) edge(t, main_core);
+            run.chain(rank, main_core);
+            if (kind == graph::Join::Transfers) {
+                sim.set_collective(main_core, run.transfer_barrier_);
+            }
+            sim.submit(main_core);
+            unjoined.clear();
+            gate = std::move(main_core);
+        }
         /// Each object gets its own 4 GiB of addresses when first named.
         std::uint64_t base(graph::Object object, const BlockKey& key, int index) {
             auto [it, added] = objects.try_emplace({object, key, index});
             if (added) it->second = ++count << 32;
             return it->second;
         }
-        Dep dep(const graph::Access& access);
-        void register_accesses(const SimTaskPtr& task, std::span<const graph::Access> accesses);
+        Dep dep(const graph::Access& access) {
+            const graph::Target& t = access.target;
+            // Bytes per variable of a block, or per value of a stream or slot.
+            const auto unit = t.object == graph::Object::Vars ? run.shape_.stride_var() * 8 : 8;
+            const auto first = static_cast<std::uint64_t>(t.first * unit);
+            return Dep{static_cast<DepKind>(access.mode),
+                       Region::synthetic(base(t.object, t.key, t.index) + first,
+                                         static_cast<std::size_t>(t.count * unit))};
+        }
+        void register_accesses(const SimTaskPtr& task, std::span<const graph::Access> accesses) {
+            std::vector<Dep> deps;
+            for (const graph::Access& a : accesses) deps.push_back(dep(a));
+            run.edges_ += static_cast<std::uint64_t>(registry.register_accesses(task, deps));
+            ++run.dataflow_tasks_;
+        }
+
+        // ---- the loop rule's backend ---------------------------------------
+        struct Item {
+            PhaseKind phase;
+            std::int64_t cost;
+        };
+        Item item(const graph::Task& task) const { return {task.kind.phase, run.cost(task)}; }
+        void loop(std::span<Item> items) {
+            if (run.variant_ == amr::Variant::ForkJoin) {
+                run.parallel_region(rank, items.front().phase, items);
+                return;
+            }
+            std::int64_t cost = 0;
+            for (const Item& it : items) cost += it.cost;
+            run.serial(rank, items.front().phase, cost);
+        }
+        /// Posts the receive on the main core; its arrival is a task of its own.
+        void post(const graph::Task& task) {
+            run.serial(rank, PhaseKind::Recv, run.mpi_call());
+            arrivals.push_back(run.sim_.new_task(rank, PhaseKind::Recv, 0));
+            run.sim_.submit(arrivals.back());
+            run.match(task.payload.peer, rank, task.payload.tag, arrivals.back(), false,
+                      task.accesses[0].target.count * 8);
+        }
+        template <class RunPacks>
+        void send(const graph::Task& task, const RunPacks& run_packs) {
+            run_packs();
+            auto send = run.serial(rank, PhaseKind::Send, run.mpi_call());
+            run.match(rank, task.payload.peer, task.payload.tag, send, true,
+                      task.accesses[0].target.count * 8);
+        }
+        /// Plan order stands in for arrival order: the main core waits for
+        /// each message in turn.
+        int wait_any() {
+            if (waited == arrivals.size()) return -1;
+            auto wait = run.sim_.new_task(rank, PhaseKind::CommWait, 0, run.main_core());
+            edge(arrivals[waited], wait);
+            run.chain(rank, wait);
+            run.sim_.submit(wait);
+            return static_cast<int>(waited++);
+        }
+        void end_exchange() {
+            arrivals.clear();
+            waited = 0;
+        }
+        void validate(int) {}  // the caller drains every rank at once
 
         SimRun& run;
         int rank;
@@ -192,30 +313,19 @@ private:
         std::uint64_t count = 0;
         std::vector<SimTaskPtr> unjoined;  // submitted since the last join or drain
         SimTaskPtr gate;                   // the last join
+        graph::LoopRule<Sink> loops{*this};
+        std::vector<SimTaskPtr> arrivals;  // the exchange's receives, in posting order
+        std::size_t waited = 0;
     };
 
     // --- small helpers -----------------------------------------------------
-    int gvars(int g) const { return cfg_.group_end(g) - cfg_.group_begin(g); }
     bool tasking() const { return variant_ == amr::Variant::TampiOss; }
     /// Taskified refinement data operations (the --serial_refinement
     /// ablation keeps them sequential, like MPI-only).
     bool refine_tasking() const { return tasking() && cfg_.taskify_refinement; }
 
-    std::int64_t stencil_ns(std::int64_t blocks, int vars) const {
-        double ns = costs_.stencil_ns_per_cell_var * static_cast<double>(blocks) *
-                    static_cast<double>(cfg_.cells_interior()) * vars * mem_factor_;
-        if (cfg_.stencil == 27) ns *= 27.0 / 7.0;  // flop-proportional
-        if (tasking()) ns /= costs_.locality_speedup;
-        return static_cast<std::int64_t>(ns);
-    }
     std::int64_t copy_ns(std::int64_t bytes) const {
         return static_cast<std::int64_t>(costs_.copy_ns_per_byte * static_cast<double>(bytes) *
-                                         mem_factor_);
-    }
-    std::int64_t checksum_ns(std::int64_t blocks, int vars) const {
-        return static_cast<std::int64_t>(costs_.checksum_ns_per_cell_var *
-                                         static_cast<double>(blocks) *
-                                         static_cast<double>(cfg_.cells_interior()) * vars *
                                          mem_factor_);
     }
     std::int64_t mpi_call() const { return static_cast<std::int64_t>(costs_.mpi_call_ns); }
@@ -224,6 +334,45 @@ private:
         return (rel == FaceRel::Same ? shape_.face_values_same(axis, vars)
                                      : shape_.face_values_mixed(axis, vars)) *
                8;
+    }
+    /// What a task of the graph costs on one core, in every variant: its
+    /// kernel, or posting its message. The data-flow sink adds the runtime's
+    /// cost per task.
+    std::int64_t cost(const graph::Task& task) const {
+        const graph::Payload& p = task.payload;
+        const int vars = p.var_end - p.var_begin;
+        const auto per_cell_var = [&](double ns) {
+            return ns * static_cast<double>(cfg_.cells_interior()) * vars * mem_factor_;
+        };
+        switch (task.kind.op) {
+            case graph::Op::Recv:
+            case graph::Op::Send:
+            case graph::Op::BlockSend:
+            case graph::Op::BlockRecv: return mpi_call();
+            case graph::Op::Pack:
+            case graph::Op::Unpack: return copy_ns(p.face->value_count * vars * 8);
+            case graph::Op::Copy: {
+                // A boundary reflection copies a same-level face.
+                std::int64_t ns = static_cast<std::int64_t>(p.boundary.size()) *
+                                  copy_ns(face_bytes(p.dir, FaceRel::Same, vars));
+                for (const amr::IntraCopy& c : p.copies) {
+                    ns += copy_ns(face_bytes(p.dir, c.geom.rel, vars));
+                }
+                return ns;
+            }
+            case graph::Op::Stencil: {
+                double ns = per_cell_var(costs_.stencil_ns_per_cell_var);
+                if (cfg_.stencil == 27) ns *= 27.0 / 7.0;  // flop-proportional
+                if (tasking()) ns /= costs_.locality_speedup;
+                return static_cast<std::int64_t>(ns);
+            }
+            case graph::Op::ChecksumLocal:
+                return static_cast<std::int64_t>(per_cell_var(costs_.checksum_ns_per_cell_var));
+            case graph::Op::ChecksumReduce: return task.accesses[0].target.count * 20;
+            case graph::Op::Split: return copy_ns(block_bytes());
+            case graph::Op::Merge: return 8 * copy_ns(block_bytes());
+            default: throw Error("the DES does not model the reflux");
+        }
     }
 
     void chain(int rank, const SimTaskPtr& t) {
@@ -237,26 +386,28 @@ private:
             ++succ->pred_count;
         }
     }
+    /// The rank's main core, where a rank with one core runs everything.
+    int main_core() const { return W_ > 1 ? 0 : -1; }
     /// Serial (program-order) task on the rank's main core.
     SimTaskPtr serial(int rank, PhaseKind kind, std::int64_t cost) {
-        auto t = sim_.new_task(rank, kind, cost, W_ > 1 ? 0 : -1);
+        auto t = sim_.new_task(rank, kind, cost, main_core());
         chain(rank, t);
         sim_.submit(t);
         return t;
     }
     /// Fork-join parallel region: static chunks pinned to cores + barrier.
-    void parallel_region(int rank, PhaseKind kind, const std::vector<std::int64_t>& item_costs) {
+    void parallel_region(int rank, PhaseKind kind, std::span<const Sink::Item> items) {
         RankState& st = state_[static_cast<std::size_t>(rank)];
         const SimTaskPtr start_tail = st.tail;
         std::vector<SimTaskPtr> chunks;
-        const std::size_t n = item_costs.size();
+        const std::size_t n = items.size();
         for (int w = 0; w < W_; ++w) {
             const std::size_t lo = n * static_cast<std::size_t>(w) / static_cast<std::size_t>(W_);
             const std::size_t hi =
                 n * static_cast<std::size_t>(w + 1) / static_cast<std::size_t>(W_);
             if (hi <= lo) continue;
             std::int64_t cost = 0;
-            for (std::size_t i = lo; i < hi; ++i) cost += item_costs[i];
+            for (std::size_t i = lo; i < hi; ++i) cost += items[i].cost;
             auto t = sim_.new_task(rank, kind, cost, w);
             edge(start_tail, t);
             sim_.submit(t);
@@ -267,16 +418,6 @@ private:
         if (chunks.empty()) edge(start_tail, join);
         st.tail = join;
         sim_.submit(join);
-    }
-
-    /// `n` refinement copies of `cost` each without tasks: workshared for
-    /// fork-join, sequential on the main core otherwise.
-    void block_copies(int rank, PhaseKind kind, std::size_t n, std::int64_t cost) {
-        if (variant_ == amr::Variant::ForkJoin) {
-            parallel_region(rank, kind, std::vector<std::int64_t>(n, cost));
-        } else {
-            serial(rank, kind, static_cast<std::int64_t>(n) * cost);
-        }
     }
 
     /// Drains all outstanding work, then applies a blocking collective
@@ -334,188 +475,60 @@ private:
                                std::span<const BlockKey>(st.blocks));
             st.tail = nullptr;
         }
-        if (!tasking()) return;
         // Every task has drained: fresh sinks with fresh registries.
         sinks_.clear();
-        sinks_.reserve(static_cast<std::size_t>(R_));
         for (int r = 0; r < R_; ++r) sinks_.emplace_back(*this, r);
         cks_pending_[0] = cks_pending_[1] = false;
         cks_slot_ = 0;
     }
 
     // --- stages ---------------------------------------------------------------
+    /// Hands rank `rank`'s sink to `emit`: the data-flow graph's, or the
+    /// loop rule's, which then runs what is pending.
+    template <class Emit>
+    void emit(int rank, bool dataflow, const Emit& emit) {
+        Sink& sink = sinks_[static_cast<std::size_t>(rank)];
+        if (dataflow) {
+            emit(sink);
+        } else {
+            emit(sink.loops);
+            sink.loops.end_exchange();
+        }
+    }
+
     void communicate_stage(int group) {
-        const int gv = gvars(group);
         for (int dir = 0; dir < 3; ++dir) {
-            if (tasking()) {
-                for (int r = 0; r < R_; ++r) {
-                    const amr::DirectionPlan& dp =
-                        state_[static_cast<std::size_t>(r)].plan.direction(dir);
-                    Sink& sink = sinks_[static_cast<std::size_t>(r)];
-                    graph::emit_exchange(sink, dp, false, dir, dp.boundary, sink.streams,
+            for (int r = 0; r < R_; ++r) {
+                const amr::DirectionPlan& dp =
+                    state_[static_cast<std::size_t>(r)].plan.direction(dir);
+                emit(r, tasking(), [&](auto& sink) {
+                    graph::emit_exchange(sink, dp, false, dir, dp.boundary,
+                                         sinks_[static_cast<std::size_t>(r)].streams,
                                          cfg_.group_begin(group), cfg_.group_end(group));
-                }
-                continue;
-            }
-            // Pass 1: receive posts + completion sinks, every rank.
-            std::vector<std::vector<std::vector<SimTaskPtr>>> sinks(
-                static_cast<std::size_t>(R_));
-            for (int r = 0; r < R_; ++r) {
-                const auto& dp = state_[static_cast<std::size_t>(r)].plan.direction(dir);
-                sinks[static_cast<std::size_t>(r)].resize(dp.neighbors.size());
-                for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-                    const amr::NeighborExchange& ex = dp.neighbors[ni];
-                    for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-                        serial(r, PhaseKind::Recv, mpi_call());  // the Irecv post
-                        auto sink = sim_.new_task(r, PhaseKind::Recv, 0);
-                        sim_.submit(sink);
-                        match(ex.peer, r, chunk.tag, sink, false, chunk.value_count * gv * 8);
-                        sinks[static_cast<std::size_t>(r)][ni].push_back(std::move(sink));
-                    }
-                }
-            }
-            // Pass 2: pack/send, intra copies, waitany-unpack, per rank.
-            for (int r = 0; r < R_; ++r) {
-                RankState& st = state_[static_cast<std::size_t>(r)];
-                const auto& dp = st.plan.direction(dir);
-
-                if (variant_ == amr::Variant::MpiOnly) {
-                    // Pack + send interleaved per chunk (Algorithm 2).
-                    for (const amr::NeighborExchange& ex : dp.neighbors) {
-                        for (const amr::MessageChunk& chunk : ex.send_chunks) {
-                            const std::int64_t bytes = chunk.value_count * gv * 8;
-                            serial(r, PhaseKind::Pack, copy_ns(bytes));
-                            auto send = serial(r, PhaseKind::Send, mpi_call());
-                            match(r, ex.peer, chunk.tag, send, true, bytes);
-                        }
-                    }
-                    serial(r, PhaseKind::IntraCopy,
-                           sum(same_rank_costs(dp.copies, dp.boundary.size(), dir, gv)));
-                    // Waitany loop: unpacks gated by program order + arrival.
-                    const SimTaskPtr after_copies = st.tail;
-                    std::vector<SimTaskPtr> unpacks;
-                    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-                        const amr::NeighborExchange& ex = dp.neighbors[ni];
-                        for (std::size_t ci = 0; ci < ex.recv_chunks.size(); ++ci) {
-                            const std::int64_t bytes = ex.recv_chunks[ci].value_count * gv * 8;
-                            auto u = sim_.new_task(r, PhaseKind::Unpack, copy_ns(bytes));
-                            edge(after_copies, u);
-                            edge(sinks[static_cast<std::size_t>(r)][ni][ci], u);
-                            sim_.submit(u);
-                            unpacks.push_back(std::move(u));
-                        }
-                    }
-                    auto join = sim_.new_task(r, PhaseKind::Control, 0);
-                    for (const SimTaskPtr& u : unpacks) edge(u, join);
-                    if (unpacks.empty()) edge(st.tail, join);
-                    st.tail = join;
-                    sim_.submit(join);
-                } else {  // ForkJoin
-                    // Per chunk: a workshared pack of its faces, then the
-                    // master sends it.
-                    for (const amr::NeighborExchange& ex : dp.neighbors) {
-                        for (const amr::MessageChunk& chunk : ex.send_chunks) {
-                            parallel_region(r, PhaseKind::Pack,
-                                            chunk_face_costs(ex.sends, chunk, dir, gv));
-                            auto send = serial(r, PhaseKind::Send, mpi_call());
-                            match(r, ex.peer, chunk.tag, send, true, chunk.value_count * gv * 8);
-                        }
-                    }
-                    // Workshared intra copies + boundary.
-                    parallel_region(r, PhaseKind::IntraCopy,
-                                    same_rank_costs(dp.copies, dp.boundary.size(), dir, gv));
-                    // Waitany loop: the master waits for each message, then
-                    // a workshared unpack of its faces. Plan order stands in
-                    // for arrival order.
-                    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-                        const amr::NeighborExchange& ex = dp.neighbors[ni];
-                        for (std::size_t ci = 0; ci < ex.recv_chunks.size(); ++ci) {
-                            auto wait = sim_.new_task(r, PhaseKind::CommWait, 0, 0);
-                            edge(st.tail, wait);
-                            edge(sinks[static_cast<std::size_t>(r)][ni][ci], wait);
-                            st.tail = wait;
-                            sim_.submit(wait);
-                            parallel_region(
-                                r, PhaseKind::Unpack,
-                                chunk_face_costs(ex.recvs, ex.recv_chunks[ci], dir, gv));
-                        }
-                    }
-                }
+                });
             }
         }
-    }
-
-    /// Copy cost of each face of one message chunk.
-    std::vector<std::int64_t> chunk_face_costs(const std::vector<amr::FaceTransfer>& faces,
-                                               const amr::MessageChunk& chunk, int dir,
-                                               int gv) const {
-        std::vector<std::int64_t> costs;
-        for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
-            const FaceRel rel = faces[static_cast<std::size_t>(f)].geom.rel;
-            costs.push_back(copy_ns(face_bytes(dir, rel, gv)));
-        }
-        return costs;
-    }
-
-    /// Copy cost of each same-rank item of one direction: the intra-rank
-    /// copies, then `reflections` boundary reflections (a same-level face
-    /// each).
-    std::vector<std::int64_t> same_rank_costs(std::span<const amr::IntraCopy> copies,
-                                              std::size_t reflections, int dir, int gv) const {
-        std::vector<std::int64_t> costs;
-        for (const amr::IntraCopy& c : copies) {
-            costs.push_back(copy_ns(face_bytes(dir, c.geom.rel, gv)));
-        }
-        costs.insert(costs.end(), reflections, copy_ns(face_bytes(dir, FaceRel::Same, gv)));
-        return costs;
-    }
-    static std::int64_t sum(const std::vector<std::int64_t>& costs) {
-        return std::accumulate(costs.begin(), costs.end(), std::int64_t{0});
     }
 
     void stencil_stage(int group) {
-        const int gv = gvars(group);
         flops_ += static_cast<std::int64_t>(structure_.num_blocks()) * cfg_.stencil *
-                  cfg_.cells_interior() * gv;
+                  cfg_.cells_interior() * (cfg_.group_end(group) - cfg_.group_begin(group));
         for (int r = 0; r < R_; ++r) {
-            RankState& st = state_[static_cast<std::size_t>(r)];
-            const auto nblocks = static_cast<std::int64_t>(st.blocks.size());
-            if (tasking()) {
-                graph::emit_stencil(sinks_[static_cast<std::size_t>(r)], st.blocks,
+            emit(r, tasking(), [&](auto& sink) {
+                graph::emit_stencil(sink, state_[static_cast<std::size_t>(r)].blocks,
                                     cfg_.group_begin(group), cfg_.group_end(group), false);
-            } else if (variant_ == amr::Variant::ForkJoin) {
-                parallel_region(r, PhaseKind::Stencil,
-                                std::vector<std::int64_t>(static_cast<std::size_t>(nblocks),
-                                                          stencil_ns(1, gv)));
-            } else {
-                serial(r, PhaseKind::Stencil, stencil_ns(nblocks, gv));
-            }
+            });
         }
     }
 
     void checksum_stage() {
-        const int groups = cfg_.num_groups();
-        if (!tasking()) {
-            for (int r = 0; r < R_; ++r) {
-                const auto nblocks =
-                    static_cast<std::int64_t>(state_[static_cast<std::size_t>(r)].blocks.size());
-                if (variant_ == amr::Variant::MpiOnly) {
-                    serial(r, PhaseKind::ChecksumLocal, checksum_ns(nblocks, cfg_.num_vars));
-                } else {
-                    std::vector<std::int64_t> items(static_cast<std::size_t>(nblocks),
-                                                    checksum_ns(1, cfg_.num_vars));
-                    parallel_region(r, PhaseKind::ChecksumLocal, items);
-                }
-            }
-            analytic_collective(groups * 8);
-            return;
-        }
-
         const int slot = cks_slot_;
+        const bool delayed = tasking() && cfg_.delayed_checksum;
         for (int r = 0; r < R_; ++r) {
-            graph::emit_checksum(sinks_[static_cast<std::size_t>(r)], cfg_,
-                                 state_[static_cast<std::size_t>(r)].blocks, slot,
-                                 cks_pending_[1 - slot]);
+            emit(r, tasking(), [&](auto& sink) {
+                graph::emit_checksum(sink, cfg_, state_[static_cast<std::size_t>(r)].blocks, slot,
+                                     cks_pending_[1 - slot], delayed);
+            });
         }
         if (wait_collective_ >= 0) {
             // §IV-C: the previous stage's sums are validated by a collective
@@ -524,16 +537,15 @@ private:
             wait_collective_ = -1;
             cks_pending_[1 - slot] = false;
         }
-        if (cfg_.delayed_checksum) {
+        if (delayed) {
             cks_pending_[slot] = true;
         } else {
-            analytic_collective(groups * 8);
+            analytic_collective(cfg_.num_groups() * 8);
         }
         cks_slot_ = 1 - slot;
     }
 
     void finish_pending_checksums() {
-        if (!tasking()) return;
         for (int slot = 0; slot < 2; ++slot) {
             if (cks_pending_[slot]) {
                 analytic_collective(cfg_.num_groups() * 8);
@@ -554,7 +566,6 @@ private:
         }
 
         const int max_level = structure_.max_level();
-        const std::int64_t block_copy = copy_ns(block_bytes());
         const int rounds = cfg_.max_block_change();
         for (int round_idx = 0; round_idx < rounds; ++round_idx) {
             const amr::RefineRound round =
@@ -572,7 +583,8 @@ private:
                                                  static_cast<double>(nblocks)));
             }
 
-            // Splits.
+            // Splits: the data-flow model's waves, the loops' one wave.
+            const auto wave = static_cast<std::size_t>(graph::kSplitWaveParentsPerCore * W_);
             std::vector<std::vector<BlockKey>> splits(static_cast<std::size_t>(R_));
             for (const BlockKey& key : round.refine) {
                 splits[static_cast<std::size_t>(structure_.owner(key))].push_back(key);
@@ -580,12 +592,10 @@ private:
             for (int r = 0; r < R_; ++r) {
                 const std::vector<BlockKey>& mine = splits[static_cast<std::size_t>(r)];
                 if (mine.empty()) continue;
-                if (refine_tasking()) {
-                    graph::emit_splits(sinks_[static_cast<std::size_t>(r)], mine, max_level,
-                                       cfg_.num_vars, W_);
-                } else {
-                    block_copies(r, PhaseKind::RefineSplit, mine.size() * 8, block_copy);
-                }
+                emit(r, refine_tasking(), [&](auto& sink) {
+                    graph::emit_splits(sink, mine, max_level, cfg_.num_vars,
+                                       refine_tasking() ? wave : mine.size());
+                });
             }
 
             // Coarsening: move children to the parent owner, then merge.
@@ -598,12 +608,9 @@ private:
             for (int r = 0; r < R_; ++r) {
                 const std::vector<BlockKey>& mine = merges[static_cast<std::size_t>(r)];
                 if (mine.empty()) continue;
-                if (refine_tasking()) {
-                    graph::emit_merges(sinks_[static_cast<std::size_t>(r)], mine, max_level,
-                                       cfg_.num_vars);
-                } else {
-                    block_copies(r, PhaseKind::RefineMerge, mine.size(), 8 * block_copy);
-                }
+                emit(r, refine_tasking(), [&](auto& sink) {
+                    graph::emit_merges(sink, mine, max_level, cfg_.num_vars);
+                });
             }
             analytic_collective(8);  // 2:1 agreement round (miniAMR collective)
             structure_.apply_refine_round(round);
@@ -643,8 +650,7 @@ private:
             for (std::size_t i = 0; i < moves.size(); ++i) {
                 const amr::BlockMove& mv = moves[i];
                 // Blocking ACK receive: chained AND message-gated.
-                auto ack_recv = sim_.new_task(mv.from, PhaseKind::Control, mpi_call(),
-                                              W_ > 1 ? 0 : -1);
+                auto ack_recv = sim_.new_task(mv.from, PhaseKind::Control, mpi_call(), main_core());
                 chain(mv.from, ack_recv);
                 sim_.submit(ack_recv);
                 sim_.add_message(acks[i], ack_recv, 4);
@@ -652,8 +658,7 @@ private:
             }
             for (std::size_t i = 0; i < moves.size(); ++i) {
                 const amr::BlockMove& mv = moves[i];
-                auto id_recv = sim_.new_task(mv.to, PhaseKind::Control, mpi_call(),
-                                             W_ > 1 ? 0 : -1);
+                auto id_recv = sim_.new_task(mv.to, PhaseKind::Control, mpi_call(), main_core());
                 chain(mv.to, id_recv);
                 sim_.submit(id_recv);
                 sim_.add_message(ids[i], id_recv, 4);
@@ -672,8 +677,7 @@ private:
         }
         for (const amr::BlockMove& mv : moves) {
             auto send = serial(mv.from, PhaseKind::RefineExchange, mpi_call());
-            auto recv =
-                sim_.new_task(mv.to, PhaseKind::RefineExchange, mpi_call(), W_ > 1 ? 0 : -1);
+            auto recv = sim_.new_task(mv.to, PhaseKind::RefineExchange, mpi_call(), main_core());
             chain(mv.to, recv);  // blocking receive in program order
             sim_.submit(recv);
             sim_.add_message(send, recv, block_bytes());
@@ -690,7 +694,7 @@ private:
     double mem_factor_ = 1.0;
 
     std::vector<RankState> state_;
-    std::vector<Sink> sinks_;  // TAMPI+OSS only
+    std::deque<Sink> sinks_;  // one per rank; a deque never moves them
     std::map<std::array<int, 3>, std::deque<std::pair<SimTaskPtr, bool>>> unmatched_;  // is_send
     int wait_collective_ = -1;  // the delayed checksum's collective being built
     int transfer_barrier_ = -1;  // the collective of the exchange being built
@@ -701,94 +705,6 @@ private:
     std::uint64_t dataflow_tasks_ = 0;
     std::uint64_t edges_ = 0;
 };
-
-Dep SimRun::Sink::dep(const graph::Access& access) {
-    const graph::Target& t = access.target;
-    // Bytes per variable of a block, or per value of a stream or slot.
-    const auto unit = t.object == graph::Object::Vars ? run.shape_.stride_var() * 8 : 8;
-    const auto first = static_cast<std::uint64_t>(t.first * unit);
-    return Dep{static_cast<DepKind>(access.mode),
-               Region::synthetic(base(t.object, t.key, t.index) + first,
-                                 static_cast<std::size_t>(t.count * unit))};
-}
-
-void SimRun::Sink::register_accesses(const SimTaskPtr& task,
-                                     std::span<const graph::Access> accesses) {
-    std::vector<Dep> deps;
-    for (const graph::Access& a : accesses) deps.push_back(dep(a));
-    run.edges_ += static_cast<std::uint64_t>(registry.register_accesses(task, deps));
-    ++run.dataflow_tasks_;
-}
-
-void SimRun::Sink::submit(const graph::Task& task) {
-    const graph::Payload& p = task.payload;
-    const graph::Op op = task.kind.op;
-    // A block a task fills is a new object, as the driver takes it from
-    // the arena.
-    if (op == graph::Op::Split || op == graph::Op::Merge || op == graph::Op::BlockRecv) {
-        const BlockKey key =
-            op == graph::Op::Split ? p.key.child(p.octant, run.structure_.max_level()) : p.key;
-        objects[{graph::Object::Vars, key, 0}] = ++count << 32;
-    }
-    const int vars = p.var_end - p.var_begin;
-    std::int64_t cost = 0;
-    switch (op) {
-        case graph::Op::Recv:
-        case graph::Op::Send:
-        case graph::Op::BlockSend:
-        case graph::Op::BlockRecv: cost = run.mpi_call(); break;
-        case graph::Op::Pack:
-        case graph::Op::Unpack: cost = run.copy_ns(p.face->value_count * vars * 8); break;
-        case graph::Op::Copy:
-            cost = sum(run.same_rank_costs(p.copies, p.boundary.size(), p.dir, vars));
-            break;
-        case graph::Op::Stencil: cost = run.stencil_ns(1, vars); break;
-        case graph::Op::ChecksumLocal: cost = run.checksum_ns(1, vars); break;
-        case graph::Op::ChecksumReduce: cost = task.accesses[0].target.count * 20; break;
-        case graph::Op::Split: cost = run.copy_ns(run.block_bytes()); break;
-        case graph::Op::Merge: cost = 8 * run.copy_ns(run.block_bytes()); break;
-        case graph::Op::FluxPack:
-        case graph::Op::Reflux:
-        case graph::Op::RefluxIntra:
-        case graph::Op::Outflux: throw Error("the DES does not model the reflux");
-    }
-    // Plus the runtime's cost per task on a worker's critical path (see
-    // CostModel::tasking_overhead_ns).
-    cost += static_cast<std::int64_t>(run.costs_.tasking_overhead_ns);
-    auto t = run.sim_.new_task(rank, task.kind.phase, cost);
-    edge(gate, t);
-    register_accesses(t, task.accesses);
-    run.sim_.submit(t);
-    unjoined.push_back(t);
-    const bool send = op == graph::Op::Send || op == graph::Op::BlockSend;
-    if (send || op == graph::Op::Recv || op == graph::Op::BlockRecv) {
-        const auto bytes = static_cast<std::int64_t>(dep(task.accesses[0]).region.size);
-        run.match(send ? rank : p.peer, send ? p.peer : rank, p.tag, t, send, bytes);
-    }
-}
-
-void SimRun::Sink::join(graph::Join kind) {
-    Simulator& sim = run.sim_;
-    auto main_core = sim.new_task(rank, PhaseKind::Control, 0, run.W_ > 1 ? 0 : -1);
-    for (const SimTaskPtr& t : unjoined) edge(t, main_core);
-    run.chain(rank, main_core);
-    if (kind == graph::Join::Transfers) sim.set_collective(main_core, run.transfer_barrier_);
-    sim.submit(main_core);
-    unjoined.clear();
-    gate = std::move(main_core);
-}
-
-void SimRun::Sink::wait(const graph::Access& access, int) {
-    Simulator& sim = run.sim_;
-    if (run.wait_collective_ < 0) {
-        run.wait_collective_ = sim.new_collective(run.cfg_.num_groups() * 8);
-    }
-    auto member = sim.new_task(rank, PhaseKind::ChecksumReduce, run.mpi_call(), 0);
-    register_accesses(member, std::span(&access, 1));
-    run.chain(rank, member);
-    sim.set_collective(member, run.wait_collective_);
-    sim.submit(member);
-}
 
 }  // namespace
 

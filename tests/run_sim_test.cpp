@@ -1,9 +1,13 @@
 // Tests for the simulated (DES) mini-app runs: layout helpers, basic sanity
 // of the per-variant DAG builders, determinism, the qualitative
-// relationships the paper's evaluation rests on, and the structural
-// cross-check of the DES's data-flow graph against TampiOssDriver's.
+// relationships the paper's evaluation rests on, the runs the DES refuses,
+// and the structural cross-check of the DES's models against the drivers.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "common/error.hpp"
 #include "core/variants.hpp"
 #include "sim/run_sim.hpp"
 
@@ -221,6 +225,30 @@ TEST(SimCosts, MpiOnlyAndForkJoinChargeTheSameSameRankCopies) {
     EXPECT_EQ(copies, fj.stats.busy_ns_by_kind.at(amr::PhaseKind::IntraCopy));
 }
 
+// The DES models the synthetic stencil refined around the objects: a
+// scenario run or a field estimator would be priced as that run instead.
+void expect_rejected(void (*edit)(Config&), const std::string& field) {
+    const ClusterSpec cluster = cluster_for(Variant::MpiOnly);
+    Config cfg = small_app(cluster.total_ranks(), {4, 2, 2});
+    edit(cfg);
+    for (Variant v : {Variant::MpiOnly, Variant::ForkJoin, Variant::TampiOss}) {
+        try {
+            (void)run_simulated(cfg, v, cluster, test_costs());
+            ADD_FAILURE() << "accepted a run with another " << field;
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    }
+}
+
+TEST(SimRejects, ScenarioRuns) {
+    expect_rejected([](Config& c) { c.scenario = "slotted_cylinder"; }, "scenario");
+}
+
+TEST(SimRejects, FieldEstimators) {
+    expect_rejected([](Config& c) { c.estimator = "gradient"; }, "estimator");
+}
+
 // DESIGN.md §6's structural cross-check: TampiOssDriver and the DES build
 // their data-flow tasks from one description (amr/task_graph.hpp). At one
 // core per rank no task completes while the main thread submits, so both
@@ -243,7 +271,7 @@ void expect_des_matches_driver(Config cfg) {
     EXPECT_EQ(sim.stats.messages, real.messages);
 }
 
-void expect_des_matches_driver_on_every_config(bool refine) {
+void on_every_config(bool refine, const std::function<void(const Config&)>& expect_match) {
     Config base = small_app(2, {4, 2, 2});
     if (!refine) base.refine_freq = 0;
     struct Case {
@@ -284,16 +312,45 @@ void expect_des_matches_driver_on_every_config(bool refine) {
         SCOPED_TRACE(c.name);
         Config cfg = base;
         c.edit(cfg);
-        expect_des_matches_driver(cfg);
+        expect_match(cfg);
     }
 }
 
 TEST(SimMatchesDriver, DataFlowGraphWithoutRefinement) {
-    expect_des_matches_driver_on_every_config(false);
+    on_every_config(false, expect_des_matches_driver);
 }
 
 TEST(SimMatchesDriver, DataFlowGraphWithRefinement) {
-    expect_des_matches_driver_on_every_config(true);
+    on_every_config(true, expect_des_matches_driver);
+}
+
+// SyncDriver and the DES's MPI-only and fork-join models run the same graph
+// through the same loop rule: they send the same messages (exchange chunks,
+// block transfers and the exchange protocol's control messages), count the
+// same flops and end with the same blocks. Fork-join runs 2 cores per rank.
+void expect_bulk_des_matches_driver(Config cfg) {
+    for (Variant v : {Variant::MpiOnly, Variant::ForkJoin}) {
+        SCOPED_TRACE(to_string(v));
+        cfg.workers = v == Variant::ForkJoin ? 2 : 1;
+        ClusterSpec cluster;
+        cluster.nodes = 1;
+        cluster.ranks_per_node = cfg.num_ranks();
+        cluster.cores_per_node = cfg.num_ranks() * cfg.workers;
+        const SimResult sim = run_simulated(cfg, v, cluster, test_costs());
+        const core::RunResult real = core::run_variant(cfg, v);
+        ASSERT_TRUE(real.validation_ok);
+        EXPECT_EQ(sim.stats.messages, real.messages);
+        EXPECT_EQ(sim.total_flops, real.total_flops);
+        EXPECT_EQ(sim.final_blocks, real.final_blocks);
+    }
+}
+
+TEST(SimMatchesDriver, BulkSynchronousWithoutRefinement) {
+    on_every_config(false, expect_bulk_des_matches_driver);
+}
+
+TEST(SimMatchesDriver, BulkSynchronousWithRefinement) {
+    on_every_config(true, expect_bulk_des_matches_driver);
 }
 
 }  // namespace

@@ -81,6 +81,22 @@ TEST(Variants, TampiOssMatchesMpiOnly) {
     EXPECT_EQ(a.total_flops, b.total_flops);
 }
 
+TEST(Variants, SyncVariantsIgnoreDelayedChecksum) {
+    // --delayed_checksum is TAMPI+OSS's (§IV-C, Config): the bulk-synchronous
+    // variants validate every checksum stage at once with or without it.
+    Config cfg = tiny_config();
+    for (Variant v : {Variant::MpiOnly, Variant::ForkJoin}) {
+        cfg.delayed_checksum = false;
+        const RunResult a = run_variant(cfg, v);
+        cfg.delayed_checksum = true;
+        const RunResult b = run_variant(cfg, v);
+        EXPECT_TRUE(b.validation_ok) << to_string(v);
+        EXPECT_EQ(a.checksums, b.checksums) << to_string(v);
+        EXPECT_EQ(a.counters.checksum_stages, b.counters.checksum_stages) << to_string(v);
+        EXPECT_GT(b.counters.checksum_stages, 0) << to_string(v);
+    }
+}
+
 TEST(Variants, TampiOssSendFacesSeparateBuffersMatches) {
     Config cfg = tiny_config();
     const RunResult a = run_variant(cfg, Variant::MpiOnly);
