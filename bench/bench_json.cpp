@@ -36,7 +36,7 @@ struct Row {
 };
 
 /// Traced vs untraced wall time of the same small real run, plus the
-/// unified metrics snapshot of a traced one. Tracks both the tracing
+/// metrics JSON of a traced one. Tracks both the tracing
 /// overhead contract (record() must stay cheap enough to leave on) and the
 /// observability numbers the CI trace-smoke job diffs. The times are the
 /// medians of kTracePairs interleaved untraced/traced pairs: one ~20 ms
@@ -47,7 +47,9 @@ struct TraceMeasurement {
     double untraced_s = 0;  // median
     double traced_s = 0;    // median
     double overhead_frac = 0;
-    core::MetricsSnapshot snapshot;
+    // The last traced run, for its metrics JSON.
+    amr::TraceAnalysis trace;
+    core::RunResult run;
 };
 
 double median(std::vector<double> v) {
@@ -98,7 +100,8 @@ TraceMeasurement measure_trace() {
     t.untraced_s = median(untraced_s);
     t.traced_s = median(traced_s);
     t.overhead_frac = t.untraced_s > 0 ? (t.traced_s - t.untraced_s) / t.untraced_s : 0;
-    t.snapshot = core::make_metrics_snapshot(tracer, traced);
+    t.trace = tracer.analyze();
+    t.run = std::move(traced);
     return t;
 }
 
@@ -125,13 +128,13 @@ void write_json(const char* path, const std::vector<Row>& rows, int max_nodes,
                      r.refine_s, r.gflops, r.speedup, r.efficiency, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    // Tracing overhead + the unified metrics snapshot of the traced run
+    // Tracing overhead + the metrics JSON of the traced run
     // (same dfamr_metrics_v1 structure single_sphere --trace_out writes).
     std::fprintf(f, "  \"trace\": {\n");
     std::fprintf(f, "    \"untraced_s\": %.6f,\n", tracem.untraced_s);
     std::fprintf(f, "    \"traced_s\": %.6f,\n", tracem.traced_s);
     std::fprintf(f, "    \"overhead_frac\": %.4f,\n", tracem.overhead_frac);
-    std::fprintf(f, "    \"metrics\": %s", core::metrics_to_json(tracem.snapshot).c_str());
+    std::fprintf(f, "    \"metrics\": %s", core::metrics_to_json(tracem.trace, tracem.run).c_str());
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
@@ -204,8 +207,8 @@ int main(int argc, char** argv) {
                 "%llu events on %d cores\n",
                 kTracePairs, tracem.untraced_s * 1e3, tracem.traced_s * 1e3,
                 tracem.overhead_frac * 100,
-                static_cast<unsigned long long>(tracem.snapshot.trace.events),
-                tracem.snapshot.trace.cores);
+                static_cast<unsigned long long>(tracem.trace.events),
+                tracem.trace.cores);
 
     write_json(out, rows, max_nodes, tracem);
     std::printf("wrote %s (%zu points)\n", out, rows.size());

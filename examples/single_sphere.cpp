@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
     cli.add_option("--trace_csv", "write a per-core trace CSV to this path", "");
     cli.add_option("--trace_out",
                    "write <base>.perfetto.json (Chrome-trace timeline, loadable in "
-                   "ui.perfetto.dev) and <base>.metrics.json (unified metrics snapshot "
-                   "for trace_diff) using this base path",
+                   "ui.perfetto.dev) and <base>.metrics.json (the trace analysis and every "
+                   "result field, for trace_diff) using this base path",
                    "");
     cli.add_option("--checksum_out",
                    "write the stage checksums (hex doubles, one per line) to this path", "");
@@ -195,6 +195,7 @@ int main(int argc, char** argv) {
         table.print(std::cout);
 
         if (tracer.enabled()) {
+            const amr::TraceAnalysis a = tracer.analyze();
             if (!trace_path.empty()) {
                 std::ofstream out(trace_path);
                 out << tracer.to_csv();
@@ -202,11 +203,9 @@ int main(int argc, char** argv) {
             if (!trace_out.empty()) {
                 std::ofstream perfetto(trace_out + ".perfetto.json");
                 perfetto << tracer.to_chrome_json();
-                const core::MetricsSnapshot snap = core::make_metrics_snapshot(tracer, r);
                 std::ofstream metrics(trace_out + ".metrics.json");
-                metrics << core::metrics_to_json(snap);
+                metrics << core::metrics_to_json(a, r);
             }
-            const amr::TraceAnalysis a = tracer.analyze();
             std::printf(
                 "trace: %d cores (+%d progress), utilization %.1f%%, phase overlap %.3f ms, "
                 "largest idle gap %.3f ms -> %s\n",

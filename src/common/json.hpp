@@ -1,5 +1,5 @@
 // Minimal JSON parser — just enough for the tools and tests that consume
-// the JSON this project emits (metrics snapshots, Chrome traces, bench
+// the JSON this project emits (metrics JSON, Chrome traces, bench
 // output). Recursive descent over the full value grammar; numbers are
 // doubles (the emitters never exceed 2^53); no streaming, no comments.
 // Header-only so tools can use it without a library dependency.

@@ -64,25 +64,15 @@ DriverBase::DriverBase(const Config& cfg, mpi::Communicator& comm, Tracer* trace
     rebuild_comm_plan();
 }
 
-SchedulerCounters DriverBase::scheduler_counters() const {
-    if (runtime_ == nullptr) return {};
-    const tasking::RuntimeStats s = runtime_->stats();
-    SchedulerCounters c;
-    c.tasks_executed = s.tasks_executed;
-    c.steals = s.steals;
-    c.steal_fails = s.steal_fails;
-    c.parks = s.parks;
-    c.wakeups = s.wakeups;
-    c.immediate_successor_hits = s.immediate_successor_hits;
-    c.edges_added = s.edges_added;
-    return c;
+tasking::RuntimeStats DriverBase::runtime_stats() const {
+    return runtime_ != nullptr ? runtime_->stats() : tasking::RuntimeStats{};
 }
 
 int DriverBase::worker_index() const { return runtime_ != nullptr ? runtime_->trace_lane() : 0; }
 
 void DriverBase::sample_sched_counters() {
     if (tracer_ == nullptr || !tracer_->enabled()) return;
-    const SchedulerCounters c = scheduler_counters();
+    const tasking::RuntimeStats c = runtime_stats();
     const std::int64_t t = now_ns();
     tracer_->record_counter(rank_, t, "tasks_executed", static_cast<double>(c.tasks_executed));
     tracer_->record_counter(rank_, t, "steals", static_cast<double>(c.steals));
@@ -132,7 +122,7 @@ RankResult DriverBase::run() {
     }
     main_loop();
     final_sync();
-    result_.stencil_flops = flops_.load();
+    result_.total_flops = flops_.load();
     compute_error_norm();
     if (generator_ != nullptr) {
         // Conservation accounting, allreduced once so every rank reports
@@ -148,7 +138,7 @@ RankResult DriverBase::run() {
         comm_.allreduce(&corrections, &result_.counters.reflux_corrections, 1, mpi::Op::Sum);
     }
     total.stop();
-    result_.sched = scheduler_counters();
+    result_.sched = runtime_stats();
     result_.times.total = total.elapsed_s();
     result_.final_blocks = static_cast<std::int64_t>(mesh_.num_owned());
     return result_;
@@ -334,7 +324,7 @@ void DriverBase::refinement_phase(int timesteps_elapsed) {
     // Snapshot after the drain: tasks retired by sync_before_refine belong
     // to the compute stages, everything from here to the end of the phase
     // (split/merge copies, exchange pack/unpack) is refinement work.
-    const SchedulerCounters sched_at_entry = scheduler_counters();
+    const tasking::RuntimeStats sched_at_entry = runtime_stats();
     sample_sched_counters();
     Stopwatch sw;
     sw.start();
@@ -403,7 +393,7 @@ void DriverBase::refinement_phase(int timesteps_elapsed) {
     rebuild_comm_plan();
     reset_checksum_reference();
     sw.stop();
-    result_.sched_refine += scheduler_counters() - sched_at_entry;
+    result_.sched_refine += runtime_stats() - sched_at_entry;
     sample_sched_counters();
     result_.times.refine += sw.elapsed_s();
 }

@@ -96,10 +96,9 @@ protected:
     /// Drains outstanding work at the end of the run (final validation of a
     /// deferred checksum included).
     virtual void final_sync() {}
-    /// Cumulative scheduler telemetry of the variant's tasking runtime
-    /// (zeros without one). Sampled at phase boundaries to attribute
-    /// counters per phase.
-    SchedulerCounters scheduler_counters() const;
+    /// Cumulative counters of the variant's tasking runtime (zeros without
+    /// one). Sampled at phase boundaries to attribute counters per phase.
+    tasking::RuntimeStats runtime_stats() const;
     /// Synchronization point before the refinement phase (taskwait/no-op).
     virtual void sync_before_refine() {}
     /// Data operations of one refinement round.

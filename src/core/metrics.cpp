@@ -1,161 +1,199 @@
 #include "core/metrics.hpp"
 
 #include <cinttypes>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
+#include <vector>
 
 namespace dfamr::core {
 
 namespace {
 
-void append_sched(std::string& out, const char* indent, const SchedulerCounters& s) {
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "%s\"tasks_executed\": %" PRIu64 ",\n"
-                  "%s\"steals\": %" PRIu64 ",\n"
-                  "%s\"steal_fails\": %" PRIu64 ",\n"
-                  "%s\"parks\": %" PRIu64 ",\n"
-                  "%s\"wakeups\": %" PRIu64 ",\n"
-                  "%s\"immediate_successor_hits\": %" PRIu64 "\n",
-                  indent, s.tasks_executed, indent, s.steals, indent, s.steal_fails, indent,
-                  s.parks, indent, s.wakeups, indent, s.immediate_successor_hits);
-    out += buf;
+/// A double that reads back bit for bit; JSON has no NaN or infinity, so
+/// those become null.
+std::string exact_number(double v) {
+    if (!std::isfinite(v)) return "null";
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/// Appends a JSON object member by member: one member per line, two spaces
+/// of indent per level of nesting.
+class JsonWriter {
+public:
+    void open(const char* key) {
+        member(key) += '{';
+        ++depth_;
+        first_ = true;
+    }
+    void close() {
+        --depth_;
+        if (!first_) newline();
+        out_ += '}';
+        first_ = false;
+    }
+    template <std::integral T>
+    void integer(const char* key, T v) { member(key) += std::to_string(v); }
+    void fixed(const char* key, double v) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.6f", v);
+        member(key) += buf;
+    }
+    void exact(const char* key, double v) { member(key) += exact_number(v); }
+    void boolean(const char* key, bool v) { member(key) += v ? "true" : "false"; }
+    void string(const char* key, const char* v) { member(key) += '"' + std::string(v) + '"'; }
+    /// An array of values already written as JSON text, one per line.
+    void array(const char* key, const std::vector<std::string>& items) {
+        member(key) += '[';
+        ++depth_;
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            newline(i > 0 ? "," : "");
+            out_ += items[i];
+        }
+        --depth_;
+        if (!items.empty()) newline();
+        out_ += ']';
+    }
+    std::string finish() {
+        close();
+        return out_ + '\n';
+    }
+
+private:
+    std::string& member(const char* key) {
+        newline(first_ ? "" : ",");
+        first_ = false;
+        return out_ += '"' + std::string(key) + "\": ";
+    }
+    void newline(const char* after = "") {
+        (out_ += after) += '\n';
+        out_.append(static_cast<std::size_t>(2 * depth_), ' ');
+    }
+
+    std::string out_ = "{";
+    int depth_ = 1;
+    bool first_ = true;
+};
+
+void write_runtime(JsonWriter& w, const tasking::RuntimeStats& s) {
+    w.integer("tasks_executed", s.tasks_executed);
+    w.integer("steals", s.steals);
+    w.integer("steal_fails", s.steal_fails);
+    w.integer("parks", s.parks);
+    w.integer("wakeups", s.wakeups);
+    w.integer("immediate_successor_hits", s.immediate_successor_hits);
+    w.integer("tasks_submitted", s.tasks_submitted);
+    w.integer("edges_added", s.edges_added);
+    w.integer("edges_elided", s.edges_elided);
+}
+
+const char* stop_name(StopKind stop) {
+    switch (stop) {
+        case StopKind::Suspended:
+            return "suspended";
+        case StopKind::Cancelled:
+            return "cancelled";
+        case StopKind::None:
+            break;
+    }
+    return "none";
 }
 
 }  // namespace
 
-MetricsSnapshot make_metrics_snapshot(const amr::Tracer& tracer, const RunResult& result) {
-    MetricsSnapshot m;
-    m.trace = tracer.analyze();
-    m.sched = result.sched;
-    m.sched_refine = result.sched_refine;
-    m.net = result.net;
-    m.net_peers = result.net_peers;
-    m.rndv_threshold = result.rndv_threshold;
-    m.messages = result.messages;
-    m.bytes = result.bytes;
-    m.total_s = result.times.total;
-    m.refine_s = result.times.refine;
-    m.final_blocks = result.final_blocks;
-    m.arena_high_water = result.arena_high_water;
-    m.validation_ok = result.validation_ok;
-    m.blocks_refined_by_estimator = result.counters.blocks_refined_by_estimator;
-    m.refine_coarsen_thrash = result.counters.refine_coarsen_thrash;
-    m.error_norm = result.error_norm;
-    m.has_error_norm = result.has_error_norm;
-    m.mass_drift = result.mass_drift;
-    m.boundary_outflux = result.boundary_outflux;
-    m.initial_mass = result.initial_mass;
-    m.final_mass = result.final_mass;
-    m.reflux_corrections = result.counters.reflux_corrections;
-    return m;
-}
+std::string metrics_to_json(const amr::TraceAnalysis& t, const RunResult& r) {
+    JsonWriter w;
+    w.string("schema", "dfamr_metrics_v1");
+    const double span = static_cast<double>(t.span_ns);
+    const auto frac = [span](std::int64_t ns) {
+        return span > 0 ? static_cast<double>(ns) / span : 0.0;
+    };
 
-std::string metrics_to_json(const MetricsSnapshot& m) {
-    std::string out;
-    out.reserve(4096);
-    char buf[1024];
-    const double span = static_cast<double>(m.trace.span_ns);
+    w.open("trace");
+    w.integer("span_ns", t.span_ns);
+    w.integer("busy_ns", t.busy_ns);
+    w.integer("progress_ns", t.progress_ns);
+    w.fixed("utilization", t.utilization);
+    w.integer("overlap_ns", t.overlap_ns);
+    w.fixed("overlap_frac", frac(t.overlap_ns));
+    w.integer("largest_idle_gap_ns", t.largest_idle_gap_ns);
+    w.fixed("largest_idle_gap_frac", frac(t.largest_idle_gap_ns));
+    w.integer("refine_span_ns", t.refine_span_ns);
+    w.integer("cores", t.cores);
+    w.integer("progress_lanes", t.progress_lanes);
+    w.integer("events", t.events);
+    w.open("busy_ns_by_kind");
+    for (const auto& [kind, ns] : t.busy_ns_by_kind) w.integer(to_string(kind).c_str(), ns);
+    w.close();
+    w.close();
 
-    out += "{\n  \"schema\": \"dfamr_metrics_v1\",\n";
+    w.open("scheduler");
+    write_runtime(w, r.sched);
+    w.open("refine");
+    write_runtime(w, r.sched_refine);
+    w.close();
+    w.close();
 
-    out += "  \"trace\": {\n";
-    std::snprintf(buf, sizeof buf,
-                  "    \"span_ns\": %" PRId64 ",\n"
-                  "    \"busy_ns\": %" PRId64 ",\n"
-                  "    \"progress_ns\": %" PRId64 ",\n"
-                  "    \"utilization\": %.6f,\n"
-                  "    \"overlap_ns\": %" PRId64 ",\n"
-                  "    \"overlap_frac\": %.6f,\n"
-                  "    \"largest_idle_gap_ns\": %" PRId64 ",\n"
-                  "    \"largest_idle_gap_frac\": %.6f,\n"
-                  "    \"refine_span_ns\": %" PRId64 ",\n"
-                  "    \"cores\": %d,\n"
-                  "    \"progress_lanes\": %d,\n"
-                  "    \"events\": %" PRIu64 ",\n",
-                  m.trace.span_ns, m.trace.busy_ns, m.trace.progress_ns, m.trace.utilization,
-                  m.trace.overlap_ns, span > 0 ? static_cast<double>(m.trace.overlap_ns) / span : 0,
-                  m.trace.largest_idle_gap_ns,
-                  span > 0 ? static_cast<double>(m.trace.largest_idle_gap_ns) / span : 0,
-                  m.trace.refine_span_ns, m.trace.cores, m.trace.progress_lanes, m.trace.events);
-    out += buf;
-    out += "    \"busy_ns_by_kind\": {";
-    bool first = true;
-    for (const auto& [kind, ns] : m.trace.busy_ns_by_kind) {
-        std::snprintf(buf, sizeof buf, "%s\n      \"%s\": %" PRId64, first ? "" : ",",
-                      to_string(kind).c_str(), ns);
-        out += buf;
-        first = false;
-    }
-    out += first ? "}\n" : "\n    }\n";
-    out += "  },\n";
-
-    out += "  \"scheduler\": {\n";
-    append_sched(out, "    ", m.sched);
-    // append_sched closes with a bare newline; splice the refine slice in.
-    out.erase(out.size() - 1);
-    out += ",\n    \"refine\": {\n";
-    append_sched(out, "      ", m.sched_refine);
-    out += "    }\n  },\n";
-
-    const auto u64 = [](std::uint64_t v) { return static_cast<std::uint64_t>(v); };
-    out += "  \"net\": {\n";
-    std::snprintf(buf, sizeof buf,
-                  "    \"bytes_sent\": %" PRIu64 ",\n"
-                  "    \"bytes_received\": %" PRIu64 ",\n"
-                  "    \"frames_sent\": %" PRIu64 ",\n"
-                  "    \"frames_received\": %" PRIu64 ",\n"
-                  "    \"rendezvous\": %" PRIu64 ",\n"
-                  "    \"reconnects\": %" PRIu64 ",\n"
-                  "    \"coalesced_frames_sent\": %" PRIu64 ",\n"
-                  "    \"coalesced_messages\": %" PRIu64 ",\n"
-                  "    \"copies_elided\": %" PRIu64 ",\n"
-                  "    \"rndv_threshold\": %" PRIu64 ",\n",
-                  u64(m.net.bytes_sent), u64(m.net.bytes_received), u64(m.net.frames_sent),
-                  u64(m.net.frames_received), u64(m.net.rendezvous), u64(m.net.reconnects),
-                  u64(m.net.coalesced_frames_sent), u64(m.net.coalesced_messages),
-                  u64(m.net.copies_elided), u64(m.rndv_threshold));
-    out += buf;
-    out += "    \"peers\": [";
-    for (std::size_t p = 0; p < m.net_peers.size(); ++p) {
-        const net::PeerStats& ps = m.net_peers[p];
+    w.open("net");
+    w.integer("bytes_sent", r.net.bytes_sent);
+    w.integer("bytes_received", r.net.bytes_received);
+    w.integer("frames_sent", r.net.frames_sent);
+    w.integer("frames_received", r.net.frames_received);
+    w.integer("rendezvous", r.net.rendezvous);
+    w.integer("reconnects", r.net.reconnects);
+    w.integer("coalesced_frames_sent", r.net.coalesced_frames_sent);
+    w.integer("coalesced_messages", r.net.coalesced_messages);
+    w.integer("copies_elided", r.net.copies_elided);
+    w.integer("rndv_threshold", r.rndv_threshold);
+    std::vector<std::string> peers;
+    for (std::size_t p = 0; p < r.net_peers.size(); ++p) {
+        const net::PeerStats& ps = r.net_peers[p];
+        char buf[256];
         std::snprintf(buf, sizeof buf,
-                      "%s\n      {\"rank\": %zu, \"bytes_sent\": %" PRIu64
-                      ", \"frames_sent\": %" PRIu64 ", \"bytes_received\": %" PRIu64
-                      ", \"frames_received\": %" PRIu64 "}",
-                      p == 0 ? "" : ",", p, u64(ps.bytes_sent), u64(ps.frames_sent),
-                      u64(ps.bytes_received), u64(ps.frames_received));
-        out += buf;
+                      "{\"rank\": %zu, \"bytes_sent\": %" PRIu64 ", \"frames_sent\": %" PRIu64
+                      ", \"bytes_received\": %" PRIu64 ", \"frames_received\": %" PRIu64 "}",
+                      p, ps.bytes_sent, ps.frames_sent, ps.bytes_received, ps.frames_received);
+        peers.emplace_back(buf);
     }
-    out += m.net_peers.empty() ? "]\n" : "\n    ]\n";
-    out += "  },\n";
+    w.array("peers", peers);
+    w.close();
 
-    out += "  \"run\": {\n";
-    std::snprintf(buf, sizeof buf,
-                  "    \"total_s\": %.6f,\n"
-                  "    \"refine_s\": %.6f,\n"
-                  "    \"messages\": %" PRIu64 ",\n"
-                  "    \"bytes\": %" PRIu64 ",\n"
-                  "    \"final_blocks\": %" PRId64 ",\n"
-                  "    \"arena_high_water\": %" PRIu64 ",\n"
-                  "    \"validation_ok\": %s,\n"
-                  "    \"blocks_refined_by_estimator\": %" PRId64 ",\n"
-                  "    \"refine_coarsen_thrash\": %" PRId64 ",\n"
-                  "    \"error_norm\": %.17g,\n"
-                  "    \"has_error_norm\": %s,\n"
-                  "    \"mass_drift\": %.17g,\n"
-                  "    \"boundary_outflux\": %.17g,\n"
-                  "    \"initial_mass\": %.17g,\n"
-                  "    \"final_mass\": %.17g,\n"
-                  "    \"reflux_corrections\": %" PRId64 "\n",
-                  m.total_s, m.refine_s, m.messages, m.bytes, m.final_blocks,
-                  u64(m.arena_high_water), m.validation_ok ? "true" : "false",
-                  m.blocks_refined_by_estimator, m.refine_coarsen_thrash, m.error_norm,
-                  m.has_error_norm ? "true" : "false",
-                  m.mass_drift, m.boundary_outflux, m.initial_mass, m.final_mass,
-                  m.reflux_corrections);
-    out += buf;
-    out += "  }\n}\n";
-    return out;
+    w.open("run");
+    w.fixed("total_s", r.times.total);
+    w.fixed("refine_s", r.times.refine);
+    w.fixed("comm_s", r.times.comm);
+    w.fixed("stencil_s", r.times.stencil);
+    w.fixed("checksum_s", r.times.checksum);
+    w.integer("messages", r.messages);
+    w.integer("bytes", r.bytes);
+    w.integer("total_flops", r.total_flops);
+    w.integer("final_blocks", r.final_blocks);
+    w.integer("arena_high_water", r.arena_high_water);
+    w.boolean("validation_ok", r.validation_ok);
+    w.integer("blocks_split", r.counters.blocks_split);
+    w.integer("blocks_merged", r.counters.blocks_merged);
+    w.integer("blocks_moved", r.counters.blocks_moved);
+    w.integer("blocks_refined_by_estimator", r.counters.blocks_refined_by_estimator);
+    w.integer("refinement_phases", r.counters.refinement_phases);
+    w.integer("load_balances", r.counters.load_balances);
+    w.integer("checksum_stages", r.counters.checksum_stages);
+    w.integer("refine_coarsen_thrash", r.counters.refine_coarsen_thrash);
+    w.integer("reflux_corrections", r.counters.reflux_corrections);
+    w.exact("error_norm", r.error_norm);
+    w.boolean("has_error_norm", r.has_error_norm);
+    w.exact("mass_drift", r.mass_drift);
+    w.exact("boundary_outflux", r.boundary_outflux);
+    w.exact("initial_mass", r.initial_mass);
+    w.exact("final_mass", r.final_mass);
+    w.string("stop", stop_name(r.stop));
+    w.integer("stop_ts", r.stop_ts);
+    std::vector<std::string> checksums;
+    for (const double c : r.checksums) checksums.push_back(exact_number(c));
+    w.array("checksums", checksums);
+    w.close();
+    return w.finish();
 }
 
 }  // namespace dfamr::core

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/run_control.hpp"
 #include "net/wire.hpp"
+#include "tasking/runtime_stats.hpp"
 
 namespace dfamr::core {
 
@@ -60,69 +63,34 @@ struct RunCounters {
     }
 };
 
-/// Scheduler telemetry sampled from the tasking runtime (zero for the
-/// MPI-only variant, which runs sequentially inside each rank). Summed
-/// across ranks in the reduction; the refine/total split gives the
-/// per-phase view the traces cannot (steals during refinement indicate the
-/// split/merge copies actually spread across workers).
-struct SchedulerCounters {
-    std::uint64_t tasks_executed = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t steal_fails = 0;
-    std::uint64_t parks = 0;
-    std::uint64_t wakeups = 0;
-    std::uint64_t immediate_successor_hits = 0;
-    /// Dependency edges wired; exact at one core per rank (RuntimeStats).
-    std::uint64_t edges_added = 0;
-
-    SchedulerCounters& operator+=(const SchedulerCounters& o) {
-        tasks_executed += o.tasks_executed;
-        steals += o.steals;
-        steal_fails += o.steal_fails;
-        parks += o.parks;
-        wakeups += o.wakeups;
-        immediate_successor_hits += o.immediate_successor_hits;
-        edges_added += o.edges_added;
-        return *this;
-    }
-    SchedulerCounters operator-(const SchedulerCounters& o) const {
-        SchedulerCounters d;
-        d.tasks_executed = tasks_executed - o.tasks_executed;
-        d.steals = steals - o.steals;
-        d.steal_fails = steal_fails - o.steal_fails;
-        d.parks = parks - o.parks;
-        d.wakeups = wakeups - o.wakeups;
-        d.immediate_successor_hits = immediate_successor_hits - o.immediate_successor_hits;
-        d.edges_added = edges_added - o.edges_added;
-        return d;
-    }
-};
-
-/// Per-rank result, before the cross-rank reduction.
-struct RankResult {
-    PhaseTimes times;
-    std::vector<double> checksums;  // global checksum after each validation stage
-    bool validation_ok = true;
-    std::int64_t stencil_flops = 0;  // this rank's stencil FLOPs
-    std::int64_t final_blocks = 0;   // blocks owned at the end
-    RunCounters counters;
-    SchedulerCounters sched;         // whole run (cumulative runtime stats)
-    SchedulerCounters sched_refine;  // slice attributed to refinement phases
+/// One rank's share of a run's result. Trivially copyable, so a
+/// distributed world gathers every rank's with one allgather. operator+=
+/// folds another rank's share in and is the one cross-rank rule: each
+/// field is summed, maxed or and-ed, or, where every rank already holds the
+/// same value, kept from the share the fold started with (rank 0's).
+struct RankStats {
+    PhaseTimes times;                   // max
+    bool validation_ok = true;          // and
+    std::int64_t total_flops = 0;       // stencil FLOPs; sum
+    std::int64_t final_blocks = 0;      // blocks owned at the end; sum
+    RunCounters counters;               // RunCounters::operator+=
+    tasking::RuntimeStats sched;        // whole run (cumulative); sum
+    tasking::RuntimeStats sched_refine; // slice attributed to refinement phases; sum
     /// Volume-weighted L1 error of variable 0 against the scenario's
     /// analytic reference at the final simulated time; already
-    /// allreduce-summed, so every rank holds the global value. Valid only
-    /// when has_error_norm (analytic scenarios).
+    /// allreduce-summed, so every rank holds the global value (max, or).
+    /// Valid only when has_error_norm (analytic scenarios).
     double error_norm = 0;
     bool has_error_norm = false;
     /// Why the run left the timestep loop early (RunControl decision); None
-    /// for a run that completed all cfg.num_tsteps timesteps.
+    /// for a run that completed all cfg.num_tsteps timesteps. stop_ts is the
+    /// last completed timestep when stop != None. The decision is
+    /// broadcast: every rank must hold the same pair.
     StopKind stop = StopKind::None;
-    /// Last completed timestep when stop != None (every rank agrees: the
-    /// decision is broadcast).
     int stop_ts = -1;
     /// Scenario conservation ledger (DESIGN.md §18), all driver-allreduced
-    /// globals — identical on every rank, like error_norm. mass_drift is the
-    /// residual coarse-fine flux mismatch AFTER refluxing (exactly 0.0 by
+    /// globals, the same on every rank. mass_drift is the residual
+    /// coarse-fine flux mismatch AFTER refluxing (exactly 0.0 by
     /// construction when the reflux pass ran); the mass budget
     /// final - initial + boundary_outflux closes to rounding. All zero for
     /// synthetic runs.
@@ -130,15 +98,40 @@ struct RankResult {
     double boundary_outflux = 0;
     double initial_mass = 0;
     double final_mass = 0;
+
+    RankStats& operator+=(const RankStats& o) {
+        times.total = std::max(times.total, o.times.total);
+        times.refine = std::max(times.refine, o.times.refine);
+        times.comm = std::max(times.comm, o.times.comm);
+        times.stencil = std::max(times.stencil, o.times.stencil);
+        times.checksum = std::max(times.checksum, o.times.checksum);
+        validation_ok = validation_ok && o.validation_ok;
+        total_flops += o.total_flops;
+        final_blocks += o.final_blocks;
+        counters += o.counters;
+        sched += o.sched;
+        sched_refine += o.sched_refine;
+        error_norm = std::max(error_norm, o.error_norm);
+        has_error_norm = has_error_norm || o.has_error_norm;
+        DFAMR_REQUIRE(stop == o.stop && stop_ts == o.stop_ts,
+                      "ranks disagree on the run-control stop decision");
+        // The ledger is kept: a sum would count it once per rank.
+        return *this;
+    }
+};
+static_assert(std::is_trivially_copyable_v<RankStats>);
+
+/// Per-rank result, before the cross-rank reduction.
+struct RankResult : RankStats {
+    /// Global checksum after each validation stage; every rank holds the
+    /// same history.
+    std::vector<double> checksums;
 };
 
-/// Global result (reduced across ranks; the numbers a bench prints).
-struct RunResult {
-    PhaseTimes times;  // max over ranks
-    std::vector<double> checksums;
-    bool validation_ok = true;
-    std::int64_t total_flops = 0;  // sum over ranks
-    std::int64_t final_blocks = 0;
+/// Global result (reduced across ranks; the numbers a bench prints): the
+/// ranks' shares folded by RankStats::operator+=, plus the world's
+/// counters.
+struct RunResult : RankResult {
     std::uint64_t messages = 0;  // delivered by the MPI layer
     std::uint64_t bytes = 0;
     /// Wire-level transport counters, summed over all rank processes (all
@@ -154,23 +147,9 @@ struct RunResult {
     /// arena an in-process run's ranks share, summed over the processes of
     /// a distributed run (one arena each).
     std::uint64_t arena_high_water = 0;
-    RunCounters counters;
-    SchedulerCounters sched;         // summed over ranks
-    SchedulerCounters sched_refine;  // summed over ranks
-    /// Global scenario error norm (identical on every rank; max-reduced).
-    double error_norm = 0;
-    bool has_error_norm = false;
-    /// RunControl outcome (all ranks agree; None when no control attached
-    /// or the run completed). checksums hold the history up to stop_ts.
-    StopKind stop = StopKind::None;
-    int stop_ts = -1;
-    /// Scenario conservation ledger (max-reduced: already global on every
-    /// rank). See RankResult for semantics.
-    double mass_drift = 0;
-    double boundary_outflux = 0;
-    double initial_mass = 0;
-    double final_mass = 0;
 
+    /// False when run control stopped the run early; checksums then hold
+    /// the history up to stop_ts.
     bool completed() const { return stop == StopKind::None; }
 
     double gflops() const {

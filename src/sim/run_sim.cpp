@@ -4,6 +4,7 @@
 #include <array>
 #include <deque>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -119,6 +120,20 @@ public:
         if (cfg_.estimator != "objects") {
             throw ConfigError("the DES refines around the objects only, not by estimator '" +
                               cfg_.estimator + "'");
+        }
+        // The DES marks with GlobalStructure::plan_refine_round: refine an
+        // intersected block, coarsen any other at once. The drivers' planner
+        // (DriverBase::plan_round) agrees with it only when a score of 1
+        // (intersected) passes the threshold, 0 falls below it, and one
+        // willing check is enough to coarsen.
+        if (cfg_.deref_count != 1) {
+            throw ConfigError("the DES coarsens without hysteresis, so deref_count must be 1, "
+                              "not " + std::to_string(cfg_.deref_count));
+        }
+        if (!(cfg_.refine_threshold > 0 && cfg_.refine_threshold < 1)) {
+            throw ConfigError("the DES refines every intersected block, so refine_threshold "
+                              "must lie in (0, 1), not " +
+                              std::to_string(cfg_.refine_threshold));
         }
         R_ = cluster.total_ranks();
         W_ = cluster.cores_per_rank();

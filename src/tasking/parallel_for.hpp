@@ -8,8 +8,10 @@
 // submitted as one batch, which wakes a parked worker per chunk. The caller
 // blocks at the end of the region (the implicit barrier of an OpenMP
 // parallel region). The master's share is a task like the others: it picks
-// it up inside taskwait, which runs ready tasks while it waits, so DepLint
-// and the access checker see every chunk body.
+// it up inside taskwait, which runs ready tasks while it waits. A region of
+// one chunk (one item, or a team of one) runs on the caller with no task,
+// wake-up or barrier. Chunk tasks declare no accesses, so DepLint and the
+// access checker see the same either way.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,10 @@ inline void parallel_for(Runtime& rt, std::int64_t begin, std::int64_t end,
     const std::int64_t n = end - begin;
     if (n <= 0) return;
     const std::int64_t team = static_cast<std::int64_t>(rt.worker_count()) + 1;
+    if (n == 1 || team == 1) {
+        for (std::int64_t i = begin; i < end; ++i) fn(i);
+        return;
+    }
     std::vector<TaskBody> chunks;
     chunks.reserve(static_cast<std::size_t>(team));
     for (std::int64_t c = 0; c < team; ++c) {

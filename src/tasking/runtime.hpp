@@ -40,6 +40,7 @@
 #include "tasking/dependency.hpp"
 #include "tasking/inline_vec.hpp"
 #include "tasking/node_pool.hpp"
+#include "tasking/runtime_stats.hpp"
 #include "tasking/task_body.hpp"
 #include "tasking/ws_deque.hpp"
 
@@ -90,28 +91,6 @@ struct Task final : DepNode {
     /// writer on the same region supersedes a pending task's entry). A
     /// nested submission copies it as the child's parent_ref.
     std::shared_ptr<Task> self_ref;
-};
-
-/// Aggregate runtime counters (observable by tests and benches).
-///
-/// Consistency: counters are maintained as relaxed atomics; stats() is
-/// exact once the runtime is quiescent (after a top-level taskwait).
-/// Note that `edges_added` alone is timing-dependent with workers > 0: a
-/// conflicting predecessor that completes before the successor is submitted
-/// needs no edge. `edges_added + edges_elided` is the timing-independent
-/// conflict count (up to garbage collection, see
-/// DependencyRegistry::edges_elided).
-struct RuntimeStats {
-    std::uint64_t tasks_submitted = 0;
-    std::uint64_t tasks_executed = 0;
-    std::uint64_t immediate_successor_hits = 0;
-    std::uint64_t edges_added = 0;
-    std::uint64_t edges_elided = 0;
-    // Scheduler telemetry (new with the work-stealing scheduler):
-    std::uint64_t steals = 0;       // tasks obtained from another worker's deque
-    std::uint64_t steal_fails = 0;  // full victim scans that found nothing
-    std::uint64_t parks = 0;        // times a worker blocked on the idle CV
-    std::uint64_t wakeups = 0;      // targeted notify_one calls issued
 };
 
 class Runtime {

@@ -1,6 +1,6 @@
-// Tests for the unified metrics snapshot (trace + scheduler + wire
-// counters as one JSON blob) and the minimal JSON parser the tools use to
-// read it back.
+// Tests for the metrics JSON (trace analysis, scheduler and wire counters
+// and the reduced result as one blob) and the minimal JSON parser the tools
+// use to read it back.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -90,14 +90,16 @@ TEST(Json, TypeMismatchThrows) {
 TEST(Metrics, EmptySnapshotEmitsParsableJson) {
     // No trace events at all: busy_ns_by_kind must emit as {} and every
     // section must still be present for trace_diff to walk.
-    const MetricsSnapshot empty;
-    const json::Value v = json::parse(metrics_to_json(empty));
+    const json::Value v = json::parse(metrics_to_json(amr::TraceAnalysis{}, RunResult{}));
     EXPECT_EQ(v.at("schema").as_string(), "dfamr_metrics_v1");
     EXPECT_EQ(v.at("trace").at("busy_ns_by_kind").size(), 0u);
     EXPECT_EQ(v.at("trace").at("cores").as_int(), 0);
     EXPECT_EQ(v.at("scheduler").at("refine").at("steals").as_int(), 0);
     EXPECT_EQ(v.at("net").at("frames_sent").as_int(), 0);
+    EXPECT_EQ(v.at("net").at("peers").size(), 0u);
     EXPECT_TRUE(v.at("run").at("validation_ok").as_bool());
+    EXPECT_EQ(v.at("run").at("stop").as_string(), "none");
+    EXPECT_EQ(v.at("run").at("checksums").size(), 0u);
 }
 
 TEST(Metrics, SnapshotOfRealRunRoundTrips) {
@@ -108,34 +110,51 @@ TEST(Metrics, SnapshotOfRealRunRoundTrips) {
     const RunResult r = run_variant(tiny_config(), Variant::TampiOss, &tracer, nullptr, opts);
     ASSERT_TRUE(r.validation_ok);
 
-    const MetricsSnapshot snap = make_metrics_snapshot(tracer, r);
-    const json::Value v = json::parse(metrics_to_json(snap));
+    const amr::TraceAnalysis a = tracer.analyze();
+    const json::Value v = json::parse(metrics_to_json(a, r));
 
     const json::Value& trace = v.at("trace");
-    EXPECT_EQ(trace.at("cores").as_int(), snap.trace.cores);
+    EXPECT_EQ(trace.at("cores").as_int(), a.cores);
     EXPECT_GT(trace.at("cores").as_int(), 0);
-    EXPECT_EQ(trace.at("events").as_int(), static_cast<std::int64_t>(snap.trace.events));
+    EXPECT_EQ(trace.at("events").as_int(), static_cast<std::int64_t>(a.events));
     EXPECT_GT(trace.at("events").as_int(), 0);
-    EXPECT_EQ(trace.at("span_ns").as_int(), snap.trace.span_ns);
-    EXPECT_NEAR(trace.at("utilization").as_double(), snap.trace.utilization, 1e-6);
+    EXPECT_EQ(trace.at("span_ns").as_int(), a.span_ns);
+    EXPECT_NEAR(trace.at("utilization").as_double(), a.utilization, 1e-6);
     EXPECT_GT(trace.at("busy_ns_by_kind").size(), 0u);
     // Derived fractions are consistent with their numerators.
     EXPECT_NEAR(trace.at("overlap_frac").as_double(),
-                static_cast<double>(snap.trace.overlap_ns) / snap.trace.span_ns, 1e-6);
+                static_cast<double>(a.overlap_ns) / a.span_ns, 1e-6);
 
     const json::Value& sched = v.at("scheduler");
     EXPECT_EQ(sched.at("tasks_executed").as_int(),
               static_cast<std::int64_t>(r.sched.tasks_executed));
     EXPECT_GT(sched.at("tasks_executed").as_int(), 0);
+    EXPECT_EQ(sched.at("tasks_submitted").as_int(),
+              static_cast<std::int64_t>(r.sched.tasks_submitted));
+    EXPECT_EQ(sched.at("edges_added").as_int(), static_cast<std::int64_t>(r.sched.edges_added));
+    EXPECT_GT(sched.at("edges_added").as_int(), 0);
     EXPECT_EQ(sched.at("refine").at("tasks_executed").as_int(),
               static_cast<std::int64_t>(r.sched_refine.tasks_executed));
 
     const json::Value& run = v.at("run");
     EXPECT_TRUE(run.at("validation_ok").as_bool());
     EXPECT_EQ(run.at("final_blocks").as_int(), r.final_blocks);
+    EXPECT_EQ(run.at("total_flops").as_int(), r.total_flops);
+    EXPECT_GT(r.total_flops, 0);
     EXPECT_EQ(run.at("messages").as_int(), static_cast<std::int64_t>(r.messages));
     EXPECT_EQ(run.at("arena_high_water").as_int(), static_cast<std::int64_t>(r.arena_high_water));
     EXPECT_GT(r.arena_high_water, 0u);
+    EXPECT_EQ(run.at("blocks_split").as_int(), r.counters.blocks_split);
+    EXPECT_GT(r.counters.blocks_split, 0);
+    EXPECT_EQ(run.at("refinement_phases").as_int(), r.counters.refinement_phases);
+    EXPECT_EQ(run.at("checksum_stages").as_int(), r.counters.checksum_stages);
+    // Checksums read back bit for bit.
+    const json::Value& checksums = run.at("checksums");
+    ASSERT_EQ(checksums.size(), r.checksums.size());
+    ASSERT_GT(r.checksums.size(), 0u);
+    for (std::size_t i = 0; i < r.checksums.size(); ++i) {
+        EXPECT_EQ(checksums.at(i).as_double(), r.checksums[i]) << "stage " << i;
+    }
 }
 
 TEST(Metrics, SchedulerCounterSamplesAppearInTrace) {

@@ -1,8 +1,9 @@
 // Cross-process golden tests: launch real rank processes with dfamr_mpirun
 // over the TCP and shared-memory transports and require bit-identical
 // checksums to the in-process run, for every variant and every fast-path
-// combination (--coalesce, --zero_copy), plus launcher exit-code
-// propagation and chaos runs over both transports.
+// combination (--coalesce, --zero_copy), and the same rank-reduced result
+// fields, plus launcher exit-code propagation and chaos runs over both
+// transports.
 //
 // The binary paths come in as compile definitions (DFAMR_MPIRUN_BIN,
 // DFAMR_SINGLE_SPHERE_BIN, DFAMR_TRUNCATING_RANK_BIN) so the test works
@@ -16,6 +17,8 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+
+#include "common/json.hpp"
 
 namespace dfamr {
 namespace {
@@ -80,6 +83,63 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("tcp", "shm"),
                        ::testing::Values("mpi", "forkjoin", "tampi"),
                        ::testing::Values("--zero_copy")));
+
+// The distributed fold: a dfamr_mpirun world gathers every rank's share of
+// the result and folds it by the rule an in-process world uses, so each
+// rank-reduced field that timing cannot move must read the same in both
+// metrics JSONs. The gaussian scenario refines, balances and refluxes, so
+// the counters and the mass ledger are not zero.
+using FoldParam = std::tuple<std::string, std::string>;  // (transport, variant)
+
+class MpirunFold : public ::testing::TestWithParam<FoldParam> {};
+
+TEST_P(MpirunFold, RankReducedFieldsMatchInproc) {
+    const auto [transport, variant] = GetParam();
+    const std::string dir = ::testing::TempDir();
+    const std::string ref = dir + "/fold_ref_" + transport + "_" + variant;
+    const std::string wire = dir + "/fold_wire_" + transport + "_" + variant;
+    const std::string flags = " --variant " + variant +
+                              " --scenario gaussian --estimator gradient"
+                              " --refine_threshold 0.1 --deref_count 3 ";
+    ASSERT_EQ(run(std::string(DFAMR_SINGLE_SPHERE_BIN) + flags + "--trace_out " + ref + " " +
+                  kProblem),
+              0);
+    ASSERT_EQ(run(std::string(DFAMR_MPIRUN_BIN) + " -n 2 --transport " + transport + " " +
+                  DFAMR_SINGLE_SPHERE_BIN + flags + "--trace_out " + wire + " " + kProblem),
+              0);
+    const json::Value a = json::parse(read_file(ref + ".metrics.json"));
+    const json::Value b = json::parse(read_file(wire + ".metrics.json"));
+    const auto expect_same = [&](const char* section, const char* key) {
+        const json::Value& x = a.at(section).at(key);
+        const json::Value& y = b.at(section).at(key);
+        ASSERT_EQ(x.kind(), y.kind()) << section << "." << key;
+        if (x.is_bool()) {
+            EXPECT_EQ(x.as_bool(), y.as_bool()) << section << "." << key;
+        } else {
+            EXPECT_EQ(x.as_double(), y.as_double()) << section << "." << key;
+        }
+    };
+    for (const char* key :
+         {"total_flops", "final_blocks", "validation_ok", "blocks_split", "blocks_merged",
+          "blocks_moved", "blocks_refined_by_estimator", "refinement_phases", "load_balances",
+          "checksum_stages", "refine_coarsen_thrash", "reflux_corrections", "mass_drift",
+          "boundary_outflux", "initial_mass", "final_mass"}) {
+        expect_same("run", key);
+    }
+    expect_same("scheduler", "tasks_executed");
+    const json::Value& run_a = a.at("run");
+    EXPECT_TRUE(run_a.at("validation_ok").as_bool());
+    EXPECT_GT(run_a.at("blocks_split").as_int(), 0);
+    EXPECT_GT(run_a.at("reflux_corrections").as_int(), 0);
+    EXPECT_NE(run_a.at("initial_mass").as_double(), 0.0);
+    if (variant != "mpi") {
+        EXPECT_GT(a.at("scheduler").at("tasks_executed").as_int(), 0);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, MpirunFold,
+                         ::testing::Combine(::testing::Values("tcp", "shm"),
+                                            ::testing::Values("mpi", "forkjoin", "tampi")));
 
 class MpirunCoalesce : public ::testing::TestWithParam<const char*> {};
 

@@ -226,7 +226,8 @@ TEST(SimCosts, MpiOnlyAndForkJoinChargeTheSameSameRankCopies) {
 }
 
 // The DES models the synthetic stencil refined around the objects: a
-// scenario run or a field estimator would be priced as that run instead.
+// scenario run, a field estimator or another refinement planner would be
+// priced as that run instead.
 void expect_rejected(void (*edit)(Config&), const std::string& field) {
     const ClusterSpec cluster = cluster_for(Variant::MpiOnly);
     Config cfg = small_app(cluster.total_ranks(), {4, 2, 2});
@@ -247,6 +248,17 @@ TEST(SimRejects, ScenarioRuns) {
 
 TEST(SimRejects, FieldEstimators) {
     expect_rejected([](Config& c) { c.estimator = "gradient"; }, "estimator");
+}
+
+// The DES's planner has no coarsening hysteresis and refines every
+// intersected block: a run that sets either would be priced as the default.
+TEST(SimRejects, DerefHysteresis) {
+    expect_rejected([](Config& c) { c.deref_count = 3; }, "deref_count");
+}
+
+TEST(SimRejects, RefineThreshold) {
+    expect_rejected([](Config& c) { c.refine_threshold = 1.0; }, "refine_threshold");
+    expect_rejected([](Config& c) { c.refine_threshold = 0.0; }, "refine_threshold");
 }
 
 // DESIGN.md §6's structural cross-check: TampiOssDriver and the DES build

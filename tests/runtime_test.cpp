@@ -364,15 +364,26 @@ TEST(RuntimeStress, ManyTasksRandomDependencies) {
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
     // Teams of 1 (the caller alone), 2 and 4 over ranges longer and shorter
-    // than the team, starting at a nonzero index.
+    // than the team, starting at a nonzero index. A region of one chunk
+    // (one item, or a team of one) runs on the caller and submits no task.
     constexpr std::int64_t kBegin = 7;
+    const std::thread::id caller = std::this_thread::get_id();
     for (const int workers : {0, 1, 3}) {
         Runtime rt(workers);
         for (const std::int64_t n : {100, 3, 1}) {
             std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-            parallel_for(rt, kBegin, kBegin + n,
-                         [&](std::int64_t i) { ++hits[static_cast<std::size_t>(i - kBegin)]; });
+            std::atomic<bool> off_caller{false};
+            const std::uint64_t submitted = rt.stats().tasks_submitted;
+            parallel_for(rt, kBegin, kBegin + n, [&](std::int64_t i) {
+                ++hits[static_cast<std::size_t>(i - kBegin)];
+                if (std::this_thread::get_id() != caller) off_caller = true;
+            });
             for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "workers " << workers << ", n " << n;
+            if (n == 1 || workers == 0) {
+                EXPECT_EQ(rt.stats().tasks_submitted, submitted)
+                    << "workers " << workers << ", n " << n;
+                EXPECT_FALSE(off_caller) << "workers " << workers << ", n " << n;
+            }
         }
     }
 }
