@@ -82,6 +82,10 @@ inline int direction_tag(int direction, int id) {
 }
 /// Tag sub-space used by the refinement/load-balance block exchange.
 inline constexpr int kExchangeTagBase = 3 * kTagSpacePerDirection;
+/// The exchange protocol's control messages (§IV-B): the receiver's ACK and
+/// the sender's block id.
+inline constexpr int kAckTag = kExchangeTagBase;
+inline constexpr int kBlockIdTag = kExchangeTagBase + 1;
 /// A block's data message is tagged kBlockDataTagBase + its move's id.
 inline constexpr int kBlockDataTagBase = kExchangeTagBase + 16;
 /// Tag sub-spaces (one per direction) used by the coarse-fine flux-register

@@ -138,29 +138,6 @@ bool GlobalStructure::two_to_one_ok() const {
     return true;
 }
 
-RefineRound GlobalStructure::plan_refine_round(const std::vector<ObjectSpec>& objects,
-                                               bool uniform_refine) const {
-    std::map<BlockKey, int> marks;  // +1 refine, -1 coarsen-willing, 0 stay
-    for (const auto& [key, owner_rank] : owners_) {
-        const Box b = box(key);
-        bool touched = uniform_refine;
-        for (const ObjectSpec& obj : objects) {
-            if (obj.touches(b)) {
-                touched = true;
-                break;
-            }
-        }
-        int mark = 0;
-        if (touched && key.level < max_level_) {
-            mark = +1;
-        } else if (!touched && key.level > 0) {
-            mark = -1;
-        }
-        marks.emplace(key, mark);
-    }
-    return plan_refine_round_marks(std::move(marks));
-}
-
 RefineRound GlobalStructure::plan_refine_round_marks(std::map<BlockKey, int> marks) const {
     DFAMR_REQUIRE(marks.size() == owners_.size(), "marks must cover exactly the current leaves");
 

@@ -18,7 +18,6 @@
 
 #include "amr/block.hpp"
 #include "amr/config.hpp"
-#include "amr/object.hpp"
 
 namespace dfamr::amr {
 
@@ -75,16 +74,12 @@ public:
     bool two_to_one_ok() const;
 
     // --- refinement -------------------------------------------------------
-    /// Plans one refinement round from the object positions: marks leaves,
-    /// propagates the 2:1 constraint on the refine set to a fixpoint, and
-    /// selects coarsenable sibling groups that keep the invariant.
-    RefineRound plan_refine_round(const std::vector<ObjectSpec>& objects,
-                                  bool uniform_refine) const;
-    /// Plans a round from externally computed marks (+1 refine, -1
-    /// coarsen-willing, 0 stay; one entry per leaf): the scenario
-    /// subsystem's estimator conditions mark leaves from field data, then
-    /// this applies the same 2:1 propagation and sibling-group selection as
-    /// the object path. Marks must be identical on every rank.
+    /// Plans one refinement round from marks (+1 refine, -1 coarsen-willing,
+    /// 0 stay; one entry per leaf), which the mini-app's planner
+    /// (amr/program.hpp) derives from a condition's scores: propagates the
+    /// 2:1 constraint on the refine set to a fixpoint and selects coarsenable
+    /// sibling groups that keep the invariant. Marks must be identical on
+    /// every rank.
     RefineRound plan_refine_round_marks(std::map<BlockKey, int> marks) const;
     /// Applies a planned round to the owner map. Children inherit the parent
     /// owner; a merged parent goes to the octant-0 child's owner.

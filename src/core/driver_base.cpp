@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <iterator>
 #include <span>
 
 #include "amr/scratch.hpp"
@@ -81,9 +80,7 @@ void DriverBase::sample_sched_counters() {
 }
 
 void DriverBase::rebuild_comm_plan() {
-    amr::CommPlanOptions options;
-    options.send_faces = cfg_.send_faces;
-    options.max_comm_tasks = cfg_.max_comm_tasks;
+    const amr::CommPlanOptions options{cfg_.send_faces, cfg_.max_comm_tasks};
     plan_ = CommPlan(mesh_.structure(), mesh_.shape(), rank_, options);
     buffers_ = CommBuffers(plan_, cfg_.vars_per_group(), cfg_.separate_buffers);
     if (generator_ != nullptr) {
@@ -104,24 +101,12 @@ RankResult DriverBase::run() {
     comm_.barrier();
     Stopwatch total;
     total.start();
-    if (control_ != nullptr && control_->restore_image != nullptr) {
-        restore_state();
-    } else if (!cfg_.restore_path.empty()) {
-        // The checkpoint already contains the fully refined, balanced mesh;
-        // skip the initial refinement and resume the timestep loop.
-        restore_state();
-    } else if (cfg_.refine_freq > 0 && cfg_.num_refine > 0) {
-        // Initial refinement phase: adapt the initial mesh to the objects
-        // before the first timestep (the dense region at the start of the
-        // Fig. 1 traces).
-        refinement_phase(0);
-    }
-    if (generator_ != nullptr && !restored_initial_mass_) {
-        const double local = local_mass();
-        comm_.allreduce(&local, &result_.initial_mass, 1, mpi::Op::Sum);
-    }
-    main_loop();
-    final_sync();
+    // A checkpoint already contains the fully refined, balanced mesh: a
+    // restored run skips the initial refinement and resumes the timesteps.
+    const bool restore =
+        (control_ != nullptr && control_->restore_image != nullptr) || !cfg_.restore_path.empty();
+    if (restore) restore_state();
+    run_program(start_ts_, /*refine_first=*/!restore);
     result_.total_flops = flops_.load();
     compute_error_norm();
     if (generator_ != nullptr) {
@@ -144,50 +129,30 @@ RankResult DriverBase::run() {
     return result_;
 }
 
-void DriverBase::main_loop() {
-    for (int ts = start_ts_; ts <= cfg_.num_tsteps; ++ts) {
-        maybe_recompute_dt();
-        for (int stage = 0; stage < cfg_.stages_per_ts; ++stage) {
-            for (int group = 0; group < cfg_.num_groups(); ++group) {
-                communicate_stage(group);
-                stencil_stage(group);
-                if (generator_ != nullptr) reflux_stage(group);
-            }
-            ++stage_counter_;
-            sim_time_ += dt_;
-            if (cfg_.checksum_freq > 0 && stage_counter_ % cfg_.checksum_freq == 0) {
-                Stopwatch sw;
-                sw.start();
-                checksum_stage();
-                sw.stop();
-                result_.times.checksum += sw.elapsed_s();
-            }
-        }
-        if (cfg_.refine_freq > 0 && cfg_.num_refine > 0 && ts % cfg_.refine_freq == 0) {
-            refinement_phase(cfg_.refine_freq);
-        }
-        if (cfg_.checkpoint_every > 0 && ts % cfg_.checkpoint_every == 0) {
-            write_state(ts);
-        }
-        sample_sched_counters();
-        if (control_ != nullptr) {
-            const RunAction action = consult_control(ts);
-            if (action == RunAction::Suspend) {
-                write_state(ts, /*suspending=*/true);
-                result_.stop = StopKind::Suspended;
-                result_.stop_ts = ts;
-                return;
-            }
-            if (action == RunAction::Cancel) {
-                // Quiesce like a checkpoint would, but drop the state.
-                sync_before_refine();
-                comm_.barrier();
-                result_.stop = StopKind::Cancelled;
-                result_.stop_ts = ts;
-                return;
-            }
-        }
+void DriverBase::begin_loop() {
+    if (generator_ == nullptr || restored_initial_mass_) return;
+    const double local = local_mass();
+    comm_.allreduce(&local, &result_.initial_mass, 1, mpi::Op::Sum);
+}
+
+bool DriverBase::end_timestep(int ts) {
+    if (cfg_.checkpoint_every > 0 && ts % cfg_.checkpoint_every == 0) write_state(ts);
+    sample_sched_counters();
+    if (control_ == nullptr) return true;
+    const RunAction action = consult_control(ts);
+    if (action == RunAction::Suspend) {
+        write_state(ts, /*suspending=*/true);
+        result_.stop = StopKind::Suspended;
+    } else if (action == RunAction::Cancel) {
+        // Quiesce like a checkpoint would, but drop the state.
+        drain_checksums();
+        comm_.barrier();
+        result_.stop = StopKind::Cancelled;
+    } else {
+        return true;
     }
+    result_.stop_ts = ts;
+    return false;
 }
 
 RunAction DriverBase::consult_control(int ts_completed) {
@@ -204,7 +169,7 @@ RunAction DriverBase::consult_control(int ts_completed) {
 void DriverBase::write_state(int ts_completed, bool suspending) {
     // Quiesce: drain in-flight tasks and resolve any deferred checksum so
     // the serialized state equals what a fresh run would hold at this point.
-    sync_before_refine();
+    drain_checksums();
     comm_.barrier();
     const std::int64_t t0 = now_ns();
 
@@ -214,7 +179,7 @@ void DriverBase::write_state(int ts_completed, bool suspending) {
     state.ts_completed = ts_completed;
     state.stage_counter = stage_counter_;
     state.sim_time = sim_time_;
-    state.initial_mass = result_.initial_mass;  // allreduced before main_loop
+    state.initial_mass = result_.initial_mass;  // allreduced before the timesteps
     // Conservation tallies are per-rank accumulators; the image stores the
     // global sums (we are quiesced and collective here) and a restore seeds
     // rank 0 with them, so end-of-run totals match an uninterrupted run.
@@ -318,142 +283,48 @@ void DriverBase::restore_state() {
     comm_.barrier();  // ranks enter the resumed loop together
 }
 
-void DriverBase::refinement_phase(int timesteps_elapsed) {
-    sync_before_refine();
-    ++result_.counters.refinement_phases;
-    // Snapshot after the drain: tasks retired by sync_before_refine belong
+void DriverBase::begin_refinement() {
+    drain_checksums();
+    // Snapshot after the drain: tasks retired by drain_checksums belong
     // to the compute stages, everything from here to the end of the phase
     // (split/merge copies, exchange pack/unpack) is refinement work.
-    const tasking::RuntimeStats sched_at_entry = runtime_stats();
+    refine_sched_ = runtime_stats();
     sample_sched_counters();
-    Stopwatch sw;
-    sw.start();
+    refine_time_.start();
+}
 
-    for (int i = 0; i < timesteps_elapsed; ++i) {
-        for (amr::ObjectSpec& obj : cfg_.objects) obj.step();
-    }
-
-    amr::GlobalStructure& structure = mesh_.structure();
-    const int rounds = cfg_.max_block_change();
-    for (int round_idx = 0; round_idx < rounds; ++round_idx) {
-        const RefineRound round = plan_round();
-        if (round.empty()) break;
-
-        // Thrash bookkeeping (replicated: marks and check counters are
-        // identical on every rank): a merge of a parent split within the
-        // last deref_count planning checks is a refine/coarsen thrash.
-        for (const BlockKey& key : round.refine) split_check_[key] = planning_checks_;
-        for (const BlockKey& parent : round.coarsen_parents) {
-            if (auto it = split_check_.find(parent); it != split_check_.end()) {
-                if (planning_checks_ - it->second <= cfg_.deref_count) {
-                    ++result_.counters.refine_coarsen_thrash;
-                }
-                split_check_.erase(it);
-            }
-        }
-
-        // Splits of owned blocks (taskified copies in the data-flow variant).
-        std::vector<BlockKey> my_splits;
-        for (const BlockKey& key : round.refine) {
-            if (structure.owner(key) == rank_) my_splits.push_back(key);
-        }
-        do_splits(my_splits);
-        result_.counters.blocks_split += static_cast<std::int64_t>(my_splits.size());
-        if (condition_->needs_field_data()) {
-            result_.counters.blocks_refined_by_estimator +=
-                static_cast<std::int64_t>(my_splits.size());
-        }
-
-        // Coarsening: ship children to the future parent owner, then merge.
-        std::vector<BlockKey> my_merges;
-        for (const BlockKey& parent : round.coarsen_parents) {
-            const int new_owner = structure.owner(parent.child(0, structure.max_level()));
-            if (new_owner == rank_) my_merges.push_back(parent);
-        }
-        exchange_blocks(structure.coarsen_moves(round), /*with_ack_protocol=*/false);
-        do_merges(my_merges);
-        result_.counters.blocks_merged += static_cast<std::int64_t>(my_merges.size());
-        sync_refine_step();
-
-        structure.apply_refine_round(round);
-        prune_refine_state();
-        DFAMR_ASSERT(mesh_.num_owned() == structure.blocks_of(rank_).size());
-    }
-
-    // Load balancing (inside the refinement phase, like miniAMR).
-    if (cfg_.lb_opt && structure.imbalance() > cfg_.inbalance) {
-        const auto new_owners = structure.rcb_partition();
-        exchange_blocks(structure.moves_to(new_owners), /*with_ack_protocol=*/true);
-        sync_refine_step();
-        ++result_.counters.load_balances;
-        structure.set_owners(new_owners);
-        DFAMR_ASSERT(mesh_.num_owned() == structure.blocks_of(rank_).size());
-    }
-
+void DriverBase::end_refinement() {
     rebuild_comm_plan();
     reset_checksum_reference();
-    sw.stop();
-    result_.sched_refine += runtime_stats() - sched_at_entry;
+    refine_time_.stop();
+    result_.sched_refine += runtime_stats() - refine_sched_;
     sample_sched_counters();
-    result_.times.refine += sw.elapsed_s();
+    result_.times.refine = refine_time_.elapsed_s();
 }
 
-RefineRound DriverBase::plan_round() {
+std::vector<double> DriverBase::leaf_scores() {
     const amr::GlobalStructure& structure = mesh_.structure();
-    const auto& leaves = structure.leaves();
     const scenario::ScoreContext ctx{&cfg_.objects, cfg_.uniform_refine};
-
-    std::vector<double> scores(leaves.size(), 0.0);
+    const bool fields = condition_->needs_field_data();
+    // Field data lives only on the owning rank, but marks must be globally
+    // identical: each rank fills its owned entries of the leaves-in-key-order
+    // score vector (zero elsewhere) and one Sum-allreduce turns disjoint
+    // ownership into a gather.
+    std::vector<double> scores(structure.leaves().size(), 0.0);
     std::size_t i = 0;
-    if (condition_->needs_field_data()) {
-        // Field data lives only on the owning rank, but marks must be
-        // globally identical: each rank fills its owned entries of the
-        // leaves-in-key-order score vector (zero elsewhere) and one
-        // Sum-allreduce turns disjoint ownership into a gather.
-        for (const auto& [key, owner] : leaves) {
-            if (owner == rank_) {
-                scores[i] = condition_->score(&mesh_.block(key), structure.box(key), ctx);
-            }
-            ++i;
+    for (const auto& [key, owner] : structure.leaves()) {
+        if (!fields || owner == rank_) {
+            const Block* blk = fields ? &mesh_.block(key) : nullptr;
+            scores[i] = condition_->score(blk, structure.box(key), ctx);
         }
-        std::vector<double> global(scores.size(), 0.0);
-        const std::int64_t t0 = now_ns();
-        comm_.allreduce(scores.data(), global.data(), global.size(), mpi::Op::Sum);
-        trace(0, t0, now_ns(), PhaseKind::Control);
-        scores = std::move(global);
-    } else {
-        for (const auto& [key, owner] : leaves) {
-            scores[i++] = condition_->score(nullptr, structure.box(key), ctx);
-        }
+        ++i;
     }
-
-    // Threshold + hysteresis, replicated deterministically on every rank:
-    // refine strictly above the threshold; below the deref band a block
-    // must stay willing for deref_count consecutive checks to coarsen.
-    ++planning_checks_;
-    std::map<BlockKey, int> marks;
-    i = 0;
-    for (const auto& [key, owner] : leaves) {
-        const double s = scores[i++];
-        int mark = 0;
-        if (s > cfg_.refine_threshold && key.level < structure.max_level()) {
-            mark = +1;
-            deref_counts_.erase(key);
-        } else if (key.level > 0 && s < cfg_.refine_threshold * scenario::kDerefBand) {
-            if (++deref_counts_[key] >= cfg_.deref_count) mark = -1;
-        } else {
-            deref_counts_.erase(key);
-        }
-        marks.emplace(key, mark);
-    }
-    return structure.plan_refine_round_marks(std::move(marks));
-}
-
-void DriverBase::prune_refine_state() {
-    const amr::GlobalStructure& structure = mesh_.structure();
-    for (auto it = deref_counts_.begin(); it != deref_counts_.end();) {
-        it = structure.is_leaf(it->first) ? std::next(it) : deref_counts_.erase(it);
-    }
+    if (!fields) return scores;
+    std::vector<double> global(scores.size(), 0.0);
+    const std::int64_t t0 = now_ns();
+    comm_.allreduce(scores.data(), global.data(), global.size(), mpi::Op::Sum);
+    trace(0, t0, now_ns(), PhaseKind::Control);
+    return global;
 }
 
 double DriverBase::checksum_weight(const BlockKey& key) const {
@@ -596,58 +467,24 @@ void DriverBase::compute_error_norm() {
     result_.has_error_norm = true;
 }
 
-void DriverBase::exchange_blocks(const std::vector<BlockMove>& moves, bool with_ack_protocol) {
-    std::vector<BlockMove> sends, recvs;
-    for (const BlockMove& mv : moves) {
-        if (mv.from == rank_) sends.push_back(mv);
-        if (mv.to == rank_) recvs.push_back(mv);
-    }
-    result_.counters.blocks_moved += static_cast<std::int64_t>(sends.size());
-    if (with_ack_protocol) {
-        // §IV-B: the receiver acknowledges it has space; the sender then
-        // transmits the block identifier as an extra control message so both
-        // sides can tag the data transfer. Control messages stay sequential
-        // on the main thread (blocking MPI), exactly like the paper.
-        const std::int64_t t0 = now_ns();
-        int ack = 1;
-        for (const BlockMove& mv : recvs) {
-            hcomm_.send(&ack, sizeof ack, mv.from, kAckTag);
-        }
-        for (const BlockMove& mv : sends) {
-            int got = 0;
-            hcomm_.recv(&got, sizeof got, mv.to, kAckTag);
-            DFAMR_REQUIRE(got == 1, "negative exchange ACK (receiver out of space)");
-            hcomm_.send(&mv.id, sizeof mv.id, mv.to, kBlockIdTag);
-        }
-        for (const BlockMove& mv : recvs) {
-            int id = -1;
-            hcomm_.recv(&id, sizeof id, mv.from, kBlockIdTag);
-            DFAMR_REQUIRE(id == mv.id, "exchange protocol id mismatch");
-        }
-        trace(0, t0, now_ns(), PhaseKind::Control);
-    }
-    transfer_block_data(moves);
+void DriverBase::recv_control(int peer, int tag, int expected) {
+    int got = -1;
+    hcomm_.recv(&got, sizeof got, peer, tag);
+    DFAMR_REQUIRE(got == expected, tag == amr::kAckTag
+                                       ? "negative exchange ACK (receiver out of space)"
+                                       : "exchange protocol id mismatch");
 }
 
-void DriverBase::transfer_block_data(const std::vector<BlockMove>& moves) {
-    const std::int64_t t0 = now_ns();
-    bool moved = false;
-    for (const BlockMove& mv : moves) {
-        if (mv.from != rank_) continue;
-        Block& b = mesh_.block(mv.key);
-        hcomm_.send(b.data(), b.data_size() * sizeof(double), mv.to, kBlockDataTagBase + mv.id);
-        mesh_.release(mv.key);
-        moved = true;
-    }
-    for (const BlockMove& mv : moves) {
-        if (mv.to != rank_) continue;
-        auto b = mesh_.make_block(mv.key);
-        hcomm_.recv(b->data(), b->data_size() * sizeof(double), mv.from,
-                    kBlockDataTagBase + mv.id);
-        mesh_.adopt(std::move(b));
-        moved = true;
-    }
-    if (moved) trace(0, t0, now_ns(), PhaseKind::RefineExchange);
+void DriverBase::send_block(const BlockMove& mv) {
+    Block& b = mesh_.block(mv.key);
+    hcomm_.send(b.data(), b.data_size() * sizeof(double), mv.to, kBlockDataTagBase + mv.id);
+    mesh_.release(mv.key);
+}
+
+void DriverBase::recv_block(const BlockMove& mv) {
+    auto b = mesh_.make_block(mv.key);
+    hcomm_.recv(b->data(), b->data_size() * sizeof(double), mv.from, kBlockDataTagBase + mv.id);
+    mesh_.adopt(std::move(b));
 }
 
 std::unique_ptr<verify::Verifier> DriverBase::attach_verifier(tasking::Runtime& rt) {

@@ -1,6 +1,8 @@
-// Shared per-rank orchestration of the miniAMR main loop (Algorithm 1), the
-// refinement / load-balancing mechanics and the kernels of the task graph
-// (amr/task_graph.hpp). Two drivers subclass this and run the graph:
+// One rank's backend of the mini-app program (amr/program.hpp, which runs the
+// main loop of Algorithm 1, refinement and load balancing): the driver-only
+// steps (checkpoints, live CFL, run control), the rank's blocks, messages and
+// collectives, and the kernels of the task graph (amr/task_graph.hpp). Two
+// drivers subclass this and run the graph:
 //   * SyncDriver     — the bulk-synchronous variants: MPI-only (everything
 //                      sequential, the reference) and fork-join (worksharing
 //                      loops + master-only MPI), which run it by its loop
@@ -18,6 +20,7 @@
 #include "amr/config.hpp"
 #include "amr/flux_register.hpp"
 #include "amr/mesh.hpp"
+#include "amr/program.hpp"
 #include "amr/task_graph.hpp"
 #include "amr/trace.hpp"
 #include "common/timing.hpp"
@@ -50,14 +53,9 @@ using amr::FluxRegister;
 using amr::kBlockDataTagBase;
 using amr::Mesh;
 using amr::PhaseKind;
-using amr::RefineRound;
 using amr::Tracer;
 
-/// Control-message tags used by the exchange protocol (distinct sub-space).
-inline constexpr int kAckTag = amr::kExchangeTagBase;
-inline constexpr int kBlockIdTag = amr::kExchangeTagBase + 1;
-
-class DriverBase {
+class DriverBase : public amr::Program<DriverBase> {
 public:
     /// `arena` holds the run's block storage; every rank of a run shares it.
     DriverBase(const Config& cfg, mpi::Communicator& comm, Tracer* tracer,
@@ -84,35 +82,31 @@ protected:
     /// flux registers per the flux plan and refluxes coarse boundary cells
     /// so every interface telescopes to zero. The data-flow variant only
     /// submits tasks here.
-    virtual void reflux_stage(int group) { (void)group; }
-    /// Checksum across all groups; calls reduce_and_validate() (possibly for
-    /// the previous stage when the delayed optimization is active).
+    virtual void reflux_stage(int group) = 0;
+    /// Checksum across all groups, timed into times.checksum; calls
+    /// reduce_and_validate() (possibly for the previous stage when the
+    /// delayed optimization is active).
     virtual void checksum_stage() = 0;
-    /// Drains in-flight compute so the main thread may read/scale field
-    /// state mid-run (live CFL recomputation). Taskwait for the data-flow
-    /// variant; the synchronous variants are already quiescent between
-    /// stages.
+    /// Drains in-flight compute: taskwait for the data-flow variant; the
+    /// synchronous variants are already quiescent between stages. The main
+    /// thread may then read field state mid-run (live CFL recomputation),
+    /// and a refinement round or a load balancing ends with it.
     virtual void quiesce() {}
-    /// Drains outstanding work at the end of the run (final validation of a
-    /// deferred checksum included).
-    virtual void final_sync() {}
+    /// Quiesces, then validates every deferred checksum stage still pending,
+    /// older first: before a refinement phase or a checkpoint (the
+    /// collectives are ordered with the other ranks'), and at the end of the
+    /// run.
+    virtual void drain_checksums() {}
     /// Cumulative counters of the variant's tasking runtime (zeros without
     /// one). Sampled at phase boundaries to attribute counters per phase.
     tasking::RuntimeStats runtime_stats() const;
-    /// Synchronization point before the refinement phase (taskwait/no-op).
-    virtual void sync_before_refine() {}
     /// Data operations of one refinement round.
     virtual void do_splits(const std::vector<BlockKey>& parents) = 0;
     virtual void do_merges(const std::vector<BlockKey>& parents) = 0;
-    /// Whole-block data transfers of the global move list `moves` (the same
-    /// on every rank, in deterministic order); this rank sends the moves
-    /// from it and receives the moves to it. Data messages use tag
-    /// kBlockDataTagBase + move.id. Must leave transferred blocks adopted.
-    /// The default is blocking point-to-point on the main thread: every send
-    /// completes eagerly, then the receives run in order.
-    virtual void transfer_block_data(const std::vector<BlockMove>& moves);
-    /// Barrier-equivalent inside refinement after transfers (taskwait).
-    virtual void sync_refine_step() {}
+    /// Submits the block transfers of the global move list `moves` as tasks
+    /// and returns true, or returns false (the default) to have the program
+    /// send and receive them by blocking calls on the main thread.
+    virtual bool transfer_tasks(const std::vector<BlockMove>& /*moves*/) { return false; }
 
     // ---- shared mechanics (implemented here) -------------------------------
     /// DepLint + the access checker, attached to a variant's runtime: in
@@ -121,12 +115,6 @@ protected:
     /// prove their task graphs race-free). Null otherwise. Callers declare
     /// the result before the runtime: its shutdown fires into the hook.
     static std::unique_ptr<verify::Verifier> attach_verifier(tasking::Runtime& rt);
-    /// Runs refinement rounds + load balancing, updates structure and plans.
-    void refinement_phase(int timesteps_elapsed);
-    /// Performs the §IV-B ACK/id/data exchange protocol for the given global
-    /// move list: control messages sequential on this (main) thread, data
-    /// via transfer_block_data().
-    void exchange_blocks(const std::vector<BlockMove>& moves, bool with_ack_protocol);
     void rebuild_comm_plan();
     /// Allreduces per-group local sums, validates drift, records the result.
     void reduce_and_validate(const std::vector<double>& local_group_sums);
@@ -264,11 +252,8 @@ protected:
     /// Stencil FLOPs so far; the kernels add from any thread.
     std::atomic<std::int64_t> flops_{0};
 
-    /// First timestep of main_loop (shifted by a checkpoint restore).
+    /// First timestep of the program (shifted by a checkpoint restore).
     int start_ts_ = 1;
-    /// Stages executed so far (persisted in checkpoints so the checksum
-    /// cadence continues seamlessly across a restore).
-    int stage_counter_ = 0;
 
     // ---- scenario subsystem ----------------------------------------------
     /// Active refinement condition (never null; "objects" by default).
@@ -302,28 +287,45 @@ protected:
     bool restored_initial_mass_ = false;
 
 private:
-    void main_loop();
-    /// Plans one refinement round: scores every leaf with condition_
-    /// (field-based scores gathered with one Sum-allreduce over leaves in
-    /// key order), applies threshold + deref hysteresis, and delegates the
-    /// 2:1 propagation to the structure. Updates deref_counts_.
-    RefineRound plan_round();
-    /// Drops hysteresis/thrash bookkeeping for keys that stopped being
-    /// leaves after a round was applied.
-    void prune_refine_state();
+    // ---- the program's backend (amr/program.hpp) -----------------------------
+    friend class amr::Program<DriverBase>;
+    amr::GlobalStructure& structure() { return mesh_.structure(); }
+    RunCounters& counters() { return result_.counters; }
+    bool runs(int rank) const { return rank == rank_; }
+    DriverBase& rank(int) { return *this; }
+    /// The global initial mass (scenario runs not restored).
+    void begin_loop();
+    void begin_timestep() { maybe_recompute_dt(); }
+    void end_stage() { sim_time_ += dt_; }
+    /// Checkpoint, counter samples and run control; false stops the run.
+    bool end_timestep(int ts);
+    void begin_refinement();
+    void end_refinement();
+    /// Scores every leaf with condition_; field-based scores are gathered
+    /// with one Sum-allreduce over the leaves in key order.
+    std::vector<double> leaf_scores();
+    bool field_scores() const { return condition_->needs_field_data(); }
+    void structure_changed() const {
+        DFAMR_ASSERT(mesh_.num_owned() == mesh_.structure().blocks_of(rank_).size());
+    }
+    void trace_main(std::int64_t t0, PhaseKind phase) { trace(0, t0, now_ns(), phase); }
+    /// The exchange protocol's blocking messages: a control value, checked on
+    /// arrival, and a block, which leaves the sender's mesh for the receiver's.
+    void send_control(int peer, int tag, int value) {
+        hcomm_.send(&value, sizeof value, peer, tag);
+    }
+    void recv_control(int peer, int tag, int expected);
+    void send_block(const BlockMove& mv);
+    void recv_block(const BlockMove& mv);
+
     /// Allreduce-summed L1 error of variable 0 against the scenario's
     /// analytic reference at the final simulated time (no-op without one).
     void compute_error_norm();
 
-    /// Replicated per-block coarsen-willing streak counters (every rank
-    /// derives them from the identical global marks). Persisted in
-    /// checkpoints — restored runs must coarsen on the same check.
-    std::map<BlockKey, int> deref_counts_;
-    /// Planning checks performed (one per plan_round call) and the check at
-    /// which each current non-leaf was split — replicated diagnostics
-    /// feeding the refine_coarsen_thrash counter.
-    std::int64_t planning_checks_ = 0;
-    std::map<BlockKey, std::int64_t> split_check_;
+    /// The refinement phase in progress: its wall time, and the runtime's
+    /// counters at its start.
+    Stopwatch refine_time_;
+    tasking::RuntimeStats refine_sched_;
 
     const RunControl* control_ = nullptr;
     /// Collective checkpoint after timestep `ts_completed`: builds the

@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "amr/program.hpp"
 #include "common/error.hpp"
 #include "core/run_control.hpp"
 #include "net/wire.hpp"
@@ -27,41 +28,7 @@ struct PhaseTimes {
     double non_refine() const { return total - refine; }
 };
 
-/// Event counters accumulated during a run (the mini-app's end-of-run
-/// report).
-struct RunCounters {
-    std::int64_t blocks_split = 0;     // refinements applied (per block)
-    std::int64_t blocks_merged = 0;    // coarsenings applied (per parent)
-    std::int64_t blocks_moved = 0;     // whole-block transfers (coarsen + LB)
-    /// Splits this rank performed under a field-based estimator condition
-    /// (zero when the run marks from object intersection).
-    std::int64_t blocks_refined_by_estimator = 0;
-    std::int64_t refinement_phases = 0;
-    std::int64_t load_balances = 0;
-    std::int64_t checksum_stages = 0;
-    /// Refine -> coarsen of the same block within deref_count planning
-    /// checks (replicated bookkeeping: identical on every rank). Zero in
-    /// healthy runs — the hysteresis exists to keep it there.
-    std::int64_t refine_coarsen_thrash = 0;
-    /// Coarse-fine flux corrections applied by the reflux pass (one per
-    /// corrected face value). Allreduce-summed by the driver at the end of
-    /// the run, so every rank already holds the global count. Zero for
-    /// synthetic runs and for scenario runs with no level jumps.
-    std::int64_t reflux_corrections = 0;
-
-    RunCounters& operator+=(const RunCounters& o) {
-        blocks_split += o.blocks_split;
-        blocks_merged += o.blocks_merged;
-        blocks_moved += o.blocks_moved;
-        blocks_refined_by_estimator += o.blocks_refined_by_estimator;
-        refinement_phases = std::max(refinement_phases, o.refinement_phases);
-        load_balances = std::max(load_balances, o.load_balances);
-        checksum_stages = std::max(checksum_stages, o.checksum_stages);
-        refine_coarsen_thrash = std::max(refine_coarsen_thrash, o.refine_coarsen_thrash);
-        reflux_corrections = std::max(reflux_corrections, o.reflux_corrections);
-        return *this;
-    }
-};
+using amr::RunCounters;
 
 /// One rank's share of a run's result. Trivially copyable, so a
 /// distributed world gathers every rank's with one allgather. operator+=

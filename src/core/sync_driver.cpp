@@ -63,8 +63,12 @@ void SyncDriver::stencil_stage(int group) {
 }
 
 void SyncDriver::checksum_stage() {
+    Stopwatch sw;
+    sw.start();
     const std::vector<BlockKey> keys = mesh_.owned_keys();
     graph::emit_checksum(loops_, cfg_, keys, open_checksum(keys), false, /*delayed=*/false);
+    sw.stop();
+    result_.times.checksum += sw.elapsed_s();
 }
 
 void SyncDriver::do_splits(const std::vector<BlockKey>& parents) {

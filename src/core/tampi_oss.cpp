@@ -130,10 +130,14 @@ void TampiOssDriver::stencil_stage(int group) {
 }
 
 void TampiOssDriver::checksum_stage() {
+    Stopwatch sw;
+    sw.start();
     const std::vector<BlockKey> keys = mesh_.owned_keys();
     const int slot = open_checksum(keys);
     graph::emit_checksum(*this, cfg_, keys, slot, slots_[1 - slot].pending,
                          cfg_.delayed_checksum);
+    sw.stop();
+    result_.times.checksum += sw.elapsed_s();
 }
 
 void TampiOssDriver::wait(const graph::Access& access, int slot) {
@@ -156,11 +160,7 @@ void TampiOssDriver::join(graph::Join kind) {
     if (kind == graph::Join::Transfers) comm_.barrier();
 }
 
-void TampiOssDriver::quiesce() {
-    // Drain in-flight tasks so the main thread may read field state (live
-    // CFL recomputation) without racing the stencil/reflux pipeline.
-    rt_.taskwait();
-}
+void TampiOssDriver::quiesce() { rt_.taskwait(); }
 
 void TampiOssDriver::drain_checksums() {
     rt_.taskwait();
@@ -170,16 +170,6 @@ void TampiOssDriver::drain_checksums() {
         slot_index_ = 1 - slot_index_;
     }
 }
-
-void TampiOssDriver::final_sync() { drain_checksums(); }
-
-void TampiOssDriver::sync_before_refine() {
-    // A deferred checksum crossing a refinement boundary must be resolved
-    // now: the collective is ordered with other ranks' refinement phases.
-    drain_checksums();
-}
-
-void TampiOssDriver::sync_refine_step() { rt_.taskwait(); }
 
 void TampiOssDriver::do_splits(const std::vector<BlockKey>& parents) {
     if (!cfg_.taskify_refinement) {
@@ -207,12 +197,10 @@ void TampiOssDriver::do_merges(const std::vector<BlockKey>& parents) {
     graph::emit_merges(*this, parents, mesh_.structure().max_level(), cfg_.num_vars);
 }
 
-void TampiOssDriver::transfer_block_data(const std::vector<BlockMove>& moves) {
-    if (!cfg_.taskify_refinement) {
-        DriverBase::transfer_block_data(moves);
-        return;
-    }
+bool TampiOssDriver::transfer_tasks(const std::vector<BlockMove>& moves) {
+    if (!cfg_.taskify_refinement) return false;
     graph::emit_block_transfers(*this, moves, rank_, cfg_.num_vars);
+    return true;
 }
 
 }  // namespace dfamr::core

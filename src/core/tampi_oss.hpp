@@ -46,12 +46,10 @@ protected:
     void reflux_stage(int group) override { emit_exchanges(*this, group, true, [] {}); }
     void checksum_stage() override;
     void quiesce() override;
-    void final_sync() override;
-    void sync_before_refine() override;
-    void sync_refine_step() override;
+    void drain_checksums() override;
     void do_splits(const std::vector<BlockKey>& parents) override;
     void do_merges(const std::vector<BlockKey>& parents) override;
-    void transfer_block_data(const std::vector<BlockMove>& moves) override;
+    bool transfer_tasks(const std::vector<BlockMove>& moves) override;
 
 private:
     static tasking::Dep dep(const amr::graph::Access& access, std::span<double> span);
@@ -59,10 +57,6 @@ private:
     /// messages and refinement here, the rest by DriverBase::bind.
     void bind(tasking::TaskBody& out, const amr::graph::Task& task,
               const std::array<std::span<double>, 2>& spans);
-    /// Waits for every submitted task, then validates the deferred checksum
-    /// stages still pending, older first.
-    void drain_checksums();
-
     /// DepLint + access checker, populated in DFAMR_VERIFY builds or when
     /// DFAMR_DEPLINT=1 opts a default build in (multi-process race proofs).
     /// Declared before rt_: the runtime's shutdown fires into the hook.

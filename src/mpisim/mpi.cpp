@@ -243,11 +243,15 @@ std::deque<PendingMsg>::iterator find_unexpected(Mailbox& mbox, int source, int 
                         [&](const PendingMsg& m) { return matches(source, tag, m.source, m.tag); });
 }
 
-/// Counts a completed delivery and wakes the receive's waiters.
+/// Counts a completed delivery and wakes the receive's waiters. Only
+/// application messages count: the wire collectives' reserved-tag traffic
+/// has no counterpart in an in-process world, whose counts must agree.
 void complete_delivery(WorldState* world, const std::shared_ptr<RequestState>& req,
                        const Status& st) {
-    world->messages_delivered.fetch_add(1, std::memory_order_relaxed);
-    world->bytes_delivered.fetch_add(st.bytes, std::memory_order_relaxed);
+    if (st.tag < kReservedTagBase) {
+        world->messages_delivered.fetch_add(1, std::memory_order_relaxed);
+        world->bytes_delivered.fetch_add(st.bytes, std::memory_order_relaxed);
+    }
     complete_request(req, st);
 }
 

@@ -11,8 +11,8 @@ namespace {
 
 /// The reference miniAMR criterion as a condition instance: score 1 when an
 /// object touches the block (or uniform refinement is forced), 0 otherwise.
-/// With the default refine_threshold 0.5 and deref_count 1 the driver's
-/// mark logic reproduces the legacy plan_refine_round marks exactly.
+/// With the default refine_threshold 0.5 and deref_count 1 the planner
+/// refines every block an object touches and coarsens every other at once.
 class ObjectCondition final : public RefinementCondition {
 public:
     const char* name() const override { return "objects"; }

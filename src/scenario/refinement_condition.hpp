@@ -1,6 +1,7 @@
 // Pluggable refinement conditions (Athena-style enrollable criteria): a
-// condition scores every leaf block, and the driver turns scores into
-// refine/coarsen marks with a strict threshold and deref-count hysteresis.
+// condition scores every leaf block, and the planner (amr/program.hpp)
+// turns scores into refine/coarsen marks with a strict threshold and
+// deref-count hysteresis.
 //
 // Two families exist:
 //   * geometric conditions score from the block's physical box alone
@@ -11,7 +12,7 @@
 //     Sum-allreduce over the leaves in key order (ownership is disjoint, so
 //     the sum is a gather) and derives identical marks on every rank.
 //
-// Scoring conventions (shared by the driver's mark logic, see DESIGN.md §17):
+// Scoring conventions (the planner's mark logic, see DESIGN.md §17):
 //   * a block refines iff score > refine_threshold (strictly — a score
 //     exactly at the threshold does not refine) and its level < max;
 //   * a block becomes coarsen-willing iff score < refine_threshold *
@@ -24,19 +25,14 @@
 
 #include "amr/block.hpp"
 #include "amr/object.hpp"
+#include "amr/program.hpp"
 #include "common/geometry.hpp"
 
 namespace dfamr::scenario {
 
-/// Fraction of refine_threshold below which a block is coarsen-willing.
-/// The dead band [kDerefBand * threshold, threshold] keeps blocks whose
-/// score hovers near the threshold from flapping between levels. The band
-/// must clear the estimators' refinement shrink factor: the undivided
-/// differences roughly halve when a block splits, so a freshly refined
-/// child scores ~score/2 — a band of 0.5 would park it exactly on the
-/// coarsen boundary. 0.25 leaves [threshold/4, threshold] as the hold
-/// region, absorbing the 2x shrink with margin.
-inline constexpr double kDerefBand = 0.25;
+/// Fraction of refine_threshold below which a block is coarsen-willing
+/// (the planner's dead band, see amr/program.hpp).
+using amr::kDerefBand;
 
 /// Inputs a geometric condition may consult (field-based ones ignore them).
 struct ScoreContext {

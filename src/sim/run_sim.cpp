@@ -9,9 +9,11 @@
 #include <utility>
 
 #include "amr/comm_plan.hpp"
+#include "amr/program.hpp"
 #include "amr/structure.hpp"
 #include "amr/task_graph.hpp"
 #include "common/error.hpp"
+#include "scenario/refinement_condition.hpp"
 
 namespace dfamr::sim {
 
@@ -86,19 +88,19 @@ void arrange(amr::Config& cfg, Vec3i block_grid, int total_ranks) {
 }
 
 // ---------------------------------------------------------------------------
-// SimRun: core::DriverBase's orchestration over every rank, building DAGs
-// instead of executing kernels. Every variant consumes the drivers' own graph
-// (amr/task_graph.hpp): the data-flow variant as tasks with dependencies, the
-// bulk-synchronous ones through the graph's loop rule, as SyncDriver does.
-// Refinement control, load balancing, the block-exchange protocol, blocking
-// block transfers and collectives are modelled here.
+// SimRun: the drivers' program (amr/program.hpp) run over every rank in
+// lockstep, building DAGs instead of executing kernels. Every variant
+// consumes the drivers' own graph (amr/task_graph.hpp): the data-flow
+// variant as tasks with dependencies, the bulk-synchronous ones through the
+// graph's loop rule, as SyncDriver does. This backend prices the program's
+// steps: its main-core work, messages and collectives.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 namespace graph = amr::graph;
 
-class SimRun {
+class SimRun : public amr::Program<SimRun> {
 public:
     SimRun(const amr::Config& app, amr::Variant variant, const ClusterSpec& cluster,
            const CostModel& costs, amr::Tracer* tracer)
@@ -121,20 +123,7 @@ public:
             throw ConfigError("the DES refines around the objects only, not by estimator '" +
                               cfg_.estimator + "'");
         }
-        // The DES marks with GlobalStructure::plan_refine_round: refine an
-        // intersected block, coarsen any other at once. The drivers' planner
-        // (DriverBase::plan_round) agrees with it only when a score of 1
-        // (intersected) passes the threshold, 0 falls below it, and one
-        // willing check is enough to coarsen.
-        if (cfg_.deref_count != 1) {
-            throw ConfigError("the DES coarsens without hysteresis, so deref_count must be 1, "
-                              "not " + std::to_string(cfg_.deref_count));
-        }
-        if (!(cfg_.refine_threshold > 0 && cfg_.refine_threshold < 1)) {
-            throw ConfigError("the DES refines every intersected block, so refine_threshold "
-                              "must lie in (0, 1), not " +
-                              std::to_string(cfg_.refine_threshold));
-        }
+        condition_ = scenario::find_condition(cfg_.estimator);
         R_ = cluster.total_ranks();
         W_ = cluster.cores_per_rank();
         mem_factor_ = cluster.rank_spans_sockets() ? costs.numa_penalty : 1.0;
@@ -144,31 +133,13 @@ public:
     }
 
     SimResult execute() {
-        if (cfg_.refine_freq > 0 && cfg_.num_refine > 0) refinement_phase(0);
-        int stage_counter = 0;
-        for (int ts = 1; ts <= cfg_.num_tsteps; ++ts) {
-            for (int stage = 0; stage < cfg_.stages_per_ts; ++stage) {
-                for (int group = 0; group < cfg_.num_groups(); ++group) {
-                    communicate_stage(group);
-                    stencil_stage(group);
-                }
-                ++stage_counter;
-                if (cfg_.checksum_freq > 0 && stage_counter % cfg_.checksum_freq == 0) {
-                    checksum_stage();
-                }
-            }
-            if (cfg_.refine_freq > 0 && cfg_.num_refine > 0 && ts % cfg_.refine_freq == 0) {
-                refinement_phase(cfg_.refine_freq);
-            }
-        }
-        finish_pending_checksums();
-        sim_.run_until_drained();
-
+        run_program(1, /*refine_first=*/true);
         SimResult result;
         result.total_s = static_cast<double>(sim_.global_time()) * 1e-9;
         result.refine_s = static_cast<double>(refine_ns_) * 1e-9;
         result.total_flops = flops_;
         result.final_blocks = static_cast<std::int64_t>(structure_.num_blocks());
+        result.counters = counters_;
         result.stats = sim_.stats();
         result.stats.dataflow_tasks = dataflow_tasks_;
         result.stats.edges = edges_;
@@ -176,20 +147,22 @@ public:
     }
 
 private:
+    friend class amr::Program<SimRun>;
+
     struct RankState {
         std::vector<BlockKey> blocks;
         CommPlan plan;
         SimTaskPtr tail;  // program-order / main-thread chain
     };
 
-    /// One rank's sink for amr/task_graph.hpp. For TAMPI+OSS each access
-    /// becomes a synthetic region with the offset and size TampiOssDriver's
-    /// span has in its object, each task gets the cost model's price and
-    /// each send its receive. For the bulk-synchronous variants (and
-    /// TAMPI+OSS's --serial_refinement) the tasks go through `loops`, the
-    /// graph's loop rule, and this is its backend: a loop is a task on the
-    /// main core, or a parallel region for fork-join, priced by the same
-    /// cost function.
+    /// One rank's sink for amr/task_graph.hpp and its backend of the
+    /// program's per-rank steps. For TAMPI+OSS each access becomes a
+    /// synthetic region with the offset and size TampiOssDriver's span has
+    /// in its object, each task gets the cost model's price and each send
+    /// its receive. For the bulk-synchronous variants (and TAMPI+OSS's
+    /// --serial_refinement) the tasks go through `loops`, the graph's loop
+    /// rule, and this is its backend: a loop is a task on the main core, or
+    /// a parallel region for fork-join, priced by the same cost function.
     struct Sink {
         Sink(SimRun& run_, int rank_)
             : run(run_),
@@ -300,9 +273,8 @@ private:
         template <class RunPacks>
         void send(const graph::Task& task, const RunPacks& run_packs) {
             run_packs();
-            auto send = run.serial(rank, PhaseKind::Send, run.mpi_call());
-            run.match(rank, task.payload.peer, task.payload.tag, send, true,
-                      task.accesses[0].target.count * 8);
+            run.blocking(rank, task.payload.peer, task.payload.tag, true, PhaseKind::Send,
+                         task.accesses[0].target.count * 8);
         }
         /// Plan order stands in for arrival order: the main core waits for
         /// each message in turn.
@@ -319,6 +291,37 @@ private:
             waited = 0;
         }
         void validate(int) {}  // the caller drains every rank at once
+
+        // ---- the program's per-rank steps ------------------------------------
+        /// Splits: the data-flow model's waves, the loops' one wave.
+        void do_splits(const std::vector<BlockKey>& parents) {
+            const bool tasks = run.refine_tasking();
+            const auto wave = tasks ? std::size_t{graph::kSplitWaveParentsPerCore} * run.W_
+                                    : parents.size();
+            run.emit(rank, tasks, [&](auto& sink) {
+                graph::emit_splits(sink, parents, run.structure_.max_level(),
+                                   run.cfg_.num_vars, wave);
+            });
+        }
+        void do_merges(const std::vector<BlockKey>& parents) {
+            run.emit(rank, run.refine_tasking(), [&](auto& sink) {
+                graph::emit_merges(sink, parents, run.structure_.max_level(), run.cfg_.num_vars);
+            });
+        }
+        void send_control(int peer, int tag, int) {
+            run.blocking(rank, peer, tag, true, PhaseKind::Control, sizeof(int));
+        }
+        void recv_control(int peer, int tag, int) {
+            run.blocking(rank, peer, tag, false, PhaseKind::Control, sizeof(int));
+        }
+        void send_block(const amr::BlockMove& mv) {
+            run.blocking(rank, mv.to, amr::kBlockDataTagBase + mv.id, true,
+                         PhaseKind::RefineExchange, run.block_bytes());
+        }
+        void recv_block(const amr::BlockMove& mv) {
+            run.blocking(rank, mv.from, amr::kBlockDataTagBase + mv.id, false,
+                         PhaseKind::RefineExchange, run.block_bytes());
+        }
 
         SimRun& run;
         int rank;
@@ -435,18 +438,25 @@ private:
         sim_.submit(join);
     }
 
+    /// A blocking call on `rank`'s main core whose message to or from
+    /// `peer` is matched as MPI matches it.
+    void blocking(int rank, int peer, int tag, bool send, PhaseKind kind, std::int64_t bytes) {
+        auto t = serial(rank, kind, mpi_call());
+        match(send ? rank : peer, send ? peer : rank, tag, t, send, bytes);
+    }
+
     /// Drains all outstanding work, then applies a blocking collective
     /// across every rank (used at the global sync points).
     void analytic_collective(std::int64_t bytes) {
-        sim_.run_until_drained();
+        quiesce();
         std::int64_t tmax = 0;
         for (int r = 0; r < R_; ++r) tmax = std::max(tmax, sim_.rank_time(r));
         sim_.advance_all_ranks_to(tmax + costs_.collective_ns(R_, bytes));
-        forget_drained();
     }
 
-    /// After a drain every task has released: no join waits for one.
-    void forget_drained() {
+    /// Runs every task; after that no join waits for one.
+    void quiesce() {
+        sim_.run_until_drained();
         for (Sink& sink : sinks_) {
             sink.registry.garbage_collect();
             sink.unjoined.clear();
@@ -481,9 +491,7 @@ private:
 
     void rebuild_rank_state() {
         refresh_block_lists();
-        amr::CommPlanOptions opts;
-        opts.send_faces = cfg_.send_faces;
-        opts.max_comm_tasks = cfg_.max_comm_tasks;
+        const amr::CommPlanOptions opts{cfg_.send_faces, cfg_.max_comm_tasks};
         for (int r = 0; r < R_; ++r) {
             RankState& st = state_[static_cast<std::size_t>(r)];
             st.plan = CommPlan(structure_, shape_, r, opts,
@@ -560,143 +568,70 @@ private:
         cks_slot_ = 1 - slot;
     }
 
-    void finish_pending_checksums() {
+    /// The pending checksum stages' collectives, then every task.
+    void drain_checksums() {
         for (int slot = 0; slot < 2; ++slot) {
             if (cks_pending_[slot]) {
                 analytic_collective(cfg_.num_groups() * 8);
                 cks_pending_[slot] = false;
             }
         }
+        quiesce();
     }
 
-    // --- refinement -------------------------------------------------------
-    void refinement_phase(int steps) {
-        finish_pending_checksums();
-        sim_.run_until_drained();
-        forget_drained();
-        const std::int64_t t0 = sim_.global_time();
+    // --- the program's refinement steps --------------------------------------
+    amr::GlobalStructure& structure() { return structure_; }
+    amr::RunCounters& counters() { return counters_; }
+    static bool runs(int) { return true; }
+    Sink& rank(int r) { return sinks_[static_cast<std::size_t>(r)]; }
 
-        for (int s = 0; s < steps; ++s) {
-            for (amr::ObjectSpec& obj : cfg_.objects) obj.step();
-        }
-
-        const int max_level = structure_.max_level();
-        const int rounds = cfg_.max_block_change();
-        for (int round_idx = 0; round_idx < rounds; ++round_idx) {
-            const amr::RefineRound round =
-                structure_.plan_refine_round(cfg_.objects, cfg_.uniform_refine);
-            if (round.empty()) break;
-
-            // Refinement control (marking, bookkeeping): sequential per
-            // rank — this is the hard-to-parallelize part (§IV-B), and the
-            // reason hybrids (more blocks/rank) lose ground here.
-            for (int r = 0; r < R_; ++r) {
-                const auto nblocks =
-                    static_cast<std::int64_t>(state_[static_cast<std::size_t>(r)].blocks.size());
-                serial(r, PhaseKind::Control,
-                       static_cast<std::int64_t>(costs_.control_ns_per_block *
-                                                 static_cast<double>(nblocks)));
-            }
-
-            // Splits: the data-flow model's waves, the loops' one wave.
-            const auto wave = static_cast<std::size_t>(graph::kSplitWaveParentsPerCore * W_);
-            std::vector<std::vector<BlockKey>> splits(static_cast<std::size_t>(R_));
-            for (const BlockKey& key : round.refine) {
-                splits[static_cast<std::size_t>(structure_.owner(key))].push_back(key);
-            }
-            for (int r = 0; r < R_; ++r) {
-                const std::vector<BlockKey>& mine = splits[static_cast<std::size_t>(r)];
-                if (mine.empty()) continue;
-                emit(r, refine_tasking(), [&](auto& sink) {
-                    graph::emit_splits(sink, mine, max_level, cfg_.num_vars,
-                                       refine_tasking() ? wave : mine.size());
-                });
-            }
-
-            // Coarsening: move children to the parent owner, then merge.
-            std::vector<std::vector<BlockKey>> merges(static_cast<std::size_t>(R_));
-            for (const BlockKey& parent : round.coarsen_parents) {
-                merges[static_cast<std::size_t>(structure_.owner(parent.child(0, max_level)))]
-                    .push_back(parent);
-            }
-            transfer_blocks(structure_.coarsen_moves(round), /*with_ack=*/false);
-            for (int r = 0; r < R_; ++r) {
-                const std::vector<BlockKey>& mine = merges[static_cast<std::size_t>(r)];
-                if (mine.empty()) continue;
-                emit(r, refine_tasking(), [&](auto& sink) {
-                    graph::emit_merges(sink, mine, max_level, cfg_.num_vars);
-                });
-            }
-            analytic_collective(8);  // 2:1 agreement round (miniAMR collective)
-            structure_.apply_refine_round(round);
-            refresh_block_lists();
-        }
-
-        // Load balancing.
-        if (cfg_.lb_opt && structure_.imbalance() > cfg_.inbalance) {
-            for (int r = 0; r < R_; ++r) {
-                const auto nblocks =
-                    static_cast<std::int64_t>(state_[static_cast<std::size_t>(r)].blocks.size());
-                serial(r, PhaseKind::LoadBalance,
-                       static_cast<std::int64_t>(costs_.rcb_ns_per_block *
-                                                 static_cast<double>(nblocks)));
-            }
-            const auto new_owners = structure_.rcb_partition();
-            transfer_blocks(structure_.moves_to(new_owners), /*with_ack=*/true);
-            structure_.set_owners(new_owners);
-        }
-
+    void begin_refinement() {
+        drain_checksums();
+        refine_t0_ = sim_.global_time();
+    }
+    void end_refinement() {
         analytic_collective(8);
         rebuild_rank_state();
-        refine_ns_ += sim_.global_time() - t0;
+        refine_ns_ += sim_.global_time() - refine_t0_;
     }
-
-    void transfer_blocks(const std::vector<amr::BlockMove>& moves, bool with_ack) {
-        if (moves.empty()) return;
-        if (with_ack) {
-            // §IV-B control protocol: ACK from receiver, block id from
-            // sender; sequential blocking messages on the main thread.
-            std::vector<SimTaskPtr> acks, ids;
-            acks.reserve(moves.size());
-            for (const amr::BlockMove& mv : moves) {
-                acks.push_back(serial(mv.to, PhaseKind::Control, mpi_call()));
-            }
-            ids.reserve(moves.size());
-            for (std::size_t i = 0; i < moves.size(); ++i) {
-                const amr::BlockMove& mv = moves[i];
-                // Blocking ACK receive: chained AND message-gated.
-                auto ack_recv = sim_.new_task(mv.from, PhaseKind::Control, mpi_call(), main_core());
-                chain(mv.from, ack_recv);
-                sim_.submit(ack_recv);
-                sim_.add_message(acks[i], ack_recv, 4);
-                ids.push_back(serial(mv.from, PhaseKind::Control, mpi_call()));
-            }
-            for (std::size_t i = 0; i < moves.size(); ++i) {
-                const amr::BlockMove& mv = moves[i];
-                auto id_recv = sim_.new_task(mv.to, PhaseKind::Control, mpi_call(), main_core());
-                chain(mv.to, id_recv);
-                sim_.submit(id_recv);
-                sim_.add_message(ids[i], id_recv, 4);
-            }
+    /// The drivers' condition, on boxes: the DES refines around the objects.
+    std::vector<double> leaf_scores() const {
+        const scenario::ScoreContext ctx{&cfg_.objects, cfg_.uniform_refine};
+        std::vector<double> scores;
+        for (const auto& [key, owner] : structure_.leaves()) {
+            scores.push_back(condition_->score(nullptr, structure_.box(key), ctx));
         }
-        // Payload transfers.
-        if (refine_tasking()) {
-            // The barrier of the transfer joins.
-            transfer_barrier_ = sim_.new_collective(0);
-            for (int r = 0; r < R_; ++r) {
-                graph::emit_block_transfers(sinks_[static_cast<std::size_t>(r)], moves, r,
-                                            cfg_.num_vars);
-            }
-            sim_.close_collective(transfer_barrier_);
+        return scores;
+    }
+    void structure_changed() { refresh_block_lists(); }
+    /// Refinement control (marking, bookkeeping) and the partitioner run
+    /// sequentially per rank: the hard-to-parallelize part (§IV-B), and the
+    /// reason hybrids (more blocks per rank) lose ground here. The 2:1
+    /// agreement is a miniAMR collective.
+    void charge(amr::Charge step) {
+        if (step == amr::Charge::Agreement) {
+            analytic_collective(8);
             return;
         }
-        for (const amr::BlockMove& mv : moves) {
-            auto send = serial(mv.from, PhaseKind::RefineExchange, mpi_call());
-            auto recv = sim_.new_task(mv.to, PhaseKind::RefineExchange, mpi_call(), main_core());
-            chain(mv.to, recv);  // blocking receive in program order
-            sim_.submit(recv);
-            sim_.add_message(send, recv, block_bytes());
+        const bool partition = step == amr::Charge::Partition;
+        const double per_block = partition ? costs_.rcb_ns_per_block : costs_.control_ns_per_block;
+        for (int r = 0; r < R_; ++r) {
+            const auto nblocks = state_[static_cast<std::size_t>(r)].blocks.size();
+            serial(r, partition ? PhaseKind::LoadBalance : PhaseKind::Control,
+                   static_cast<std::int64_t>(per_block * static_cast<double>(nblocks)));
         }
+    }
+    /// Taskified refinement sends and receives blocks as tasks, whose
+    /// transfer joins meet at one barrier.
+    bool transfer_tasks(const std::vector<amr::BlockMove>& moves) {
+        if (!refine_tasking()) return false;
+        if (moves.empty()) return true;
+        transfer_barrier_ = sim_.new_collective(0);
+        for (Sink& sink : sinks_) {
+            graph::emit_block_transfers(sink, moves, sink.rank, cfg_.num_vars);
+        }
+        sim_.close_collective(transfer_barrier_);
+        return true;
     }
 
     amr::Config cfg_;
@@ -715,6 +650,9 @@ private:
     int transfer_barrier_ = -1;  // the collective of the exchange being built
     bool cks_pending_[2] = {false, false};
     int cks_slot_ = 0;
+    const scenario::RefinementCondition* condition_ = nullptr;
+    amr::RunCounters counters_;
+    std::int64_t refine_t0_ = 0;  // the refinement phase in progress began
     std::int64_t refine_ns_ = 0;
     std::int64_t flops_ = 0;
     std::uint64_t dataflow_tasks_ = 0;

@@ -1,12 +1,13 @@
 // Simulated (DES) execution of the three miniAMR variants on a virtual
 // cluster — regenerates the paper's scaling experiments at 4..256 nodes on
 // a development machine. The mesh evolution (refinement decisions, load
-// balancing, communication patterns) is computed exactly with the same
-// amr:: machinery the real drivers use; only kernel execution is replaced
-// by the calibrated cost model.
+// balancing, communication patterns) is computed exactly by the program the
+// real drivers run (amr/program.hpp); only kernel execution is replaced by
+// the calibrated cost model.
 #pragma once
 
 #include "amr/config.hpp"
+#include "amr/program.hpp"
 #include "amr/trace.hpp"
 #include "common/geometry.hpp"
 #include "sim/simulator.hpp"
@@ -20,6 +21,8 @@ struct SimResult {
     std::int64_t total_flops = 0;
     double gflops() const { return total_s > 0 ? static_cast<double>(total_flops) / total_s * 1e-9 : 0; }
     std::int64_t final_blocks = 0;
+    /// The program's counters over every rank, folded as the drivers' are.
+    amr::RunCounters counters;
     SimStats stats;
 };
 

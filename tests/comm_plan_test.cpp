@@ -9,6 +9,7 @@
 
 #include "amr/comm_plan.hpp"
 #include "amr/mesh.hpp"
+#include "object_round.hpp"
 
 namespace dfamr::amr {
 namespace {
@@ -82,7 +83,7 @@ TEST(CommPlan, SymmetricWithRefinementAndAllOptions) {
     sphere.center = {0, 0, 0};
     sphere.size = {0.4, 0.4, 0.4};
     for (int i = 0; i < 2; ++i) {
-        const RefineRound round = gs.plan_refine_round({sphere}, false);
+        const RefineRound round = plan_object_round(gs, {sphere}, false);
         if (round.empty()) break;
         gs.apply_refine_round(round);
     }
@@ -235,7 +236,7 @@ TEST(CommPlan, DestinationWalkCoversEverySameRankItemOnce) {
     sphere.center = {0, 0, 0};
     sphere.size = {0.4, 0.4, 0.4};
     for (int i = 0; i < 2; ++i) {
-        const RefineRound round = gs.plan_refine_round({sphere}, false);
+        const RefineRound round = plan_object_round(gs, {sphere}, false);
         if (round.empty()) break;
         gs.apply_refine_round(round);
     }

@@ -6,6 +6,7 @@
 
 #include "amr/comm_plan.hpp"
 #include "amr/mesh.hpp"
+#include "object_round.hpp"
 
 namespace dfamr::amr {
 namespace {
@@ -29,7 +30,7 @@ Mesh make_refined_mesh(double value) {
     sphere.center = {0, 0, 0};
     sphere.size = {0.3, 0.3, 0.3};
     for (int i = 0; i < 2; ++i) {
-        const RefineRound round = mesh.structure().plan_refine_round({sphere}, false);
+        const RefineRound round = plan_object_round(mesh.structure(), {sphere}, false);
         if (round.empty()) break;
         mesh.structure().apply_refine_round(round);
     }

@@ -123,7 +123,7 @@ TEST_P(MpirunFold, RankReducedFieldsMatchInproc) {
          {"total_flops", "final_blocks", "validation_ok", "blocks_split", "blocks_merged",
           "blocks_moved", "blocks_refined_by_estimator", "refinement_phases", "load_balances",
           "checksum_stages", "refine_coarsen_thrash", "reflux_corrections", "mass_drift",
-          "boundary_outflux", "initial_mass", "final_mass"}) {
+          "boundary_outflux", "initial_mass", "final_mass", "messages", "bytes"}) {
         expect_same("run", key);
     }
     expect_same("scheduler", "tasks_executed");

@@ -226,8 +226,7 @@ TEST(SimCosts, MpiOnlyAndForkJoinChargeTheSameSameRankCopies) {
 }
 
 // The DES models the synthetic stencil refined around the objects: a
-// scenario run, a field estimator or another refinement planner would be
-// priced as that run instead.
+// scenario run or a field estimator would be priced as that run instead.
 void expect_rejected(void (*edit)(Config&), const std::string& field) {
     const ClusterSpec cluster = cluster_for(Variant::MpiOnly);
     Config cfg = small_app(cluster.total_ranks(), {4, 2, 2});
@@ -250,15 +249,15 @@ TEST(SimRejects, FieldEstimators) {
     expect_rejected([](Config& c) { c.estimator = "gradient"; }, "estimator");
 }
 
-// The DES's planner has no coarsening hysteresis and refines every
-// intersected block: a run that sets either would be priced as the default.
-TEST(SimRejects, DerefHysteresis) {
-    expect_rejected([](Config& c) { c.deref_count = 3; }, "deref_count");
-}
-
-TEST(SimRejects, RefineThreshold) {
-    expect_rejected([](Config& c) { c.refine_threshold = 1.0; }, "refine_threshold");
-    expect_rejected([](Config& c) { c.refine_threshold = 0.0; }, "refine_threshold");
+// The drivers and the DES run one program (amr/program.hpp), so they refine,
+// coarsen, move and balance the same blocks.
+void expect_same_refinement(const amr::RunCounters& sim, const amr::RunCounters& real) {
+    EXPECT_EQ(sim.blocks_split, real.blocks_split);
+    EXPECT_EQ(sim.blocks_merged, real.blocks_merged);
+    EXPECT_EQ(sim.blocks_moved, real.blocks_moved);
+    EXPECT_EQ(sim.refinement_phases, real.refinement_phases);
+    EXPECT_EQ(sim.load_balances, real.load_balances);
+    EXPECT_EQ(sim.refine_coarsen_thrash, real.refine_coarsen_thrash);
 }
 
 // DESIGN.md §6's structural cross-check: TampiOssDriver and the DES build
@@ -281,6 +280,8 @@ void expect_des_matches_driver(Config cfg) {
     EXPECT_EQ(sim.stats.dataflow_tasks, real.sched.tasks_executed);
     EXPECT_EQ(sim.stats.edges, real.sched.edges_added);
     EXPECT_EQ(sim.stats.messages, real.messages);
+    EXPECT_EQ(sim.final_blocks, real.final_blocks);
+    expect_same_refinement(sim.counters, real.counters);
 }
 
 void on_every_config(bool refine, const std::function<void(const Config&)>& expect_match) {
@@ -319,6 +320,10 @@ void on_every_config(bool refine, const std::function<void(const Config&)>& expe
              c.comm_vars = 3;
              c.send_faces = true;
          }},
+        // The planner's hysteresis: a block coarsens after 3 willing checks.
+        {"deref_count_3", [](Config& c) { c.deref_count = 3; }},
+        // No object score (0 or 1) exceeds the threshold: nothing refines.
+        {"refine_threshold_1", [](Config& c) { c.refine_threshold = 1.0; }},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.name);
@@ -354,6 +359,7 @@ void expect_bulk_des_matches_driver(Config cfg) {
         EXPECT_EQ(sim.stats.messages, real.messages);
         EXPECT_EQ(sim.total_flops, real.total_flops);
         EXPECT_EQ(sim.final_blocks, real.final_blocks);
+        expect_same_refinement(sim.counters, real.counters);
     }
 }
 

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "amr/structure.hpp"
+#include "object_round.hpp"
 #include "common/rng.hpp"
 
 namespace dfamr::amr {
@@ -96,7 +97,7 @@ TEST(Structure, PlanMarksTouchedBlocks) {
     const Config cfg = base_config(1, 1, 1);
     GlobalStructure gs(cfg);
     const std::vector<ObjectSpec> objs{corner_sphere()};
-    const RefineRound round = gs.plan_refine_round(objs, false);
+    const RefineRound round = plan_object_round(gs, objs, false);
     // Only the origin block touches the corner sphere boundary.
     ASSERT_EQ(round.refine.size(), 1u);
     EXPECT_EQ(round.refine[0], (BlockKey{0, {0, 0, 0}}));
@@ -108,7 +109,7 @@ TEST(Structure, TwoToOneHoldsThroughRefinementRounds) {
     GlobalStructure gs(cfg);
     const std::vector<ObjectSpec> objs{corner_sphere(0.3)};
     for (int round_idx = 0; round_idx < cfg.num_refine; ++round_idx) {
-        const RefineRound round = gs.plan_refine_round(objs, false);
+        const RefineRound round = plan_object_round(gs, objs, false);
         if (round.empty()) break;
         gs.apply_refine_round(round);
         EXPECT_TRUE(gs.two_to_one_ok()) << "after round " << round_idx;
@@ -127,7 +128,7 @@ TEST(Structure, CoarseningAfterObjectMovesAway) {
     GlobalStructure gs(cfg);
     std::vector<ObjectSpec> objs{corner_sphere(0.25)};
     for (int i = 0; i < 4; ++i) {
-        const RefineRound r = gs.plan_refine_round(objs, false);
+        const RefineRound r = plan_object_round(gs, objs, false);
         if (r.empty()) break;
         gs.apply_refine_round(r);
     }
@@ -138,7 +139,7 @@ TEST(Structure, CoarseningAfterObjectMovesAway) {
     // back (over several rounds) and the new region refine.
     objs[0].center = {1, 1, 1};
     for (int i = 0; i < 6; ++i) {
-        const RefineRound r = gs.plan_refine_round(objs, false);
+        const RefineRound r = plan_object_round(gs, objs, false);
         if (r.empty()) break;
         gs.apply_refine_round(r);
         EXPECT_TRUE(gs.two_to_one_ok());
@@ -150,7 +151,7 @@ TEST(Structure, CoarseningAfterObjectMovesAway) {
 TEST(Structure, UniformRefineRefinesEverything) {
     const Config cfg = base_config(1, 1, 1);
     GlobalStructure gs(cfg);
-    const RefineRound round = gs.plan_refine_round({}, true);
+    const RefineRound round = plan_object_round(gs, {}, true);
     EXPECT_EQ(round.refine.size(), 8u);
     gs.apply_refine_round(round);
     EXPECT_EQ(gs.num_blocks(), 64u);
@@ -164,7 +165,7 @@ TEST(Structure, RefinePropagatesToCoarserNeighbors) {
     // further refinement of the level-2 block must drag the level-1 along.
     std::vector<ObjectSpec> objs{corner_sphere(0.10)};
     for (int i = 0; i < 3; ++i) {
-        const RefineRound r = gs.plan_refine_round(objs, false);
+        const RefineRound r = plan_object_round(gs, objs, false);
         if (r.empty()) break;
         gs.apply_refine_round(r);
         EXPECT_TRUE(gs.two_to_one_ok()) << "round " << i;
@@ -197,7 +198,7 @@ TEST(Structure, RcbBalancesCounts) {
     GlobalStructure gs(cfg);
     std::vector<ObjectSpec> objs{corner_sphere(0.3)};
     for (int i = 0; i < 3; ++i) {
-        const RefineRound r = gs.plan_refine_round(objs, false);
+        const RefineRound r = plan_object_round(gs, objs, false);
         if (r.empty()) break;
         gs.apply_refine_round(r);
     }
@@ -257,7 +258,7 @@ TEST(StructureProperty, RandomWalkKeepsInvariants) {
         std::vector<ObjectSpec> objs{obj};
         for (int step = 0; step < 12; ++step) {
             for (int round_idx = 0; round_idx < 2; ++round_idx) {
-                const RefineRound r = gs.plan_refine_round(objs, false);
+                const RefineRound r = plan_object_round(gs, objs, false);
                 if (r.empty()) break;
                 gs.apply_refine_round(r);
             }
