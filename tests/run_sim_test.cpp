@@ -320,10 +320,6 @@ void on_every_config(bool refine, const std::function<void(const Config&)>& expe
              c.comm_vars = 3;
              c.send_faces = true;
          }},
-        // The planner's hysteresis: a block coarsens after 3 willing checks.
-        {"deref_count_3", [](Config& c) { c.deref_count = 3; }},
-        // No object score (0 or 1) exceeds the threshold: nothing refines.
-        {"refine_threshold_1", [](Config& c) { c.refine_threshold = 1.0; }},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.name);
@@ -369,6 +365,47 @@ TEST(SimMatchesDriver, BulkSynchronousWithoutRefinement) {
 
 TEST(SimMatchesDriver, BulkSynchronousWithRefinement) {
     on_every_config(true, expect_bulk_des_matches_driver);
+}
+
+// The DES plans with the drivers' planner, so it runs any refine_threshold
+// and deref_count: each setting changes the DES's mesh evolution the way it
+// changes the drivers', in every variant.
+Config planner_app(void (*edit)(Config&)) {
+    Config cfg = small_app(2, {4, 2, 2});
+    edit(cfg);
+    expect_des_matches_driver(cfg);
+    expect_bulk_des_matches_driver(cfg);
+    return cfg;
+}
+
+SimResult run_mpi_only(const Config& cfg) {
+    ClusterSpec cluster;
+    cluster.nodes = 1;
+    cluster.ranks_per_node = cfg.num_ranks();
+    cluster.cores_per_node = cfg.num_ranks();
+    return run_simulated(cfg, Variant::MpiOnly, cluster, test_costs());
+}
+
+// A block coarsens only after 3 willing checks, so fewer blocks merge.
+TEST(SimPlanner, DerefHysteresis) {
+    const Config cfg = planner_app([](Config& c) { c.deref_count = 3; });
+    const SimResult plain = run_mpi_only(small_app(2, {4, 2, 2}));
+    const SimResult held = run_mpi_only(cfg);
+    EXPECT_GT(plain.counters.blocks_merged, 0);
+    EXPECT_LT(held.counters.blocks_merged, plain.counters.blocks_merged);
+}
+
+// No object score (0 or 1) exceeds 1.0, so nothing refines; none falls
+// below 0.0, so nothing coarsens.
+TEST(SimPlanner, RefineThreshold) {
+    const Config high = planner_app([](Config& c) { c.refine_threshold = 1.0; });
+    const SimResult none = run_mpi_only(high);
+    EXPECT_EQ(none.counters.blocks_split, 0);
+    EXPECT_EQ(none.final_blocks, 16);
+    const Config low = planner_app([](Config& c) { c.refine_threshold = 0.0; });
+    const SimResult kept = run_mpi_only(low);
+    EXPECT_GT(kept.counters.blocks_split, 0);
+    EXPECT_EQ(kept.counters.blocks_merged, 0);
 }
 
 }  // namespace
